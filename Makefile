@@ -7,7 +7,7 @@ GO ?= go
 # (e.g. make fuzz-smoke FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos engine-diff summary-diff bench bench-scan bench-smt bench-interp bench-interp-diff bench-smoke
+.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-interp bench-interp-diff bench-smoke
 
 check: fmt vet build race fuzz-smoke bench-smoke
 
@@ -42,14 +42,13 @@ crash-matrix:
 
 # Bounded coverage-guided fuzzing of the robustness frontier: the lexer
 # and parser must never panic on malformed PHP (the scanner's parse-stage
-# fault containment assumes it), and the tree walker and bytecode VM must
-# agree on arbitrary programs (the engine-equivalence invariant). Seed
-# corpora live under each package's testdata/fuzz/.
+# fault containment assumes it), and the summary strategy must keep its
+# contract with inlining on arbitrary programs. Seed corpora live under
+# each package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime $(FUZZTIME) ./internal/phplex
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/phpparser
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZTIME) ./internal/phpparser
-	$(GO) test -run '^$$' -fuzz '^FuzzEngineEquivalence$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^$$' -fuzz '^FuzzSummaryEquivalence$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalFold$$' -fuzztime $(FUZZTIME) ./internal/scanjournal
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordFold$$' -fuzztime $(FUZZTIME) ./internal/shardcoord
@@ -82,25 +81,17 @@ daemon-chaos:
 	DAEMON_CHAOS_OUT=$(CURDIR)/DAEMON_CHAOS_matrix.json $(GO) test -race -run 'TestDaemonChaosMatrix|TestDaemonSeamCrashes|TestDaemonChaosKillNine$$' ./internal/scand
 	@echo "wrote DAEMON_CHAOS_matrix.json"
 
-# Engine-differential acceptance suite under the race detector: tree vs
-# VM byte-identical findings on every corpus app at Workers=1/4, the
-# Table III verdict sweep (including the Cimy miss) under the VM, the
-# deterministic counter table, and the unit-level equivalence matrix.
-engine-diff:
-	$(GO) test -race -run 'TestEngineDifferentialCorpus|TestEngineVM' ./internal/uchecker
-	$(GO) test -race -run 'TestEngineEquivalence|TestEngineFactoryCounters' ./internal/interp
-	$(GO) test -race -run 'TestTableIIIVerdictsVMEngine|TestCounterTableVMDeterministic' ./internal/evalharness
-
 # Interprocedural-strategy differential acceptance suite under the race
 # detector: summary vs inline on every corpus app at Workers=1/4
 # (findings and Table III verdicts byte-identical modulo summary-only
-# work counters), the Cimy path-explosion case completing cleanly under
-# default budgets with zero retries, tree-vs-VM equivalence under the
-# summary strategy, the summary artifact cache's cold/warm/corrupt/
-# version-skew cycle, the daemon's cross-job summary reuse, and the
-# unit-level merge/summary suites.
+# work counters, and every Workers=1 report matching the frozen hashes
+# in internal/uchecker/testdata/corpus_reports.golden), the Cimy
+# path-explosion case completing cleanly under default budgets with zero
+# retries, the summary artifact cache's cold/warm/corrupt/version-skew
+# cycle, the daemon's cross-job summary reuse, and the unit-level
+# merge/summary suites.
 summary-diff:
-	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestSummaryEngineDifferential|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryArtifactCache' ./internal/uchecker
+	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryArtifactCache' ./internal/uchecker
 	$(GO) test -race -run 'TestMerge|TestNoMerge|TestTrivial|TestEscapedCallee|TestMethodCallNeverSummarized|TestSummary' ./internal/interp
 	$(GO) test -race ./internal/summary
 	$(GO) test -race -run 'TestHTTPMetricsExposeSummaryCounters' ./internal/scand
@@ -120,28 +111,28 @@ bench-smt:
 	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
-# Execution-engine benchmarks: bytecode compilation, the tree-vs-VM
-# symbolic-execution pair, compile-once amortization across a 32-root
-# app, and the full-corpus sweep — archived as JSON for cross-commit
-# comparison.
+# Symbolic-execution benchmarks: the interpreter alone on the most
+# path-heavy completing app, a 32-root app end to end, and the serial
+# full-corpus sweep — archived as JSON for cross-commit comparison.
+INTERP_BENCH = ^Benchmark(PhaseSymbolicExecution|ScanRoots|ScanSerial)$$
 bench-interp:
-	@$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 2s -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
+	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
 	@echo "wrote BENCH_interp.json"
 
-# Engine-benchmark regression gate: re-runs bench-interp's suite and
+# Symbolic-execution regression gate: re-runs bench-interp's suite and
 # fails when ns/op or allocs/op regresses more than 15% against the
 # committed BENCH_interp.json. The fresh run lands in
 # BENCH_interp.new.json — CI archives it as the candidate baseline, and
 # after an intentional perf change it replaces the committed file.
 bench-interp-diff:
-	@$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 2s -benchmem . | tee /dev/stderr | \
-	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^BenchmarkEngine' -out BENCH_interp.new.json
+	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | \
+	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseSymbolicExecution|ScanRoots|ScanSerial)' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
-# One-iteration smoke over the constraint-engine and execution-engine
+# One-iteration smoke over the constraint-engine and symbolic-execution
 # benchmarks: keeps the benchmark harnesses compiling and running inside
 # `make check` without paying for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 1x ./internal/heapgraph
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine(Compile|SymbolicExecution|ScanRoots)' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 1x .

@@ -23,7 +23,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/evalharness"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/locality"
 	"repro/internal/phpast"
 	"repro/internal/phpparser"
@@ -131,7 +130,7 @@ func BenchmarkPhaseSymbolicExecution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in := interp.New(files, interp.Options{})
-		out := in.RunRoot(res.Roots[0].Node)
+		out := in.Run(context.Background(), res.Roots[0].Node)
 		if out.Paths != 9216 {
 			b.Fatalf("paths = %d", out.Paths)
 		}
@@ -377,101 +376,6 @@ func BenchmarkScanRoots(b *testing.B) {
 				rep, err := scanner.Scan(context.Background(), target)
 				if err != nil || !rep.Vulnerable || len(rep.Roots) != 32 {
 					b.Fatalf("err=%v vulnerable=%v roots=%d", err, rep.Vulnerable, len(rep.Roots))
-				}
-			}
-		})
-	}
-}
-
-// --- execution engines (make bench-interp) ---
-
-// engineKinds are the two interp.Engine implementations the benchmarks
-// below contrast; findings are byte-identical, only dispatch differs.
-var engineKinds = []interp.EngineKind{interp.EngineTree, interp.EngineVM}
-
-// BenchmarkEngineCompile measures the one-time bytecode compilation cost
-// on the largest corpus member (Joomla-Bible-study, ~95k LoC). The VM
-// engine pays this exactly once per Scan, amortized across every root and
-// retry rung.
-func BenchmarkEngineCompile(b *testing.B) {
-	app, _ := corpus.ByName("Joomla-Bible-study 9.1.1")
-	var files []*phpast.File
-	for name, src := range app.Sources {
-		f, _ := phpparser.Parse(name, src)
-		files = append(files, f)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog := ir.Compile(files)
-		if prog.FunctionsCompiled == 0 {
-			b.Fatal("nothing compiled")
-		}
-	}
-}
-
-// BenchmarkEngineSymbolicExecution contrasts the tree walker and the
-// bytecode VM on the symbolic-execution phase alone — the most path-heavy
-// completing corpus app (Avatar Uploader, 9216 paths), with parsing,
-// locality, and (for the VM) compilation hoisted out of the loop.
-func BenchmarkEngineSymbolicExecution(b *testing.B) {
-	app, _ := corpus.ByName("Avatar Uploader 6.x-1.2")
-	var files []*phpast.File
-	for name, src := range app.Sources {
-		f, _ := phpparser.Parse(name, src)
-		files = append(files, f)
-	}
-	g := callgraph.Build(files)
-	res := locality.Analyze(g, files, app.Sources)
-	if len(res.Roots) == 0 {
-		b.Fatal("no roots")
-	}
-	for _, kind := range engineKinds {
-		kind := kind
-		b.Run(string(kind), func(b *testing.B) {
-			engines := interp.NewEngineFactory(kind, files)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := engines.New(interp.Options{}).Run(context.Background(), res.Roots[0].Node)
-				if out.Paths != 9216 {
-					b.Fatalf("paths = %d", out.Paths)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineScanRoots contrasts the engines end-to-end on a single
-// 32-root application — compile-once amortization across roots.
-func BenchmarkEngineScanRoots(b *testing.B) {
-	target := multiRootApp(32)
-	for _, kind := range engineKinds {
-		kind := kind
-		b.Run(string(kind), func(b *testing.B) {
-			scanner := uchecker.NewScanner(uchecker.Options{Engine: kind})
-			for i := 0; i < b.N; i++ {
-				rep, err := scanner.Scan(context.Background(), target)
-				if err != nil || !rep.Vulnerable || len(rep.Roots) != 32 {
-					b.Fatalf("err=%v report=%+v", err, rep)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineCorpus contrasts the engines on the full Table III
-// corpus sweep — the headline engine-selection number.
-func BenchmarkEngineCorpus(b *testing.B) {
-	targets := scanTargets()
-	for _, kind := range engineKinds {
-		kind := kind
-		b.Run(string(kind), func(b *testing.B) {
-			opts := benchOpts()
-			opts.Engine = kind
-			scanner := uchecker.NewScanner(opts)
-			for i := 0; i < b.N; i++ {
-				reps := scanner.ScanBatch(context.Background(), targets)
-				if len(reps) != len(targets) {
-					b.Fatalf("reports = %d, want %d", len(reps), len(targets))
 				}
 			}
 		})

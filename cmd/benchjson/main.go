@@ -13,9 +13,9 @@
 // previously archived JSON document and exits non-zero when ns/op or
 // allocs/op regresses by more than -max-regress percent on any benchmark
 // (optionally filtered by -match). This is the CI regression gate for
-// the engine benchmarks:
+// the symbolic-execution benchmarks:
 //
-//	go test -run '^$' -bench BenchmarkEngine -benchmem . |
+//	go test -run '^$' -bench '^Benchmark(PhaseSymbolicExecution|ScanRoots|ScanSerial)$' -benchmem . |
 //	  go run ./cmd/benchjson -baseline BENCH_interp.json -out BENCH_interp.new.json
 package main
 

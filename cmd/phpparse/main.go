@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -83,7 +84,7 @@ func main() {
 		for _, r := range res.Roots {
 			fmt.Printf("== root %s ==\n", r.Node)
 			in := interp.New(files, interp.Options{})
-			out := in.RunRoot(r.Node)
+			out := in.Run(context.Background(), r.Node)
 			fmt.Printf("paths: %d, objects: %d, sinks: %d\n",
 				out.Paths, out.Graph.NumObjects(), len(out.Sinks))
 			for i, env := range out.Envs {

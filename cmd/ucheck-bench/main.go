@@ -9,7 +9,6 @@
 //	ucheck-bench -phases      # per-app, per-phase timing breakdown
 //	ucheck-bench -failures    # per-class failure tally of the Table III sweep
 //	ucheck-bench -counters    # deterministic work-counter table of the sweep
-//	ucheck-bench -engine vm   # run symbolic execution on the bytecode VM
 //	ucheck-bench -interproc summary
 //	                          # per-function symbolic summaries with
 //	                          # statement-boundary path merging; prints a
@@ -36,10 +35,6 @@
 // the CLI face of bench_test.go's BenchmarkScanSerial/BenchmarkScanParallel
 // pair: interp+verify are summed per-root CPU seconds, scan is
 // wall-clock, and their ratio is the per-root parallel speedup.
-//
-// -engine vm selects the bytecode-VM execution engine (findings and
-// counters are byte-identical to the default tree walker; the VM
-// additionally reports ir_*/vm_* counters under -counters).
 package main
 
 import (
@@ -68,7 +63,6 @@ func main() {
 		failures  = flag.Bool("failures", false, "print the per-class failure tally of the Table III sweep")
 		counters  = flag.Bool("counters", false, "print the deterministic work-counter table of the Table III sweep")
 		workers   = flag.Int("workers", 0, "scanner worker pool size (0 = GOMAXPROCS)")
-		engine    = flag.String("engine", "", "symbolic-execution engine: tree (default) or vm")
 		interproc = flag.String("interproc", "", "interprocedural strategy: inline (default) or summary")
 		maxPaths  = flag.Int("max-paths", 0, "path budget (0 = paper-scale default)")
 		journal   = flag.String("journal", "", "journal the Table III sweep to this file (crash-safe)")
@@ -84,11 +78,6 @@ func main() {
 		*table = true
 	}
 
-	engineKind, err := interp.ParseEngineKind(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ucheck-bench: %v\n", err)
-		os.Exit(2)
-	}
 	interprocKind, err := interp.ParseInterprocKind(*interproc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ucheck-bench: %v\n", err)
@@ -96,7 +85,6 @@ func main() {
 	}
 	opts := uchecker.Options{
 		Budgets:       uchecker.Budgets{MaxPaths: *maxPaths},
-		Engine:        engineKind,
 		Interproc:     interprocKind,
 		Workers:       *workers,
 		Journal:       *journal,

@@ -19,10 +19,6 @@
 //	-ext LIST            comma-separated executable extensions (default ".php,.php5")
 //	-admin-gating        model add_action('admin_menu', ...) gating (Section VI)
 //	-max-paths N         symbolic execution path budget
-//	-engine NAME         symbolic-execution engine: "tree" (the recursive
-//	                     AST walker, default) or "vm" (compile each
-//	                     function once to bytecode, dispatch a VM);
-//	                     findings are byte-identical either way
 //	-interproc NAME      interprocedural strategy: "inline" (inline every
 //	                     user-function call, default — the paper's
 //	                     semantics, including its budget-exhaustion
@@ -102,10 +98,12 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/interp"
+	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/scanjournal"
+	"repro/internal/uchecker"
 )
 
 func main() {
@@ -120,7 +118,6 @@ func run() int {
 		exts        = flag.String("ext", ".php,.php5", "comma-separated executable extensions")
 		adminGating = flag.Bool("admin-gating", false, "model admin_menu gating (Section VI extension)")
 		maxPaths    = flag.Int("max-paths", 0, "symbolic execution path budget (0 = default)")
-		engine      = flag.String("engine", "", "symbolic-execution engine: tree (default) or vm")
 		interproc   = flag.String("interproc", "", "interprocedural strategy: inline (default) or summary")
 		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 0, "abort the scan after this duration (0 = none)")
@@ -152,7 +149,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "uchecker: -cache-verify requires -cache DIR")
 			return 2
 		}
-		ok, bad, err := core.VerifyCache(*cacheDir, true)
+		ok, bad, err := verifyCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "uchecker: verifying cache: %v\n", err)
 			return 2
@@ -169,28 +166,22 @@ func run() int {
 	}
 
 	extList := splitExts(*exts)
-	engineKind, err := interp.ParseEngineKind(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uchecker: %v\n", err)
-		return 2
-	}
 	interprocKind, err := interp.ParseInterprocKind(*interproc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uchecker: %v\n", err)
 		return 2
 	}
-	var rec *core.TraceRecorder
+	var rec *obs.Recorder
 	if *traceOut != "" {
-		rec = core.NewTraceRecorder()
+		rec = obs.NewRecorder()
 	}
-	opts := core.Options{
+	opts := uchecker.Options{
 		Trace:            rec,
 		Extensions:       extList,
 		ModelAdminGating: *adminGating,
 		KeepSMT:          *smtOut,
 		Workers:          *workers,
-		Budgets:          core.Budgets{MaxPaths: *maxPaths},
-		Engine:           engineKind,
+		Budgets:          uchecker.Budgets{MaxPaths: *maxPaths},
 		Interproc:        interprocKind,
 		RootTimeout:      *rootTimeout,
 		MaxRetries:       *retries,
@@ -202,7 +193,7 @@ func run() int {
 		CacheDir:         *cacheDir,
 	}
 
-	var targets []core.Target
+	var targets []uchecker.Target
 	switch {
 	case *corpusApp != "":
 		app, ok := corpus.ByName(*corpusApp)
@@ -210,7 +201,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "uchecker: unknown corpus app %q (try -list-corpus)\n", *corpusApp)
 			return 2
 		}
-		targets = append(targets, core.Target{Name: app.Name, Sources: app.Sources})
+		targets = append(targets, uchecker.Target{Name: app.Name, Sources: app.Sources})
 	case flag.NArg() > 0:
 		for _, p := range flag.Args() {
 			t, err := loadTarget(p, extList)
@@ -241,7 +232,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "uchecker: -worker manages its own shard journals and cache under -coord; drop -journal/-resume/-cache")
 			return 2
 		}
-		return runWorker(ctx, opts, targets, core.WorkerOptions{
+		return runWorker(ctx, opts, targets, uchecker.WorkerOptions{
 			CoordDir:           *coordDir,
 			WorkerID:           *workerID,
 			ShardSize:          *shardSize,
@@ -250,7 +241,7 @@ func run() int {
 		}, *jsonOut, *smtOut, *verbose)
 	}
 
-	scanner := core.NewScanner(opts)
+	scanner := uchecker.NewScanner(opts)
 	reps, stats, batchErr := scanner.ScanBatchJournaled(ctx, targets)
 
 	switch {
@@ -289,28 +280,28 @@ func run() int {
 	}
 	if *traceOut != "" {
 		if err := writeTo(*traceOut, func(w io.Writer) error {
-			return core.WriteChromeTrace(w, rec.Snapshot())
+			return obs.WriteChromeTrace(w, rec.Snapshot())
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "uchecker: writing trace: %v\n", err)
 			return 2
 		}
 	}
 	if *metricsOut != "" {
-		series := make([]core.LabeledMetrics, 0, len(reps)+1)
+		series := make([]obs.LabeledMetrics, 0, len(reps)+1)
 		for _, rep := range reps {
-			series = append(series, core.LabeledMetrics{
+			series = append(series, obs.LabeledMetrics{
 				Labels:  map[string]string{"app": rep.Name},
 				Metrics: rep.Metrics,
 			})
 		}
 		if len(stats.Metrics) > 0 {
-			series = append(series, core.LabeledMetrics{
+			series = append(series, obs.LabeledMetrics{
 				Labels:  map[string]string{"scope": "batch"},
 				Metrics: stats.Metrics,
 			})
 		}
 		if err := writeTo(*metricsOut, func(w io.Writer) error {
-			return core.WritePrometheus(w, "uchecker", series)
+			return obs.WritePrometheus(w, "uchecker", series)
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "uchecker: writing metrics: %v\n", err)
 			return 2
@@ -335,7 +326,7 @@ func run() int {
 // (the sweep is incomplete from this process's point of view). When the
 // fleet completes, the exit status is computed from the merged report
 // exactly like a single-process sweep.
-func runWorker(ctx context.Context, opts core.Options, targets []core.Target, wo core.WorkerOptions, jsonOut, smtOut, verbose bool) int {
+func runWorker(ctx context.Context, opts uchecker.Options, targets []uchecker.Target, wo uchecker.WorkerOptions, jsonOut, smtOut, verbose bool) int {
 	drain := make(chan struct{})
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM)
@@ -346,7 +337,7 @@ func runWorker(ctx context.Context, opts core.Options, targets []core.Target, wo
 	}()
 	wo.Drain = drain
 
-	scanner := core.NewScanner(opts)
+	scanner := uchecker.NewScanner(opts)
 	ws, err := scanner.RunWorker(ctx, targets, wo)
 	if ws != nil {
 		fmt.Fprintf(os.Stderr, "uchecker: worker %s: %d shards published (%d reclaimed from dead workers), %d leases lost to reclaim\n",
@@ -376,7 +367,7 @@ func runWorker(ctx context.Context, opts core.Options, targets []core.Target, wo
 		return 2
 	}
 
-	reps, err := core.ReadMerged(ws.MergedPath)
+	reps, err := uchecker.ReadMerged(ws.MergedPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uchecker: reading merged report: %v\n", err)
 		return 2
@@ -412,7 +403,7 @@ func runWorker(ctx context.Context, opts core.Options, targets []core.Target, wo
 // scan was aborted or any root/file failed (the verdicts may be
 // incomplete), else 1 when any target is vulnerable, else 0. Scan errors
 // take precedence over findings — exit 1 certifies complete verdicts.
-func exitCode(ctxErr error, reps []*core.AppReport) int {
+func exitCode(ctxErr error, reps []*uchecker.AppReport) int {
 	if ctxErr != nil {
 		return 2
 	}
@@ -435,7 +426,18 @@ func writeTo(path string, write func(io.Writer) error) error {
 	if path == "-" {
 		return write(os.Stdout)
 	}
-	return core.AtomicWrite(path, write)
+	return scanjournal.AtomicWrite(path, write)
+}
+
+// verifyCache re-checksums every entry of a result cache directory and
+// prunes the corrupt ones, returning how many verified clean and how
+// many were corrupt.
+func verifyCache(dir string) (ok, bad int, err error) {
+	c, err := scanjournal.OpenCache(dir, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return c.Verify(true)
 }
 
 func splitExts(s string) []string {
@@ -464,7 +466,7 @@ func splitExts(s string) []string {
 // is visibly partial in the verdict (exit status 2). Only a completely
 // unreadable target — nothing loaded, or the root path itself missing —
 // is an error.
-func loadTarget(p string, exts []string) (core.Target, error) {
+func loadTarget(p string, exts []string) (uchecker.Target, error) {
 	accept := make(map[string]bool, len(exts)+1)
 	for _, e := range exts {
 		accept[strings.ToLower(e)] = true
@@ -472,12 +474,12 @@ func loadTarget(p string, exts []string) (core.Target, error) {
 	accept[".inc"] = true
 
 	sources := map[string]string{}
-	var loadFailures []core.Failure
+	var loadFailures []uchecker.Failure
 	fail := func(path string, err error) {
-		loadFailures = append(loadFailures, core.Failure{
+		loadFailures = append(loadFailures, uchecker.Failure{
 			Root:  path,
-			Stage: core.StageLoad,
-			Class: core.FailLoad, // an I/O failure, not a parser failure
+			Stage: uchecker.StageLoad,
+			Class: uchecker.FailLoad, // an I/O failure, not a parser failure
 			Err:   err.Error(),
 		})
 	}
@@ -487,15 +489,15 @@ func loadTarget(p string, exts []string) (core.Target, error) {
 	}
 	info, err := os.Stat(p)
 	if err != nil {
-		return core.Target{}, err
+		return uchecker.Target{}, err
 	}
 	if !info.IsDir() {
 		data, err := os.ReadFile(p)
 		if err != nil {
-			return core.Target{}, err
+			return uchecker.Target{}, err
 		}
 		sources[p] = string(data)
-		return core.Target{Name: name, Sources: sources}, nil
+		return uchecker.Target{Name: name, Sources: sources}, nil
 	}
 	err = filepath.WalkDir(p, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -521,15 +523,15 @@ func loadTarget(p string, exts []string) (core.Target, error) {
 		return nil
 	})
 	if err != nil {
-		return core.Target{}, err
+		return uchecker.Target{}, err
 	}
 	if len(sources) == 0 && len(loadFailures) == 0 {
-		return core.Target{}, fmt.Errorf("no source files with extensions %v under %s", append(exts, ".inc"), p)
+		return uchecker.Target{}, fmt.Errorf("no source files with extensions %v under %s", append(exts, ".inc"), p)
 	}
-	return core.Target{Name: name, Sources: sources, LoadFailures: loadFailures}, nil
+	return uchecker.Target{Name: name, Sources: sources, LoadFailures: loadFailures}, nil
 }
 
-func printReport(w io.Writer, rep *core.AppReport, verbose, smtOut bool) {
+func printReport(w io.Writer, rep *uchecker.AppReport, verbose, smtOut bool) {
 	verdict := "NOT VULNERABLE"
 	if rep.Vulnerable {
 		verdict = "VULNERABLE"
@@ -557,7 +559,7 @@ func printReport(w io.Writer, rep *core.AppReport, verbose, smtOut bool) {
 			sort.Strings(classes)
 			parts := make([]string, 0, len(classes))
 			for _, c := range classes {
-				parts = append(parts, fmt.Sprintf("%s=%d", c, rep.FailureCounts[core.FailureClass(c)]))
+				parts = append(parts, fmt.Sprintf("%s=%d", c, rep.FailureCounts[uchecker.FailureClass(c)]))
 			}
 			fmt.Fprintf(w, "  failures: %s\n", strings.Join(parts, " "))
 		}

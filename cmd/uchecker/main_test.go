@@ -11,7 +11,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/uchecker"
 )
 
 func TestSplitExts(t *testing.T) {
@@ -144,9 +145,9 @@ func TestLoadTargetCaseInsensitiveExtensions(t *testing.T) {
 // end: a traced scan must export parseable Chrome trace-event JSON and
 // well-formed Prometheus text with the expected metric lines.
 func TestTraceAndMetricsExport(t *testing.T) {
-	rec := core.NewTraceRecorder()
-	rep, err := core.NewScanner(core.Options{Trace: rec}).Scan(
-		context.Background(), core.Target{
+	rec := obs.NewRecorder()
+	rep, err := uchecker.NewScanner(uchecker.Options{Trace: rec}).Scan(
+		context.Background(), uchecker.Target{
 			Name: "export-demo",
 			Sources: map[string]string{
 				"demo.php": `<?php
@@ -161,7 +162,7 @@ move_uploaded_file($_FILES['f']['tmp_name'], "/up/" . $_FILES['f']['name']);
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
 	if err := writeTo(tracePath, func(w io.Writer) error {
-		return core.WriteChromeTrace(w, rec.Snapshot())
+		return obs.WriteChromeTrace(w, rec.Snapshot())
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ move_uploaded_file($_FILES['f']['tmp_name'], "/up/" . $_FILES['f']['name']);
 
 	metricsPath := filepath.Join(dir, "metrics.txt")
 	if err := writeTo(metricsPath, func(w io.Writer) error {
-		return core.WritePrometheus(w, "uchecker", []core.LabeledMetrics{
+		return obs.WritePrometheus(w, "uchecker", []obs.LabeledMetrics{
 			{Labels: map[string]string{"app": rep.Name}, Metrics: rep.Metrics},
 		})
 	}); err != nil {
@@ -207,7 +208,7 @@ move_uploaded_file($_FILES['f']['tmp_name'], "/up/" . $_FILES['f']['name']);
 }
 
 func TestPrintReport(t *testing.T) {
-	rep, err := core.NewScanner(core.Options{KeepSMT: true}).Scan(context.Background(), core.Target{
+	rep, err := uchecker.NewScanner(uchecker.Options{KeepSMT: true}).Scan(context.Background(), uchecker.Target{
 		Name: "demo",
 		Sources: map[string]string{
 			"demo.php": `<?php
@@ -237,7 +238,7 @@ move_uploaded_file($_FILES['f']['tmp_name'], "/up/" . $_FILES['f']['name']);
 }
 
 func TestPrintReportBenign(t *testing.T) {
-	rep, err := core.NewScanner(core.Options{}).Scan(context.Background(), core.Target{
+	rep, err := uchecker.NewScanner(uchecker.Options{}).Scan(context.Background(), uchecker.Target{
 		Name:    "safe",
 		Sources: map[string]string{"safe.php": `<?php echo "hello";`},
 	})
@@ -258,25 +259,25 @@ func TestIndentLines(t *testing.T) {
 }
 
 func TestExitCode(t *testing.T) {
-	clean := &core.AppReport{Name: "clean"}
-	vuln := &core.AppReport{Name: "vuln", Vulnerable: true}
-	failed := &core.AppReport{
+	clean := &uchecker.AppReport{Name: "clean"}
+	vuln := &uchecker.AppReport{Name: "vuln", Vulnerable: true}
+	failed := &uchecker.AppReport{
 		Name:          "failed",
-		FailureCounts: map[core.FailureClass]int{core.FailPanic: 1},
+		FailureCounts: map[uchecker.FailureClass]int{uchecker.FailPanic: 1},
 	}
-	aborted := &core.AppReport{Name: "aborted", Aborted: true}
+	aborted := &uchecker.AppReport{Name: "aborted", Aborted: true}
 
 	tests := []struct {
 		name   string
 		ctxErr error
-		reps   []*core.AppReport
+		reps   []*uchecker.AppReport
 		want   int
 	}{
-		{"clean", nil, []*core.AppReport{clean}, 0},
-		{"vulnerable", nil, []*core.AppReport{clean, vuln}, 1},
-		{"failures beat findings", nil, []*core.AppReport{vuln, failed}, 2},
-		{"aborted", nil, []*core.AppReport{aborted}, 2},
-		{"ctx error", context.DeadlineExceeded, []*core.AppReport{clean}, 2},
+		{"clean", nil, []*uchecker.AppReport{clean}, 0},
+		{"vulnerable", nil, []*uchecker.AppReport{clean, vuln}, 1},
+		{"failures beat findings", nil, []*uchecker.AppReport{vuln, failed}, 2},
+		{"aborted", nil, []*uchecker.AppReport{aborted}, 2},
+		{"ctx error", context.DeadlineExceeded, []*uchecker.AppReport{clean}, 2},
 		{"empty", nil, nil, 0},
 	}
 	for _, tt := range tests {
@@ -331,7 +332,7 @@ func TestLoadTargetUnreadable(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, fl := range tgt.LoadFailures {
-		if fl.Stage != core.StageLoad || fl.Class != core.FailLoad || fl.Err == "" {
+		if fl.Stage != uchecker.StageLoad || fl.Class != uchecker.FailLoad || fl.Err == "" {
 			t.Errorf("malformed load failure: %+v", fl)
 		}
 		seen[fl.Root] = true
@@ -341,17 +342,17 @@ func TestLoadTargetUnreadable(t *testing.T) {
 	}
 
 	// The failures flow through to the report and force exit status 2.
-	rep, err := core.NewScanner(core.Options{}).Scan(context.Background(), tgt)
+	rep, err := uchecker.NewScanner(uchecker.Options{}).Scan(context.Background(), tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FailureCounts[core.FailLoad] != wantFailures {
-		t.Errorf("FailureCounts[load] = %d, want %d", rep.FailureCounts[core.FailLoad], wantFailures)
+	if rep.FailureCounts[uchecker.FailLoad] != wantFailures {
+		t.Errorf("FailureCounts[load] = %d, want %d", rep.FailureCounts[uchecker.FailLoad], wantFailures)
 	}
-	if rep.FailureCounts[core.FailParse] != 0 {
+	if rep.FailureCounts[uchecker.FailParse] != 0 {
 		t.Errorf("I/O load failures leaked into FailureCounts[parse]: %v", rep.FailureCounts)
 	}
-	if got := exitCode(nil, []*core.AppReport{rep}); got != 2 {
+	if got := exitCode(nil, []*uchecker.AppReport{rep}); got != 2 {
 		t.Errorf("exitCode = %d, want 2 for a partially loaded target", got)
 	}
 
@@ -408,19 +409,19 @@ func TestWriteToAtomic(t *testing.T) {
 // TestPrintReportFailures asserts the verbose report carries the per-class
 // failure summary, individual failure records and degraded markers.
 func TestPrintReportFailures(t *testing.T) {
-	rep := &core.AppReport{
+	rep := &uchecker.AppReport{
 		Name:    "broken",
 		Retries: 2,
-		Findings: []core.Finding{
+		Findings: []uchecker.Finding{
 			{Sink: "move_uploaded_file", File: "a.php", Line: 3, Degraded: true},
 		},
-		Failures: []core.Failure{
-			{Root: "file:a.php", Stage: "symexec", Class: core.FailPathBudget, Err: "budget exceeded"},
-			{Root: "file:b.php", Stage: "symexec", Class: core.FailPanic, Err: "boom"},
+		Failures: []uchecker.Failure{
+			{Root: "file:a.php", Stage: "symexec", Class: uchecker.FailPathBudget, Err: "budget exceeded"},
+			{Root: "file:b.php", Stage: "symexec", Class: uchecker.FailPanic, Err: "boom"},
 		},
-		FailureCounts: map[core.FailureClass]int{
-			core.FailPathBudget: 1,
-			core.FailPanic:      1,
+		FailureCounts: map[uchecker.FailureClass]int{
+			uchecker.FailPathBudget: 1,
+			uchecker.FailPanic:      1,
 		},
 		Aborted: true,
 	}

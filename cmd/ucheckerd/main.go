@@ -17,7 +17,6 @@
 //	-addr HOST:PORT      listen address (default :8799)
 //	-scan-workers N      concurrently running jobs (default 2)
 //	-workers N           per-scan worker pool (default: GOMAXPROCS)
-//	-engine NAME         symbolic-execution engine: "tree" or "vm"
 //	-interproc NAME      interprocedural strategy: "inline" (default) or
 //	                     "summary" (per-function symbolic summaries; the
 //	                     summary_*/interp_paths_avoided counters surface
@@ -82,7 +81,6 @@ func run() int {
 		addr          = flag.String("addr", ":8799", "listen address")
 		scanWorkers   = flag.Int("scan-workers", 2, "concurrently running jobs")
 		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "per-scan worker pool")
-		engine        = flag.String("engine", "", `symbolic-execution engine: "tree" or "vm"`)
 		interproc     = flag.String("interproc", "", `interprocedural strategy: "inline" or "summary"`)
 		maxPaths      = flag.Int("max-paths", 0, "symbolic execution path budget per job (0 = default)")
 		jobTimeout    = flag.Duration("job-timeout", 0, "per-job scan deadline (0 disables)")
@@ -99,16 +97,6 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	var engineKind interp.EngineKind
-	switch *engine {
-	case "", "tree":
-		engineKind = interp.EngineTree
-	case "vm":
-		engineKind = interp.EngineVM
-	default:
-		fmt.Fprintf(os.Stderr, "ucheckerd: unknown -engine %q (want tree or vm)\n", *engine)
-		return 2
-	}
 	interprocKind, err := interp.ParseInterprocKind(*interproc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ucheckerd: %v\n", err)
@@ -119,7 +107,6 @@ func run() int {
 		Dir: *dir,
 		Scan: uchecker.Options{
 			Workers:   *workers,
-			Engine:    engineKind,
 			Interproc: interprocKind,
 			Budgets:   uchecker.Budgets{MaxPaths: *maxPaths},
 		},

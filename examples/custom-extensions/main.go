@@ -16,7 +16,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/uchecker"
 )
 
 // phtmlUploader only admits uploads whose extension equals "phtml", which
@@ -40,17 +40,17 @@ function csv_import_page() {
 
 func main() {
 	ctx := context.Background()
-	scan := func(s *core.Scanner, name string, sources map[string]string) *core.AppReport {
-		rep, _ := s.Scan(ctx, core.Target{Name: name, Sources: sources})
+	scan := func(s *uchecker.Scanner, name string, sources map[string]string) *uchecker.AppReport {
+		rep, _ := s.Scan(ctx, uchecker.Target{Name: name, Sources: sources})
 		return rep
 	}
 	files := map[string]string{"phtml.php": phtmlUploader}
 
-	stock := core.NewScanner(core.Options{})
+	stock := uchecker.NewScanner(uchecker.Options{})
 	fmt.Printf(".phtml uploader, stock extensions:    vulnerable=%v\n",
 		scan(stock, "phtml", files).Vulnerable)
 
-	widened := core.NewScanner(core.Options{
+	widened := uchecker.NewScanner(uchecker.Options{
 		Extensions: []string{".php", ".php5", ".phtml", ".asa", ".swf"},
 	})
 	fmt.Printf(".phtml uploader, widened extensions:  vulnerable=%v\n",
@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("\nadmin uploader, paper configuration:  vulnerable=%v (the documented FP)\n",
 		scan(stock, "admin", adminFiles).Vulnerable)
 
-	gated := core.NewScanner(core.Options{ModelAdminGating: true})
+	gated := uchecker.NewScanner(uchecker.Options{ModelAdminGating: true})
 	gatedRep := scan(gated, "admin", adminFiles)
 	fmt.Printf("admin uploader, admin gating modeled: vulnerable=%v", gatedRep.Vulnerable)
 	if len(gatedRep.Findings) > 0 && gatedRep.Findings[0].AdminGated {

@@ -1,5 +1,5 @@
 // Quickstart: scan the paper's canonical vulnerable upload handler
-// (Listing 4) with the core API and print the verdict, constraints, and
+// (Listing 4) with the scanner API and print the verdict, constraints, and
 // exploit witness.
 //
 // Run with:
@@ -14,7 +14,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/uchecker"
 )
 
 // listing4 is the vulnerable example of the UChecker paper (Listing 4):
@@ -35,8 +35,8 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	scanner := core.NewScanner(core.Options{KeepSMT: true})
-	report, err := scanner.Scan(ctx, core.Target{
+	scanner := uchecker.NewScanner(uchecker.Options{KeepSMT: true})
+	report, err := scanner.Scan(ctx, uchecker.Target{
 		Name:    "listing4",
 		Sources: map[string]string{"upload.php": listing4},
 	})

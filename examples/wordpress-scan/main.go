@@ -14,14 +14,14 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/uchecker"
 )
 
 func main() {
-	scanner := core.NewScanner(core.Options{})
+	scanner := uchecker.NewScanner(uchecker.Options{})
 	for _, app := range corpus.NewVulnApps() {
-		report, _ := scanner.Scan(context.Background(), core.Target{Name: app.Name, Sources: app.Sources})
+		report, _ := scanner.Scan(context.Background(), uchecker.Target{Name: app.Name, Sources: app.Sources})
 		fmt.Printf("=== %s ===\n", app.Name)
 		fmt.Printf("verdict: vulnerable=%v  (%d LoC, %.2f%% analyzed, %d paths, %.3fs)\n",
 			report.Vulnerable, report.TotalLoC, report.PercentAnalyzed,

@@ -81,29 +81,6 @@ type ArrayInfo struct {
 	Elems map[string]Label
 	// NextIndex is the next automatic integer key for $a[] pushes.
 	NextIndex int64
-	// Ver counts mutations (SetElem calls) on this array. Consumers that
-	// memoize decisions derived from the element table can compare Ver to
-	// detect staleness without diffing the table.
-	Ver uint64
-}
-
-// Recorder observes graph mutations and array reads. A non-nil recorder
-// installed with SetRecorder sees every object/edge/element creation (with
-// the arguments as passed, before any internal normalization such as
-// symbol auto-naming) and every element-table read. The block-fact cache
-// uses this to tape a block's heap effects and its array read set.
-type Recorder interface {
-	// RecAlloc observes a new object. name is the name argument as passed
-	// (empty for auto-named symbols and for kinds without names), val the
-	// concrete value (nil unless KindConcrete).
-	RecAlloc(kind ObjKind, name string, t sexpr.Type, val sexpr.Expr, line int, result Label)
-	// RecEdge observes AddEdge(from, to).
-	RecEdge(from, to Label)
-	// RecSetElem observes SetElem(arr, key, val), including PushElem.
-	RecSetElem(arr, val Label, key string)
-	// RecArrayRead observes an element-table read (Array or Elem) together
-	// with the table's current version.
-	RecArrayRead(arr Label, ver uint64)
 }
 
 // Graph is the heap graph.
@@ -113,7 +90,6 @@ type Graph struct {
 	arrays map[Label]*ArrayInfo
 	next   Label
 	symSeq int
-	rec    Recorder
 }
 
 // New returns an empty heap graph.
@@ -124,13 +100,6 @@ func New() *Graph {
 		arrays: map[Label]*ArrayInfo{},
 	}
 }
-
-// SetRecorder installs (or, with nil, removes) the mutation recorder.
-func (g *Graph) SetRecorder(r Recorder) { g.rec = r }
-
-// LastLabel returns the most recently allocated label (0 for an empty
-// graph). The next allocation returns LastLabel()+1.
-func (g *Graph) LastLabel() Label { return g.next }
 
 // Find returns the object with the given label, or nil (the paper's
 // Find(G, l)).
@@ -150,67 +119,39 @@ func (g *Graph) add(o *Object) Label {
 // NewConcrete creates and adds an object for a concrete value (the paper's
 // Create_Concrete_Obj + Add_Concrete_Obj). The value's own type is used.
 func (g *Graph) NewConcrete(v sexpr.Expr, line int) Label {
-	l := g.add(&Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line})
-	if g.rec != nil {
-		g.rec.RecAlloc(KindConcrete, "", v.Kind(), v, line, l)
-	}
-	return l
+	return g.add(&Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line})
 }
 
 // NewSymbol creates a symbolic-value object. An empty name generates a
 // fresh unique one (the paper's randomly-generated symbol names).
 func (g *Graph) NewSymbol(name string, t sexpr.Type, line int) Label {
-	orig := name
 	if name == "" {
 		g.symSeq++
 		name = "s_" + strconv.Itoa(g.symSeq)
 	}
-	l := g.add(&Object{Kind: KindSymbol, Type: t, Name: name, Line: line})
-	if g.rec != nil {
-		// Record the pre-generation name so a replay re-consumes symSeq
-		// exactly as a real re-execution would.
-		g.rec.RecAlloc(KindSymbol, orig, t, nil, line, l)
-	}
-	return l
+	return g.add(&Object{Kind: KindSymbol, Type: t, Name: name, Line: line})
 }
 
 // NewFunc creates an object for a built-in function invocation whose result
 // type is t.
 func (g *Graph) NewFunc(name string, t sexpr.Type, line int) Label {
-	l := g.add(&Object{Kind: KindFunc, Type: t, Name: name, Line: line})
-	if g.rec != nil {
-		g.rec.RecAlloc(KindFunc, name, t, nil, line, l)
-	}
-	return l
+	return g.add(&Object{Kind: KindFunc, Type: t, Name: name, Line: line})
 }
 
 // NewOp creates an operation object (the paper's Create_OP_Obj).
 func (g *Graph) NewOp(op string, t sexpr.Type, line int) Label {
-	l := g.add(&Object{Kind: KindOp, Type: t, Name: op, Line: line})
-	if g.rec != nil {
-		g.rec.RecAlloc(KindOp, op, t, nil, line, l)
-	}
-	return l
+	return g.add(&Object{Kind: KindOp, Type: t, Name: op, Line: line})
 }
 
 // NewArray creates an empty array object.
 func (g *Graph) NewArray(line int) Label {
 	l := g.add(&Object{Kind: KindArray, Type: sexpr.Array, Line: line})
 	g.arrays[l] = &ArrayInfo{Elems: map[string]Label{}}
-	if g.rec != nil {
-		g.rec.RecAlloc(KindArray, "", sexpr.Array, nil, line, l)
-	}
 	return l
 }
 
 // Array returns the element table of an array object, or nil.
-func (g *Graph) Array(l Label) *ArrayInfo {
-	info := g.arrays[l]
-	if g.rec != nil && info != nil {
-		g.rec.RecArrayRead(l, info.Ver)
-	}
-	return info
-}
+func (g *Graph) Array(l Label) *ArrayInfo { return g.arrays[l] }
 
 // SetElem sets the element for a string key on an array object.
 func (g *Graph) SetElem(arr Label, key string, val Label) {
@@ -222,13 +163,9 @@ func (g *Graph) SetElem(arr Label, key string, val Label) {
 		info.Keys = append(info.Keys, key)
 	}
 	info.Elems[key] = val
-	info.Ver++
 	// Keep NextIndex past any integer key.
 	if n, err := strconv.ParseInt(key, 10, 64); err == nil && n >= info.NextIndex {
 		info.NextIndex = n + 1
-	}
-	if g.rec != nil {
-		g.rec.RecSetElem(arr, val, key)
 	}
 }
 
@@ -250,9 +187,6 @@ func (g *Graph) Elem(arr Label, key string) (Label, bool) {
 	if info == nil {
 		return Null, false
 	}
-	if g.rec != nil {
-		g.rec.RecArrayRead(arr, info.Ver)
-	}
 	l, ok := info.Elems[key]
 	return l, ok
 }
@@ -262,9 +196,6 @@ func (g *Graph) Elem(arr Label, key string) (Label, bool) {
 // right operands).
 func (g *Graph) AddEdge(from, to Label) {
 	g.edges[from] = append(g.edges[from], to)
-	if g.rec != nil {
-		g.rec.RecEdge(from, to)
-	}
 }
 
 // Edges returns the ordered operand labels of an object.

@@ -6,13 +6,10 @@ import (
 	"repro/internal/sexpr"
 )
 
-// This file holds the engine-independent control-flow core. The tree
-// walker and the bytecode VM both execute forks, loops, foreach and try
-// through these functions, parameterized only over how a nested body is
-// run (recursive AST walk vs. bytecode dispatch). Sharing the fork
-// machinery is what makes the two engines byte-for-byte equivalent: every
-// heap-graph allocation, statistics increment and environment-ordering
-// decision at a control-flow join lives here exactly once.
+// This file holds the control-flow core: forks, loops, foreach and try,
+// parameterized over how a nested body is run. Every heap-graph
+// allocation, statistics increment and environment-ordering decision at
+// a control-flow join lives here exactly once.
 
 // bodyFn runs a nested statement region over an environment set.
 type bodyFn func(heapgraph.EnvSet) heapgraph.EnvSet

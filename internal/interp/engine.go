@@ -1,40 +1,19 @@
 package interp
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"sync/atomic"
 
-	"repro/internal/callgraph"
-	"repro/internal/heapgraph"
-	"repro/internal/ir"
 	"repro/internal/phpast"
-	"repro/internal/sexpr"
 )
 
-// EngineKind selects a symbolic-execution engine implementation.
+// EngineKind names a symbolic-execution engine. The recursive AST walker
+// is the only one; the type and its single value remain because the
+// separately built benchmark module constructs engines through
+// NewEngineFactory(EngineTree, files).
 type EngineKind string
 
-const (
-	// EngineTree is the recursive AST walker (the default).
-	EngineTree EngineKind = "tree"
-	// EngineVM dispatches compiled ir bytecode.
-	EngineVM EngineKind = "vm"
-)
-
-// ParseEngineKind parses a -engine flag value. The empty string selects
-// the tree walker.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch s {
-	case "", string(EngineTree):
-		return EngineTree, nil
-	case string(EngineVM):
-		return EngineVM, nil
-	default:
-		return "", fmt.Errorf("unknown engine %q (want tree or vm)", s)
-	}
-}
+// EngineTree is the recursive AST walker.
+const EngineTree EngineKind = "tree"
 
 // InterprocKind selects the interprocedural call strategy.
 type InterprocKind string
@@ -63,156 +42,19 @@ func ParseInterprocKind(s string) (InterprocKind, error) {
 	}
 }
 
-// Engine executes one analysis root symbolically. Implementations are
-// single-use and not safe for concurrent Run calls; create one per root
-// via EngineFactory.New.
-type Engine interface {
-	Run(ctx context.Context, root *callgraph.Node) Result
-}
-
-// EngineFactory builds per-root engines over a shared file set. For the
-// VM engine the bytecode program is compiled exactly once here and shared
-// (read-only) by every root and every retry rung, which is what the
-// ir_compile_cache_hits counter measures.
+// EngineFactory builds per-root interpreters over a shared file set.
 type EngineFactory struct {
-	kind  EngineKind
 	files []*phpast.File
-	prog  *ir.Program
-	news  atomic.Int64
 }
 
-// NewEngineFactory compiles the program (for the VM engine) and returns
-// the factory. An empty kind means EngineTree.
-func NewEngineFactory(kind EngineKind, files []*phpast.File) *EngineFactory {
-	if kind == "" {
-		kind = EngineTree
-	}
-	f := &EngineFactory{kind: kind, files: files}
-	if kind == EngineVM {
-		f.prog = ir.Compile(files)
-	}
-	return f
+// NewEngineFactory returns the factory for a scan's parsed files. The
+// kind is always EngineTree (see EngineKind).
+func NewEngineFactory(_ EngineKind, files []*phpast.File) *EngineFactory {
+	return &EngineFactory{files: files}
 }
 
-// Kind reports the engine implementation this factory builds.
-func (f *EngineFactory) Kind() EngineKind { return f.kind }
-
-// FunctionsCompiled reports the number of compiled bytecode units
-// (functions plus file top-levels); zero for the tree engine.
-func (f *EngineFactory) FunctionsCompiled() int {
-	if f.prog == nil {
-		return 0
-	}
-	return f.prog.FunctionsCompiled
-}
-
-// ConstsFolded reports the number of constant-foldable opcode runs the
-// compiler rewrote into OpFoldedConst superinstructions; zero for the
-// tree engine.
-func (f *EngineFactory) ConstsFolded() int {
-	if f.prog == nil {
-		return 0
-	}
-	return f.prog.ConstsFolded
-}
-
-// CacheHits reports how many engine instantiations reused the shared
-// compiled program instead of recompiling (every New call after the
-// first); zero for the tree engine.
-func (f *EngineFactory) CacheHits() int64 {
-	n := f.news.Load()
-	if f.prog == nil || n == 0 {
-		return 0
-	}
-	return n - 1
-}
-
-// New builds a fresh engine (fresh heap graph and statistics) for one
-// root execution.
-func (f *EngineFactory) New(opts Options) Engine {
-	f.news.Add(1)
-	in := New(f.files, opts)
-	if f.kind == EngineVM {
-		return &vmEngine{in: in, prog: f.prog}
-	}
-	return treeEngine{in: in}
-}
-
-// treeEngine adapts the recursive AST walker to the Engine interface.
-type treeEngine struct{ in *Interp }
-
-func (t treeEngine) Run(ctx context.Context, root *callgraph.Node) Result {
-	return t.in.RunRootCtx(ctx, root)
-}
-
-// vmEngine executes roots by dispatching the shared compiled program.
-// Rare constructs escape to the embedded tree walker per instruction, so
-// the two engines share every heap-graph allocation path.
-type vmEngine struct {
-	in   *Interp
-	prog *ir.Program
-}
-
-func (ve *vmEngine) Run(ctx context.Context, root *callgraph.Node) Result {
-	in := ve.in
-	in.ctx = ctx
-	// The block-fact cache keys span effects on the live env-set
-	// fingerprint; path merging rewrites env sets between spans, so the
-	// two features are mutually exclusive (summary mode wins).
-	if !in.opts.NoBlockCache && in.opts.Summaries == nil {
-		in.blockCache = newBlockCache()
-	}
-	v := &vmRun{in: in, prog: ve.prog}
-	envs := heapgraph.EnvSet{heapgraph.NewEnv()}
-	in.curFile = root.File
-	switch root.Kind {
-	case callgraph.FileNode:
-		if f := in.files[root.Name]; f != nil {
-			in.curFile = f.Name
-			envs = v.runCode(ve.prog.Files[f.Name], envs)
-		}
-	case callgraph.FuncNode:
-		if root.Func != nil {
-			env := envs[0]
-			for _, p := range root.Func.Params {
-				t := sexpr.Unknown
-				if p.Type == "array" {
-					t = sexpr.Array
-				}
-				env.Bind(p.Name, in.g.NewSymbol("s_param_"+p.Name, t, root.Func.P.Line))
-			}
-			pop := in.pushMergeScope(strings.ToLower(root.Func.Name), envs)
-			if body := ve.bodyCode(root.Func.Body); body != nil {
-				envs = v.runCode(body, envs)
-			} else {
-				// Empty or unregistered body: the tree path is a no-op-safe
-				// fallback with identical semantics.
-				envs = in.execStmts(root.Func.Body, envs)
-			}
-			pop()
-		}
-	}
-	in.stats.IRInstructionsExecuted += v.instrs
-	in.stats.VMDispatchLoops += v.spans
-	return Result{
-		Graph: in.g,
-		Envs:  envs,
-		Sinks: in.sinks,
-		Paths: len(envs),
-		Stats: in.stats,
-		Err:   in.budgetErr,
-	}
-}
-
-// bodyCode resolves a root function body to its compiled code. Roots for
-// class methods reference synthesized FuncDecl wrappers, but those share
-// the method's body slice, so the first-statement address lookup matches.
-func (ve *vmEngine) bodyCode(body []phpast.Stmt) *ir.Code {
-	if len(body) == 0 {
-		return nil
-	}
-	if fn := ve.prog.ByBody[&body[0]]; fn != nil {
-		return fn.Body
-	}
-	return nil
+// New builds a fresh interpreter (fresh heap graph and statistics) for
+// one root execution.
+func (f *EngineFactory) New(opts Options) *Interp {
+	return New(f.files, opts)
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/heapgraph"
-	"repro/internal/ir"
 	"repro/internal/phpast"
 	"repro/internal/sexpr"
 )
@@ -82,7 +81,7 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 		l := in.symbolShared("s_cconst_"+x.Class+"_"+x.Const, sexpr.Unknown, x.P.Line)
 		return envs, sameLabel(envs, l)
 	case *phpast.ConstFetch:
-		return envs, sameLabel(envs, in.evalConst(x))
+		return envs, sameLabel(envs, in.constLabel(x.Name, x.P.Line))
 	case *phpast.Isset:
 		var args []heapgraph.Label
 		for _, v := range x.Vars {
@@ -146,12 +145,6 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 	}
 }
 
-// evalExpr is a convenience wrapper used by statements that only need the
-// updated environments.
-func (in *Interp) evalExpr(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
-	return in.eval(e, envs)
-}
-
 func sameLabel(envs heapgraph.EnvSet, l heapgraph.Label) []heapgraph.Label {
 	out := make([]heapgraph.Label, len(envs))
 	for i := range out {
@@ -175,15 +168,11 @@ func popTmp(envs heapgraph.EnvSet) []heapgraph.Label {
 }
 
 // symbolShared memoizes symbols that are global in nature (superglobal
-// fields, platform constants) so all paths share one object. Every fill
-// advances memoEpoch: block-cache recordings taped across a fill are
-// discarded, and replays require the exact recording epoch, so memo state
-// observed by a cached span is always bit-identical to record time.
+// fields, platform constants) so all paths share one object.
 func (in *Interp) symbolShared(name string, t sexpr.Type, line int) heapgraph.Label {
 	if l, ok := in.superGlobs[name]; ok {
 		return l
 	}
-	in.memoEpoch++
 	l := in.g.NewSymbol(name, t, line)
 	in.superGlobs[name] = l
 	return l
@@ -202,13 +191,9 @@ func (in *Interp) evalVar(x *phpast.Var, envs heapgraph.EnvSet) []heapgraph.Labe
 }
 
 // varLabel reads one variable on one path, binding a fresh symbol (or a
-// superglobal's shared pre-structured object) when unbound. Shared with
-// the VM's OpVar handler.
+// superglobal's shared pre-structured object) when unbound.
 func (in *Interp) varLabel(e *heapgraph.Env, name string, line int) heapgraph.Label {
 	got := e.Get(name)
-	if in.rec != nil {
-		in.rec.readVar(e, name, got)
-	}
 	if got != heapgraph.Null {
 		return got
 	}
@@ -222,9 +207,6 @@ func (in *Interp) varLabel(e *heapgraph.Env, name string, line int) heapgraph.La
 		l = in.g.NewSymbol("s_$"+name, sexpr.Unknown, line)
 	}
 	e.Bind(name, l)
-	if in.rec != nil {
-		in.rec.bindVar(e, name, l)
-	}
 	return l
 }
 
@@ -344,8 +326,6 @@ func (in *Interp) concreteKey(l heapgraph.Label) (string, bool) {
 	return "", false
 }
 
-func itoa64(n int64) string { return ir.Itoa64(n) }
-
 func (in *Interp) evalArrayLit(x *phpast.ArrayLit, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	// Evaluate all keys and values first (parking on the operand stack),
 	// then build one array object per path.
@@ -424,9 +404,7 @@ func (in *Interp) foldUnary(op string, l heapgraph.Label, line int) (heapgraph.L
 	if op == "+" {
 		return l, true
 	}
-	// Shared with the compiler's constant-fold pass (ir.FoldUnary), so a
-	// compile-time fold decision is identical to this run-time one.
-	if v, ok := ir.FoldUnary(op, o.Val); ok {
+	if v, ok := foldUnaryValue(op, o.Val); ok {
 		return in.g.NewConcrete(v, line), true
 	}
 	return heapgraph.Null, false
@@ -492,32 +470,17 @@ func (in *Interp) foldBinary(op string, l, r heapgraph.Label, line int) (heapgra
 	if lo == nil || ro == nil || lo.Kind != heapgraph.KindConcrete || ro.Kind != heapgraph.KindConcrete {
 		return heapgraph.Null, false
 	}
-	// "??" yields an existing operand label (no allocation), so it stays
-	// here; everything else shares ir.FoldBinary with the compiler's
-	// constant-fold pass, keeping compile-time and run-time decisions
-	// identical. The &&/|| truthiness in ir.FoldBinary matches
-	// concreteBool's KindConcrete arm, which is the only arm reachable
-	// under the concrete-operand guard above.
+	// "??" yields an existing operand label (no allocation).
 	if op == "??" {
 		if _, isNull := lo.Val.(sexpr.NullVal); isNull {
 			return r, true
 		}
 		return l, true
 	}
-	if v, ok := ir.FoldBinary(op, lo.Val, ro.Val); ok {
+	if v, ok := foldBinaryValues(op, lo.Val, ro.Val); ok {
 		return in.g.NewConcrete(v, line), true
 	}
 	return heapgraph.Null, false
-}
-
-func concreteString(v sexpr.Expr) (string, bool) { return ir.ConcreteString(v) }
-
-func concreteInt(v sexpr.Expr) (int64, bool) { return ir.ConcreteInt(v) }
-
-// concreteEqual compares concrete values; strict selects === semantics.
-// The bool result is only valid when ok is true.
-func concreteEqual(a, b sexpr.Expr, strict bool) (bool, bool) {
-	return ir.ConcreteEqual(a, b, strict)
 }
 
 func (in *Interp) evalIncDec(x *phpast.IncDec, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
@@ -597,9 +560,7 @@ func (in *Interp) evalCast(x *phpast.Cast, envs heapgraph.EnvSet) (heapgraph.Env
 	for i := range envs {
 		o := in.g.Find(ls[i])
 		if o != nil && o.Kind == heapgraph.KindConcrete {
-			// Shared with the compiler's fold pass; the "bool" case matches
-			// concreteBool's KindConcrete arm, the only one reachable here.
-			if v, ok := ir.FoldCast(x.Type, o.Val); ok {
+			if v, ok := foldCastValue(x.Type, o.Val); ok {
 				labels[i] = in.g.NewConcrete(v, x.P.Line)
 				continue
 			}
@@ -615,12 +576,7 @@ func (in *Interp) evalCast(x *phpast.Cast, envs heapgraph.EnvSet) (heapgraph.Env
 	return envs, labels
 }
 
-func (in *Interp) evalConst(x *phpast.ConstFetch) heapgraph.Label {
-	return in.constLabel(x.Name, x.P.Line)
-}
-
-// constLabel resolves a PHP constant by name. Shared with the VM's
-// OpConstFetch handler.
+// constLabel resolves a PHP constant by name.
 func (in *Interp) constLabel(name string, line int) heapgraph.Label {
 	switch strings.ToUpper(name) {
 	case "PATHINFO_EXTENSION":
@@ -652,7 +608,6 @@ func (in *Interp) symbolSharedConcrete(name string, v sexpr.Expr, line int) heap
 	if l, ok := in.superGlobs["const:"+name]; ok {
 		return l
 	}
-	in.memoEpoch++
 	l := in.g.NewConcrete(v, line)
 	in.superGlobs["const:"+name] = l
 	return l

@@ -19,7 +19,6 @@ func (in *Interp) filesArray(line int) heapgraph.Label {
 	if in.filesArr != heapgraph.Null {
 		return in.filesArr
 	}
-	in.memoEpoch++ // block-cache recordings spanning this fill are invalid
 	in.filesArr = in.g.NewSymbol("$_FILES", sexpr.Array, line)
 	return in.filesArr
 }
@@ -44,7 +43,6 @@ func (in *Interp) filesField(key string, line int) heapgraph.Label {
 	if l, ok := in.filesFields[key]; ok {
 		return l
 	}
-	in.memoEpoch++ // block-cache recordings spanning this fill are invalid
 	suffix := "_" + sanitizeSym(key)
 	arr := in.g.NewArray(line)
 	files := in.filesArray(line)

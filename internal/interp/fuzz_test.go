@@ -13,47 +13,44 @@ import (
 	"repro/internal/summary"
 )
 
-// FuzzEngineEquivalence feeds arbitrary PHP sources through both
-// execution engines and requires byte-identical results: same paths, same
-// heap-graph object count and allocation order, same statistics, same
-// sink hits. Tight budgets keep pathological inputs bounded.
-func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(`<?php
+// languageSeeds exercise the walker on general language forms. Both
+// fuzzers below run them.
+var languageSeeds = []string{
+	// Guards, loops and calls, foreach/switch, try/ternary, classes and
+	// casts.
+	`<?php
 $n = $_FILES["f"]["name"];
 if (strpos($n, ".php") === false) { move_uploaded_file($_FILES["f"]["tmp_name"], "up/" . $n); }
-`)
-	f.Add(`<?php
+`,
+	`<?php
 function ext($p) { $x = explode(".", $p); return end($x); }
 for ($i = 0; $i < $k; $i++) { $s = $s . ext($names[$i]); }
-`)
-	f.Add(`<?php
+`,
+	`<?php
 foreach ($_POST as $k => $v) { $data[$k] = $v; }
 switch ($data["mode"]) { case "w": file_put_contents($f, $data["body"]); break; default: exit; }
-`)
-	f.Add(`<?php
+`,
+	`<?php
 try { $r = $a ?: ($b ? 1 : 2); throw $e; } catch (E $x) { $r = -1; } finally { $done = true; }
 while ($r > 0) { $r--; continue; }
-`)
-	f.Add(`<?php
+`,
+	`<?php
 class C { function m($v) { return $v . "!"; } }
 $o = new C();
 echo $o->m((string)(int)$q), "done $q";
-`)
-	// Constant-foldable opcode runs: pure concrete subexpressions the
-	// compiler rewrites into OpFoldedConst superinstructions, mixed with
-	// symbolic tails and per-env unary/cast folds.
-	f.Add(`<?php
+`,
+	// Concrete folds: pure concrete subexpressions mixed with symbolic
+	// tails and per-env unary/cast folds.
+	`<?php
 $a = "up" . "loads" . "/" . "img";
 $b = 1 + 2 * 3 - (int)"7";
 $c = -(5) . (string)(2 + 2) . $sym;
 $d = !0;
 if ("a" . "b" == "ab") { $e = $a . $b; }
-`)
-	// Block-cache replay shapes: a function body inlined at three call
-	// sites (arm, record, replay) and a loop body revisited with
-	// identical live-in state — both must replay bit-identically to
-	// execution, which the fingerprint comparison enforces.
-	f.Add(`<?php
+`,
+	// A function body inlined at three call sites and a loop body
+	// revisited with identical live-in state.
+	`<?php
 function tag($x) {
 	$t = "pre" . "fix";
 	$u = $t . $x;
@@ -64,34 +61,74 @@ for ($i = 0; $i < 5; $i++) {
 	$m = "warn" . "ing";
 	$n = strlen($m);
 }
-`)
+`,
+}
+
+// runFingerprint renders everything a run observably produced: path and
+// heap-graph object counts, statistics, the error, every surviving
+// environment and every sink hit with its graph labels and s-expressions.
+// Labels make allocation order part of the comparison.
+func runFingerprint(res Result) string {
+	s := fmt.Sprintf("paths=%d objects=%d stats=%+v err=%v\n",
+		res.Paths, res.Graph.NumObjects(), res.Stats, res.Err)
+	for _, e := range res.Envs {
+		s += fmt.Sprintf("env cur=%d cond=%s tmp=%v ret=%d term=%t\n",
+			e.Cur, sexpr.Format(res.Graph.ToSexpr(e.Cur)), e.Tmp, e.Returned, e.Terminated)
+	}
+	for _, h := range res.Sinks {
+		s += fmt.Sprintf("sink %s@%s:%d src=%d:%s dst=%d:%s cond=%s\n",
+			h.Sink, h.File, h.Line,
+			h.Src, sexpr.Format(res.Graph.ToSexpr(h.Src)),
+			h.Dst, sexpr.Format(res.Graph.ToSexpr(h.Dst)),
+			sexpr.Format(res.Graph.ToSexpr(h.Env.Cur)))
+	}
+	return s
+}
+
+// FuzzEngineEquivalence feeds arbitrary PHP sources through the engine a
+// scan builds per root (EngineFactory.New over one shared file set) and
+// requires byte-identical results from a first run, a second run over the
+// same already-walked files, and a run over an independently parsed copy:
+// same paths, heap-graph object count and allocation order, statistics,
+// environments and sink hits. A mismatch means a run left state behind on
+// the shared AST or in package globals. Tight budgets keep pathological
+// inputs bounded.
+func FuzzEngineEquivalence(f *testing.F) {
+	for _, src := range languageSeeds {
+		f.Add(src)
+	}
 
 	opts := Options{MaxPaths: 200, MaxObjects: 20000, MaxCallDepth: 8, LoopUnroll: 4}
 	f.Fuzz(func(t *testing.T, src string) {
-		run := func(kind EngineKind) (Result, bool) {
+		parse := func() []*phpast.File {
 			file, errs := phpparser.Parse("fuzz.php", src)
 			if len(errs) > 0 || file == nil {
-				return Result{}, false
+				return nil
 			}
-			root := &callgraph.Node{Kind: callgraph.FileNode, Name: "fuzz.php", File: "fuzz.php"}
-			return NewEngineFactory(kind, []*phpast.File{file}).New(opts).Run(context.Background(), root), true
+			return []*phpast.File{file}
 		}
-		tree, ok := run(EngineTree)
-		if !ok {
+		shared := parse()
+		if shared == nil {
 			t.Skip("parse errors")
 		}
-		vm, _ := run(EngineVM)
-		if tf, vf := engineFingerprint(tree), engineFingerprint(vm); tf != vf {
-			t.Errorf("engines disagree on %q:\n--- tree ---\n%s--- vm ---\n%s", src, tf, vf)
+		root := &callgraph.Node{Kind: callgraph.FileNode, Name: "fuzz.php", File: "fuzz.php"}
+		factory := NewEngineFactory(EngineTree, shared)
+		first := runFingerprint(factory.New(opts).Run(context.Background(), root))
+		again := runFingerprint(factory.New(opts).Run(context.Background(), root))
+		fresh := runFingerprint(New(parse(), opts).Run(context.Background(), root))
+		if again != first {
+			t.Errorf("rerun over shared files differs on %q:\n--- first ---\n%s--- rerun ---\n%s", src, first, again)
+		}
+		if fresh != first {
+			t.Errorf("run over a fresh parse differs on %q:\n--- shared ---\n%s--- fresh ---\n%s", src, first, fresh)
 		}
 	})
 }
 
 // FuzzSummaryEquivalence feeds arbitrary PHP sources through the inline
 // and summary interprocedural strategies and requires the invariants the
-// strategy is sold on: (a) summary building never panics, (b) tree and
-// VM engines agree byte-for-byte under the same summary set, (c) when
-// both strategies complete within budget, the summary run explores no
+// strategy is sold on: (a) summary building never panics, (b) when both
+// strategies complete within budget, the summary run explores no
 // more paths than inline, every summary sink hit's observable content
 // (sink, site, src/dst s-expressions) appears among inline's hits, and
 // the first hit per sink site — the one the first-satisfiable-wins
@@ -133,6 +170,9 @@ function handler() {
 }
 handler();
 `)
+	for _, src := range languageSeeds {
+		f.Add(src)
+	}
 
 	opts := Options{MaxPaths: 200, MaxObjects: 20000, MaxCallDepth: 8, LoopUnroll: 4}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -151,25 +191,20 @@ handler();
 		root := func(fs []*phpast.File) *callgraph.Node {
 			return &callgraph.Node{Kind: callgraph.FileNode, Name: "fuzz.php", File: "fuzz.php"}
 		}
-		runOne := func(kind EngineKind, sums *summary.Set) Result {
+		runOne := func(sums *summary.Set) Result {
 			o := opts
 			o.Summaries = sums
 			fs := parse()
-			return NewEngineFactory(kind, fs).New(o).Run(context.Background(), root(fs))
+			return New(fs, o).Run(context.Background(), root(fs))
 		}
 
-		sumTree := runOne(EngineTree, set)
-		sumVM := runOne(EngineVM, set)
-		if a, b := engineFingerprint(sumTree), engineFingerprint(sumVM); a != b {
-			t.Errorf("tree vs vm diverge under summaries:\ntree: %s\nvm:   %s", a, b)
-		}
-
-		inline := runOne(EngineTree, nil)
-		if inline.Err != nil || sumTree.Err != nil {
+		sum := runOne(set)
+		inline := runOne(nil)
+		if inline.Err != nil || sum.Err != nil {
 			return // a budget abort on either side voids the subset contract
 		}
-		if sumTree.Paths > inline.Paths {
-			t.Errorf("summary explored more paths than inline: %d > %d", sumTree.Paths, inline.Paths)
+		if sum.Paths > inline.Paths {
+			t.Errorf("summary explored more paths than inline: %d > %d", sum.Paths, inline.Paths)
 		}
 		hitKey := func(res Result, h SinkHit) string {
 			return fmt.Sprintf("%s@%s:%d src=%s dst=%s", h.Sink, h.File, h.Line,
@@ -186,8 +221,8 @@ handler();
 			}
 		}
 		sumFirst := map[string]string{}
-		for _, h := range sumTree.Sinks {
-			k := hitKey(sumTree, h)
+		for _, h := range sum.Sinks {
+			k := hitKey(sum, h)
 			if inlineHits[k] == 0 {
 				t.Errorf("summary sink hit absent from inline run: %s", k)
 				continue

@@ -38,7 +38,7 @@ var (
 	ErrObjectBudget   = fmt.Errorf("%w (objects)", ErrBudgetExceeded)
 )
 
-// Stats counts the work one RunRoot performed. The counters are
+// Stats counts the work one Run performed. The counters are
 // deterministic for a given root and options (they count work, not
 // time), which is what lets the scanner merge them across workers into
 // a byte-identical per-app metric set. See DESIGN.md "Observability".
@@ -66,22 +66,6 @@ type Stats struct {
 	// forking is O(scope depth), and this counter grows with depth per
 	// fork rather than with total bindings.
 	PathCondSharedNodes int64
-	// IRInstructionsExecuted counts bytecode instructions dispatched by
-	// the VM engine (zero under the tree engine). Replayed block-cache
-	// spans contribute their static span size, exactly as an execution
-	// would.
-	IRInstructionsExecuted int64
-	// VMDispatchLoops counts VM dispatch-loop entries — one per
-	// statement span executed (zero under the tree engine). Replayed
-	// spans count one loop each, exactly as an execution would.
-	VMDispatchLoops int64
-	// BlockCacheHits counts statement spans replayed from the VM's
-	// block-fact cache instead of dispatched (zero under the tree engine).
-	BlockCacheHits int64
-	// BlockCacheMisses counts cacheable spans that had to execute and
-	// record because no stored recording's live-in fingerprint matched
-	// (zero under the tree engine).
-	BlockCacheMisses int64
 	// SummaryInstantiated counts call sites answered by a function
 	// summary (trivial instantiation or merge-eligible inlining) under
 	// Options.Summaries. Zero in inline mode.
@@ -96,17 +80,6 @@ type Stats struct {
 	PathsAvoided int64
 }
 
-// EngineInvariant returns the stats with engine-mechanical counters
-// (instruction/dispatch counts, which only the VM engine produces) zeroed,
-// leaving exactly the fields the two engines must agree on.
-func (s Stats) EngineInvariant() Stats {
-	s.IRInstructionsExecuted = 0
-	s.VMDispatchLoops = 0
-	s.BlockCacheHits = 0
-	s.BlockCacheMisses = 0
-	return s
-}
-
 // Options configures the engine. The zero value selects defaults.
 type Options struct {
 	// MaxPaths bounds the number of live execution paths. Default 100000.
@@ -118,17 +91,11 @@ type Options struct {
 	LoopUnroll int
 	// MaxCallDepth bounds user-function inlining depth. Default 24.
 	MaxCallDepth int
-	// NoBlockCache disables the VM engine's block-fact cache (replay of
-	// recorded span effects). The cache is semantically invisible — it
-	// exists as an option only for ablation benchmarks and the
-	// counter-parity regression tests. Ignored by the tree engine.
-	NoBlockCache bool
 	// Summaries switches the call path to the summary interprocedural
 	// strategy: trivial callees instantiate without a frame, and
 	// summarized frames merge observably equivalent paths at statement
 	// boundaries. nil (the default) keeps the inline-everything
-	// behavior. The VM's block-fact cache is disabled while summaries
-	// are active (merging changes the env-set shapes the cache keys on).
+	// behavior.
 	Summaries *summary.Set
 }
 
@@ -202,25 +169,13 @@ type Interp struct {
 	budgetErr error
 	stats     Stats
 
-	// memoEpoch counts fills of the process-wide memo tables (superGlobs,
-	// filesArr, filesFields, filesMulti). A block-cache recording is only
-	// valid at the exact epoch it was taped at: equal epoch means the
-	// append-only memos are bit-identical to record time.
-	memoEpoch int64
-	// rec is the active block-cache recorder, non-nil only while the VM is
-	// taping a cacheable span; interp-side env read/bind sites feed it.
-	rec *blockRecorder
-	// blockCache memoizes cacheable statement spans' effects for this
-	// root's graph. Lazily created by the VM engine.
-	blockCache *blockCache
-
 	// mergeStack tracks the summarized scopes currently being inlined;
 	// the top frame supplies the dead-variable and merge-symbol sets
 	// the statement-boundary path merger consults. Empty in inline
 	// mode and inside escaped callees.
 	mergeStack []mergeFrame
 
-	// ctx carries the cancellation signal for the current RunRootCtx call;
+	// ctx carries the cancellation signal for the current Run call;
 	// steps counts overBudget checkpoints so the (mutex-guarded) ctx.Err is
 	// only sampled every ctxCheckStride checkpoints.
 	ctx   context.Context
@@ -281,17 +236,11 @@ func (in *Interp) declare(stmts []phpast.Stmt) {
 // Graph exposes the heap graph (for vulnerability modeling).
 func (in *Interp) Graph() *heapgraph.Graph { return in.g }
 
-// RunRoot symbolically executes a locality-analysis root and returns the
-// collected result.
-func (in *Interp) RunRoot(root *callgraph.Node) Result {
-	return in.RunRootCtx(context.Background(), root)
-}
-
-// RunRootCtx is RunRoot with cancellation: path exploration polls ctx at
-// statement and loop-iteration boundaries and aborts with Result.Err set
-// to ctx.Err() (partial results are still populated, exactly as for a
-// budget abort).
-func (in *Interp) RunRootCtx(ctx context.Context, root *callgraph.Node) Result {
+// Run symbolically executes a locality-analysis root and returns the
+// collected result. Path exploration polls ctx at statement and
+// loop-iteration boundaries and aborts with Result.Err set to ctx.Err()
+// (partial results are still populated, exactly as for a budget abort).
+func (in *Interp) Run(ctx context.Context, root *callgraph.Node) Result {
 	in.ctx = ctx
 	envs := heapgraph.EnvSet{heapgraph.NewEnv()}
 	in.curFile = root.File
@@ -539,18 +488,7 @@ func (in *Interp) concreteBool(l heapgraph.Label) (bool, bool) {
 	}
 	switch o.Kind {
 	case heapgraph.KindConcrete:
-		switch v := o.Val.(type) {
-		case sexpr.BoolVal:
-			return bool(v), true
-		case sexpr.IntVal:
-			return v != 0, true
-		case sexpr.StrVal:
-			return v != "" && v != "0", true
-		case sexpr.NullVal:
-			return false, true
-		case sexpr.FloatVal:
-			return v != 0, true
-		}
+		return concreteTruthy(o.Val)
 	case heapgraph.KindArray:
 		info := in.g.Array(l)
 		return info != nil && len(info.Keys) > 0, true

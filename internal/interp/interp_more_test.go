@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -448,7 +449,7 @@ $p = "pre {$_FILES['k']['name']} post";
 }
 
 func TestFunctionRootViaGraph(t *testing.T) {
-	// RunRoot on a FuncNode built by the real callgraph.
+	// Run on a FuncNode built by the real callgraph.
 	src := `<?php
 function entry($k) {
 	$n = $_FILES[$k]['name'];
@@ -461,7 +462,7 @@ function entry($k) {
 	}
 	g := callgraph.Build([]*phpast.File{f})
 	node := g.Func("entry")
-	res := New([]*phpast.File{f}, Options{}).RunRoot(node)
+	res := New([]*phpast.File{f}, Options{}).Run(context.Background(), node)
 	if len(res.Sinks) != 1 || res.Sinks[0].Sink != "file_put_contents" {
 		t.Fatalf("sinks = %+v", res.Sinks)
 	}

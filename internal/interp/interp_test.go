@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func run(t *testing.T, src string, opts Options) Result {
 	}
 	in := New([]*phpast.File{f}, opts)
 	root := &callgraph.Node{Kind: callgraph.FileNode, Name: "test.php", File: "test.php"}
-	return in.RunRoot(root)
+	return in.Run(context.Background(), root)
 }
 
 // pathSexprs renders the reachability constraint of every final path.
@@ -511,7 +512,7 @@ func TestIncludeExecutes(t *testing.T) {
 	main, _ := phpparser.Parse("main.php", `<?php include 'other.php'; $y = $fromOther;`)
 	other, _ := phpparser.Parse("other.php", `<?php $fromOther = 7;`)
 	in := New([]*phpast.File{main, other}, Options{})
-	res := in.RunRoot(&callgraph.Node{Kind: callgraph.FileNode, Name: "main.php", File: "main.php"})
+	res := in.Run(context.Background(), &callgraph.Node{Kind: callgraph.FileNode, Name: "main.php", File: "main.php"})
 	got := sexpr.Format(res.Graph.ToSexpr(res.Envs[0].Get("y")))
 	if got != "7" {
 		t.Errorf("y = %s", got)
@@ -531,7 +532,7 @@ function handler($file) {
 	if fn == nil {
 		t.Fatal("missing handler node")
 	}
-	res := in.RunRoot(fn)
+	res := in.Run(context.Background(), fn)
 	if len(res.Sinks) != 1 {
 		t.Fatalf("sinks = %d", len(res.Sinks))
 	}

@@ -242,68 +242,6 @@ $u->go();
 	}
 }
 
-// TestSummaryTreeVMEquivalence: the strategy seam lives in shared
-// Interp machinery, so tree and VM engines under the same summary set
-// must agree on the full engine fingerprint (paths, labels, sinks).
-func TestSummaryTreeVMEquivalence(t *testing.T) {
-	srcs := map[string]string{
-		"a.php": `<?php
-function pick($x, $y) { return $y; }
-function handler() {
-	if ($a) { $fa = 1; } else { $fa = 0; }
-	if ($b) { $fb = 1; } else { $fb = 0; }
-	switch ($s) {
-	case 1: $fs = 1; break;
-	default: $fs = 0;
-	}
-	$v = pick("a", $_FILES['f']['name']);
-	move_uploaded_file($_FILES['f']['tmp_name'], "up/" . $v);
-}
-handler();
-`,
-	}
-	parseOnce := func() []*phpast.File {
-		f, errs := phpparser.Parse("a.php", srcs["a.php"])
-		if len(errs) > 0 {
-			t.Fatalf("parse: %v", errs)
-		}
-		return []*phpast.File{f}
-	}
-	set := summary.Build(parseOnce(), smt.NewFactory())
-	tree, vm := runEngines(t, srcs, fileRoot("a.php"), Options{Summaries: set})
-	a, b := engineFingerprint(tree), engineFingerprint(vm)
-	if a != b {
-		t.Errorf("tree vs vm under summaries:\ntree: %s\nvm:   %s", a, b)
-	}
-	if tree.Stats.PathsAvoided == 0 {
-		t.Error("PathsAvoided = 0, want > 0 (merge never fired)")
-	}
-}
-
-// TestSummaryModeDisablesBlockCache: path merging rewrites env sets
-// between spans, which would poison the block-fact cache's env-set
-// keying; the VM must run cacheless under summaries.
-func TestSummaryModeDisablesBlockCache(t *testing.T) {
-	srcs := map[string]string{"a.php": `<?php
-function handler() {
-	if ($a) { $fa = 1; } else { $fa = 0; }
-	$pad = 1;
-	$pad2 = 2;
-}
-handler();
-`}
-	f, errs := phpparser.Parse("a.php", srcs["a.php"])
-	if len(errs) > 0 {
-		t.Fatalf("parse: %v", errs)
-	}
-	set := summary.Build([]*phpast.File{f}, smt.NewFactory())
-	_, vm := runEngines(t, srcs, fileRoot("a.php"), Options{Summaries: set})
-	if vm.Stats.BlockCacheHits != 0 || vm.Stats.BlockCacheMisses != 0 {
-		t.Errorf("block cache active under summaries: hits=%d misses=%d",
-			vm.Stats.BlockCacheHits, vm.Stats.BlockCacheMisses)
-	}
-}
-
 // sexprString renders one label of a result's graph.
 func sexprString(res Result, l heapgraph.Label) string {
 	return sexpr.Format(res.Graph.ToSexpr(l))

@@ -196,8 +196,7 @@ func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	job, err := d.Get(id)
-	if err != nil {
+	if _, err := d.Get(id); err != nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
 		return
 	}
@@ -208,9 +207,16 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// Subscribe BEFORE the state snapshot: an event landing between the
 	// two is then delivered, never lost (at-least-once, with the
-	// snapshot possibly duplicating one transition).
+	// snapshot possibly duplicating one transition). The lookup above
+	// only decides the 404; a job that turned terminal before the
+	// subscription shows up terminal here.
 	ch, cancel := d.hub.subscribe(id)
 	defer cancel()
+	job, err := d.Get(id)
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)

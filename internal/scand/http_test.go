@@ -3,12 +3,14 @@ package scand
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -301,6 +303,85 @@ func TestHTTPEventsStreamUntilTerminal(t *testing.T) {
 	resp2.Body.Close()
 	if !strings.Contains(string(all), `"state":"finished"`) {
 		t.Fatalf("terminal snapshot stream = %q", all)
+	}
+}
+
+// TestHTTPEventsTerminalBeforeSubscribe is the regression for an SSE
+// stream that never ended: a job whose terminal transition (and its
+// terminal event, delivered to no one) lands after the handler's job
+// lookup but before its subscription must still end the stream, on the
+// state snapshot taken after subscribing.
+func TestHTTPEventsTerminalBeforeSubscribe(t *testing.T) {
+	apps := vulnApps(1)
+	gate := newScanGate()
+	cfg := testConfig(t.TempDir(), 1)
+	cfg.Scan.FaultHook = gate.hook
+	d := mustOpen(t, cfg)
+	defer d.Close()
+	defer gate.release()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	job, err := d.Submit("acme", apps[0].Name, apps[0].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, job.ID, JobRunning, 10*time.Second)
+
+	// Holding the hub lock parks the handler between its lookup (which
+	// sees the job running) and its subscription.
+	d.hub.mu.Lock()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type stream struct {
+		body string
+		err  error
+	}
+	done := make(chan stream, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/jobs/"+job.ID+"/events", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			done <- stream{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		done <- stream{string(body), err}
+	}()
+	waitForGoroutine(t, "(*eventHub).subscribe")
+	d.mu.Lock()
+	d.jobs[job.ID].State = JobFinished
+	d.mu.Unlock()
+	d.hub.mu.Unlock()
+
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("stream did not end: %v (body %q)", got.err, got.body)
+	}
+	if !strings.Contains(got.body, `"state":"finished"`) {
+		t.Fatalf("stream = %q, want the finished snapshot", got.body)
+	}
+
+	// Hand the job back to its worker and let it finish for real.
+	d.mu.Lock()
+	d.jobs[job.ID].State = JobRunning
+	d.mu.Unlock()
+	gate.release()
+	waitState(t, d, job.ID, JobFinished, 60*time.Second)
+}
+
+// waitForGoroutine polls the goroutine dump until some goroutine's
+// stack mentions frame.
+func waitForGoroutine(t *testing.T, frame string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(string(buf[:runtime.Stack(buf, true)]), frame) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no goroutine reached %s", frame)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -75,17 +75,11 @@ type BatchStats struct {
 func (s *Scanner) optionsFingerprint() string {
 	o := s.opts
 	// The budget set is fingerprinted through the materialized per-layer
-	// option structs, byte-identically to the pre-Budgets format, and the
-	// engine token is appended only when a non-default engine is selected
-	// — so journals and cache entries written before the consolidation
-	// (or by tree-engine scans) stay replayable. The engines themselves
-	// produce byte-identical reports; the token is still part of the
-	// identity so a cross-engine miscompare can never hide behind a
-	// cache hit.
-	// The interpreter slice is printed through a budget-field projection
-	// rather than interp.Options directly: Options also carries
-	// ablation-only knobs (NoBlockCache) that provably cannot change a
-	// report's content and must not invalidate existing journals.
+	// option structs, byte-identically to the pre-Budgets format, so
+	// journals and cache entries written before the consolidation stay
+	// replayable. The interpreter slice is printed through a budget-field
+	// projection rather than interp.Options directly: Options also carries
+	// the summary set, which is identified by the interproc token below.
 	iop := o.Budgets.interpOptions()
 	ifp := struct{ MaxPaths, MaxObjects, LoopUnroll, MaxCallDepth int }{
 		iop.MaxPaths, iop.MaxObjects, iop.LoopUnroll, iop.MaxCallDepth,
@@ -94,13 +88,10 @@ func (s *Scanner) optionsFingerprint() string {
 		scanjournal.FormatVersion, o.Extensions, ifp, o.Budgets.solverOptions(),
 		o.DisableLocality, o.ModelAdminGating, o.KeepSMT, o.MaxRetries,
 		o.RootTimeout, o.MaxRootFailures, o.DisableDegraded, o.DisableIntern)
-	if o.Engine != "" && o.Engine != interp.EngineTree {
-		fp += fmt.Sprintf(" engine=%s", o.Engine)
-	}
-	// Same appended-token discipline as engine=: inline mode (the
-	// default) omits the token so pre-summary journals stay replayable,
-	// while summary mode gets its own identity — its reports differ in
-	// path counters, so a cross-mode cache hit must be impossible.
+	// Appended-token discipline: inline mode (the default) omits the
+	// token so pre-summary journals stay replayable, while summary mode
+	// gets its own identity — its reports differ in path counters, so a
+	// cross-mode cache hit must be impossible.
 	if o.Interproc != "" && o.Interproc != interp.InterprocInline {
 		fp += fmt.Sprintf(" interproc=%s", o.Interproc)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -655,25 +656,23 @@ func TestOptionsFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestOptionsFingerprintEngine: selecting the default tree engine (by
-// empty string or by name) must not shift the fingerprint — tree journals
-// predate the Engine option — while the VM appends an explicit token so a
-// cross-engine miscompare can never hide behind a cache hit.
+// TestOptionsFingerprintEngine: the fingerprint carries no engine
+// token. Tree-engine journals never had one, so they keep replaying;
+// journals written with the retired `-engine vm` carry " engine=vm" and
+// therefore rescan (see TestBatchResumeFingerprintStableAcrossDefaults).
 func TestOptionsFingerprintEngine(t *testing.T) {
-	base := NewScanner(Options{}).optionsFingerprint()
-	if got := NewScanner(Options{Engine: interp.EngineTree}).optionsFingerprint(); got != base {
-		t.Errorf("explicit tree engine shifted the fingerprint:\n got: %s\nwant: %s", got, base)
-	}
-	if got, want := NewScanner(Options{Engine: interp.EngineVM}).optionsFingerprint(), base+" engine=vm"; got != want {
-		t.Errorf("vm fingerprint = %s, want %s", got, want)
+	for _, opts := range []Options{{}, {Interproc: interp.InterprocSummary}} {
+		if fp := NewScanner(opts).optionsFingerprint(); strings.Contains(fp, "engine=") {
+			t.Errorf("fingerprint carries an engine token: %s", fp)
+		}
 	}
 }
 
 // TestBatchResumeFingerprintStableAcrossDefaults is the resume regression
-// for the Budgets/Engine redesign: a journal written under the implicit
-// defaults must replay — not rescan — under every explicit spelling of
-// those same defaults, and switching to the VM engine must be an identity
-// change (full rescan) even though its findings are byte-identical.
+// for the Budgets redesign: a journal written under the implicit defaults
+// must replay — not rescan — under every explicit spelling of those same
+// defaults, while a journal written by the retired bytecode-VM engine
+// (manifest fingerprint suffixed " engine=vm") must rescan everything.
 func TestBatchResumeFingerprintStableAcrossDefaults(t *testing.T) {
 	targets := batchTargets(t)[:2]
 	ctx := context.Background()
@@ -693,7 +692,6 @@ func TestBatchResumeFingerprintStableAcrossDefaults(t *testing.T) {
 
 	// Same defaults, spelled explicitly: pure replay.
 	optsB := optsA
-	optsB.Engine = interp.EngineTree
 	optsB.Budgets = Budgets{MaxPaths: optsA.Budgets.MaxPaths}
 	repsB, statsB, err := NewScanner(optsB).ScanBatchJournaled(ctx, targets)
 	if err != nil {
@@ -707,15 +705,33 @@ func TestBatchResumeFingerprintStableAcrossDefaults(t *testing.T) {
 		t.Error("explicit-defaults resume changed the reports")
 	}
 
-	// The VM engine is a different configuration identity: everything
-	// re-scans under its fingerprint.
-	optsC := optsA
-	optsC.Engine = interp.EngineVM
-	if _, statsC, err := NewScanner(optsC).ScanBatchJournaled(ctx, targets); err != nil {
+	// A journal written with -engine vm: same records, but the manifest
+	// carries the engine token. Its reports are not replayed.
+	rec, err := scanjournal.Read(journal)
+	if err != nil {
 		t.Fatal(err)
-	} else if statsC.Scanned != len(targets) || statsC.Replayed != 0 {
-		t.Errorf("vm-engine resume: scanned %d / replayed %d, want %d / 0",
+	}
+	for i := range rec.Records {
+		if rec.Records[i].Type == scanjournal.TypeManifest {
+			rec.Records[i].Fingerprint += " engine=vm"
+		}
+	}
+	if err := scanjournal.Compact(journal, rec.Records); err != nil {
+		t.Fatal(err)
+	}
+	repsC, statsC, err := NewScanner(optsA).ScanBatchJournaled(ctx, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if statsC.Scanned != len(targets) || statsC.Replayed != 0 {
+		t.Errorf("vm-journal resume: scanned %d / replayed %d, want %d / 0",
 			statsC.Scanned, statsC.Replayed, len(targets))
+	}
+	if got := statsC.Metrics["journal_fingerprint_mismatch"]; got != 1 {
+		t.Errorf("journal_fingerprint_mismatch = %d, want 1", got)
+	}
+	if !equalStrings(batchFingerprints(t, repsC), want) {
+		t.Error("rescan of a vm journal changed the reports")
 	}
 }
 

@@ -241,10 +241,9 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 	}
 	tr.end(parseSpan, obs.A("files", strconv.Itoa(len(files))))
 
-	// The engine factory is built once per scan: for the VM engine this
-	// compiles every function to bytecode exactly once, shared read-only
-	// by all roots, workers and degradation-ladder rungs.
-	engines := interp.NewEngineFactory(s.opts.Engine, files)
+	// The engine factory is built once per scan over the parsed files
+	// every root, worker and degradation-ladder rung shares.
+	engines := interp.NewEngineFactory(interp.EngineTree, files)
 
 	// Function summaries (the -interproc summary strategy) are computed
 	// once per scan over the same parsed files every root shares; the
@@ -390,14 +389,6 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 	for class, n := range rep.FailureCounts {
 		rep.Metrics.Add("scan_failures_"+strings.ReplaceAll(string(class), "-", "_"), int64(n))
 	}
-	// Compile-once economics of the VM engine, at scan scope: how many
-	// bytecode units the factory compiled (once) and how many per-root /
-	// per-rung engine instantiations reused them. Zero — and therefore
-	// absent (Metrics.Add skips zero deltas) — under the tree engine, so
-	// tree reports are byte-identical to pre-IR ones.
-	rep.Metrics.Add("ir_functions_compiled", int64(engines.FunctionsCompiled()))
-	rep.Metrics.Add("ir_compile_cache_hits", engines.CacheHits())
-	rep.Metrics.Add("ir_consts_folded", int64(engines.ConstsFolded()))
 
 	if rep.Paths > 0 {
 		rep.ObjectsPerPath = float64(rep.Objects) / float64(rep.Paths)
@@ -608,8 +599,7 @@ func (s *Scanner) scanRoot(ctx context.Context, engines *interp.EngineFactory, s
 
 // runRootAttempt executes one ladder rung for one root with a private
 // engine (fresh heap graph) and a private solver, touching only shared
-// read-only structures (the parsed files, the call graph and the VM
-// engine's compiled program). The whole attempt runs under recover(): a
+// read-only structures (the parsed files and the call graph). The whole attempt runs under recover(): a
 // panic in interp, translate or smt becomes a FailPanic failure with the
 // captured stack.
 func (s *Scanner) runRootAttempt(ctx context.Context, engines *interp.EngineFactory, sums *summary.Set, files []*phpast.File, root *callgraph.Node, adminCallbacks map[string]bool, g *callgraph.Graph, budgets Budgets, attempt int, tr *scanTrace, attemptSpan obs.SpanID) (ar rootResult) {
@@ -666,12 +656,6 @@ func (s *Scanner) runRootAttempt(ctx context.Context, engines *interp.EngineFact
 	ar.metrics.Add("interp_paths_total", int64(res.Paths))
 	ar.metrics.Add("interp_pathcond_shared_nodes", res.Stats.PathCondSharedNodes)
 	ar.metrics.Add("interp_objects_allocated", int64(res.Graph.NumObjects()))
-	// VM-engine dispatch counters; zero (and, since Add skips zero
-	// deltas, absent) under the tree engine.
-	ar.metrics.Add("ir_instructions_executed", res.Stats.IRInstructionsExecuted)
-	ar.metrics.Add("vm_dispatch_loops", res.Stats.VMDispatchLoops)
-	ar.metrics.Add("vm_block_cache_hits", res.Stats.BlockCacheHits)
-	ar.metrics.Add("vm_block_cache_misses", res.Stats.BlockCacheMisses)
 	// Summary-strategy counters; zero (and therefore absent) under
 	// inline mode, so inline reports stay byte-identical to pre-summary
 	// ones.

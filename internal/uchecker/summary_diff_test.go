@@ -2,6 +2,7 @@ package uchecker
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -66,10 +67,19 @@ func summaryModeFingerprint(t *testing.T, rep *AppReport) string {
 //     (no abort, no retries, no degraded findings) and, for known
 //     vulnerable apps, the vulnerable verdict the inline run missed.
 //
+// The Workers=1 report of each strategy must also hash to the value
+// frozen in testdata/corpus_reports.golden: the other checks compare
+// this code against itself, the golden file compares it against the
+// reports the scanner produced when the file was recorded.
+//
 // The 20000-path budget keeps the inline Cimy abort affordable while
 // still reproducing it (it needs 248832 paths).
 func TestSummaryDifferentialCorpus(t *testing.T) {
 	budgets := Budgets{MaxPaths: 20000}
+	golden := readCorpusGolden(t)
+	if want := 2 * len(corpus.All()); len(golden) != want {
+		t.Fatalf("%s has %d entries, want %d", corpusGoldenPath, len(golden), want)
+	}
 	for _, app := range corpus.All() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
@@ -90,6 +100,17 @@ func TestSummaryDifferentialCorpus(t *testing.T) {
 			inline4 := scanOne(interp.InterprocInline, 4)
 			sum1 := scanOne(interp.InterprocSummary, 1)
 			sum4 := scanOne(interp.InterprocSummary, 4)
+
+			for _, r := range []struct {
+				mode interp.InterprocKind
+				rep  *AppReport
+			}{{interp.InterprocInline, inline1}, {interp.InterprocSummary, sum1}} {
+				key := corpusGoldenKey(r.mode, app.Name)
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(reportFingerprint(t, r.rep)))); got != golden[key] {
+					t.Errorf("%s report drifted from %s:\n got: %s %s\nwant: %s %s",
+						r.mode, corpusGoldenPath, got, key, golden[key], key)
+				}
+			}
 
 			if a, b := reportFingerprint(t, inline1), reportFingerprint(t, inline4); a != b {
 				t.Errorf("inline workers=1 vs 4 differ:\n got: %s\nwant: %s", b, a)
@@ -118,6 +139,35 @@ func TestSummaryDifferentialCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// corpusGoldenPath holds one line per corpus app and interprocedural
+// strategy, "<sha256> <mode> <app name>": the SHA-256 of the
+// reportFingerprint JSON of the app's Workers=1 report under
+// TestSummaryDifferentialCorpus's budgets. A deliberate report change
+// updates the lines the test prints.
+const corpusGoldenPath = "testdata/corpus_reports.golden"
+
+func corpusGoldenKey(mode interp.InterprocKind, app string) string {
+	return string(mode) + " " + app
+}
+
+// readCorpusGolden maps corpusGoldenKey to the recorded hash.
+func readCorpusGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(corpusGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		sum, key, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", corpusGoldenPath, line)
+		}
+		golden[key] = sum
+	}
+	return golden
 }
 
 // TestCimySummaryCompletes asserts the headline win at the paper's
@@ -167,44 +217,6 @@ func TestCimySummaryCompletes(t *testing.T) {
 	}
 	if got := sum.Metrics["summary_computed"]; got == 0 {
 		t.Error("summary_computed = 0, want > 0")
-	}
-}
-
-// TestSummaryEngineDifferential asserts the strategy composes with the
-// engine knob: tree and VM engines under -interproc summary produce
-// byte-identical reports (modulo the VM-only ir_*/vm_* counters) on a
-// path-explosion app and on an ordinary one.
-func TestSummaryEngineDifferential(t *testing.T) {
-	for _, name := range []string{
-		"Cimy User Extra Fields 2.3.8",
-		"Foxypress 0.4.1.1-0.4.2.1",
-	} {
-		app, ok := corpus.ByName(name)
-		if !ok {
-			t.Fatalf("corpus app %s missing", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			target := Target{Name: app.Name, Sources: app.Sources}
-			var want string
-			for _, engine := range []interp.EngineKind{interp.EngineTree, interp.EngineVM} {
-				rep, err := NewScanner(Options{
-					Engine:    engine,
-					Interproc: interp.InterprocSummary,
-				}).Scan(context.Background(), target)
-				if err != nil {
-					t.Fatalf("engine=%s: %v", engine, err)
-				}
-				got := engineComparableFingerprint(t, rep)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("engine=%s summary report differs from tree:\n got: %s\nwant: %s",
-						engine, got, want)
-				}
-			}
-		})
 	}
 }
 

@@ -37,13 +37,6 @@ type Options struct {
 	// defaults; the degradation ladder halves the whole set per rung via
 	// Budgets.Halve.
 	Budgets Budgets
-	// Engine selects the symbolic-execution engine: interp.EngineTree
-	// (the recursive AST walker, the default — the empty string selects
-	// it too) or interp.EngineVM (compile each function once to ir
-	// bytecode, dispatch a VM over the same heap-graph machinery).
-	// Findings and metrics are byte-identical across engines; the VM
-	// additionally reports ir_*/vm_* counters.
-	Engine interp.EngineKind
 	// Interproc selects the interprocedural call strategy:
 	// interp.InterprocInline (inline every user-function call, the
 	// default — the empty string selects it too, reproducing the paper's
