@@ -1,15 +1,15 @@
 # Repository check targets. `make check` is the CI gate: formatting,
-# vet, build, the full test suite under the race detector, and a bounded
-# fuzz smoke over the PHP lexer and parser.
+# vet, build, the full test suite under the race detector, a bounded
+# fuzz smoke over the PHP lexer and parser, and the benchmark module.
 
 GO ?= go
 # Per-target budget for the fuzz smoke; raise for a real fuzzing session
 # (e.g. make fuzz-smoke FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-interp bench-interp-diff bench-smoke
+.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-interp bench-interp-diff bench-smoke bench-module
 
-check: fmt vet build race fuzz-smoke bench-smoke
+check: fmt vet build race fuzz-smoke bench-smoke bench-module
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -105,7 +105,8 @@ bench-scan:
 	$(GO) test -run '^$$' -bench 'BenchmarkScan(Serial|Parallel|Roots)' .
 
 # Shared-structure constraint-engine micro-benchmarks (interned vs the
-# -no-intern ablation), archived as JSON for cross-commit comparison.
+# Options.DisableIntern ablation), archived as JSON for cross-commit
+# comparison.
 bench-smt:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 2s -benchmem ./internal/smt; \
 	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
@@ -136,3 +137,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 1x ./internal/heapgraph
 	$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 1x .
+
+# The repo benchmark (bench/, driven by bench/run.sh) is its own Go
+# module, so the root `go build ./...` never compiles it: vet and test
+# it here so an internal API change that breaks it fails CI.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

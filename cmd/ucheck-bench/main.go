@@ -68,7 +68,6 @@ func main() {
 		journal   = flag.String("journal", "", "journal the Table III sweep to this file (crash-safe)")
 		resume    = flag.String("resume", "", "resume the Table III sweep from this journal")
 		cacheDir  = flag.String("cache", "", "content-addressed result cache directory")
-		noIntern  = flag.Bool("no-intern", false, "disable SMT term interning/memoization (ablation; findings are identical)")
 		coordDir  = flag.String("coord", "", "join a distributed Table III sweep as one worker over this coordination directory")
 		workerID  = flag.String("worker-id", "", "worker name in lease records (default: w<pid>)")
 		shardSize = flag.Int("shard-size", 0, "targets per lease shard in -coord mode (0 = default)")
@@ -84,13 +83,12 @@ func main() {
 		os.Exit(2)
 	}
 	opts := uchecker.Options{
-		Budgets:       uchecker.Budgets{MaxPaths: *maxPaths},
-		Interproc:     interprocKind,
-		Workers:       *workers,
-		Journal:       *journal,
-		ResumeFrom:    *resume,
-		CacheDir:      *cacheDir,
-		DisableIntern: *noIntern,
+		Budgets:    uchecker.Budgets{MaxPaths: *maxPaths},
+		Interproc:  interprocKind,
+		Workers:    *workers,
+		Journal:    *journal,
+		ResumeFrom: *resume,
+		CacheDir:   *cacheDir,
 	}
 	crashSafe := *journal != "" || *resume != "" || *cacheDir != ""
 	var times *evalharness.PhaseTimes

@@ -125,7 +125,6 @@ func run() int {
 		retries     = flag.Int("retries", 0, "degradation-ladder retries per failed root (0 = default, negative disables)")
 		maxFailures = flag.Int("max-root-failures", 0, "abort an app's scan after N root failures (0 = no limit)")
 		noDegraded  = flag.Bool("no-degraded", false, "disable the degradation ladder (budget aborts become silent misses)")
-		noIntern    = flag.Bool("no-intern", false, "disable SMT term interning/memoization (ablation; findings are identical)")
 		corpusApp   = flag.String("corpus", "", "scan the named built-in corpus application")
 		listCorpus  = flag.Bool("list-corpus", false, "list built-in corpus application names")
 		traceOut    = flag.String("trace", "", "write Chrome trace-event JSON to this file (\"-\" = stdout)")
@@ -187,7 +186,6 @@ func run() int {
 		MaxRetries:       *retries,
 		MaxRootFailures:  *maxFailures,
 		DisableDegraded:  *noDegraded,
-		DisableIntern:    *noIntern,
 		Journal:          *journalOut,
 		ResumeFrom:       *resumeFrom,
 		CacheDir:         *cacheDir,

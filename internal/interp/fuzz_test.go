@@ -9,7 +9,6 @@ import (
 	"repro/internal/phpast"
 	"repro/internal/phpparser"
 	"repro/internal/sexpr"
-	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
@@ -187,7 +186,7 @@ handler();
 		if files == nil {
 			t.Skip("parse errors")
 		}
-		set := summary.Build(files, smt.NewFactory())
+		set := summary.Build(files)
 		root := func(fs []*phpast.File) *callgraph.Node {
 			return &callgraph.Node{Kind: callgraph.FileNode, Name: "fuzz.php", File: "fuzz.php"}
 		}

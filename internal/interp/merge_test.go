@@ -7,7 +7,6 @@ import (
 	"repro/internal/phpast"
 	"repro/internal/phpparser"
 	"repro/internal/sexpr"
-	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
@@ -19,7 +18,7 @@ func runSummary(t *testing.T, src string) Result {
 	if len(errs) > 0 {
 		t.Fatalf("parse: %v", errs)
 	}
-	set := summary.Build([]*phpast.File{f}, smt.NewFactory())
+	set := summary.Build([]*phpast.File{f})
 	return run(t, src, Options{Summaries: set})
 }
 

@@ -59,10 +59,10 @@ type Job struct {
 	Report json.RawMessage `json:"-"`
 
 	// Runtime-only fields, never serialized: the in-memory sources
-	// (loaded from the spool on restart), the in-flight scan's cancel
-	// function, and whether a client asked to cancel a running job (the
-	// worker owns the terminal record of a running job, so Cancel only
-	// requests).
+	// (loaded from the spool on restart, dropped once the job is
+	// terminal), the in-flight scan's cancel function, and whether a
+	// client asked to cancel a running job (the worker owns the
+	// terminal record of a running job, so Cancel only requests).
 	sources         map[string]string
 	cancelScan      func()
 	cancelRequested bool

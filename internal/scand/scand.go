@@ -630,6 +630,7 @@ func (d *Daemon) Cancel(id string) error {
 	// the job observes Cancelled and skips it.
 	job.State = JobCancelled
 	job.Error = "cancelled by client"
+	job.sources = nil
 	d.queue.remove(job.Tenant, id)
 	d.updateQueueGauges()
 	rec := scanjournal.Record{
@@ -730,9 +731,10 @@ func (d *Daemon) runJob(job *Job) {
 
 	rep, wedged := d.executeScan(ctx, job)
 	if wedged {
+		// Counted before finishJob publishes the failure (see there).
+		d.reg.Add(daemonLabels, "watchdog_fired_total", 1)
 		d.finishJob(job, scanjournal.TypeJobFail, nil,
 			fmt.Sprintf("watchdog: scan wedged past deadline %v + grace", d.cfg.JobTimeout))
-		d.reg.Add(daemonLabels, "watchdog_fired_total", 1)
 		return
 	}
 
@@ -768,8 +770,9 @@ func (d *Daemon) runJob(job *Job) {
 		if err := d.cache.Put(job.Key, raw); err != nil {
 			d.reg.Add(daemonLabels, "cache_put_failures_total", 1)
 		}
-		d.finishJob(job, scanjournal.TypeJobFinish, raw, "")
+		// Merged before finishJob publishes the result (see there).
 		d.reg.Merge(scanLabels, rep.Metrics)
+		d.finishJob(job, scanjournal.TypeJobFinish, raw, "")
 	}
 }
 
@@ -779,9 +782,12 @@ func (d *Daemon) runJob(job *Job) {
 // (its late result is discarded because the job is already terminal).
 func (d *Daemon) executeScan(ctx context.Context, job *Job) (rep *uchecker.AppReport, wedged bool) {
 	scanner := d.jobScanner(job.ID)
+	// The target is built before the scan goroutine starts: an abandoned
+	// goroutine outlives finishJob, which drops job.sources.
+	target := uchecker.Target{Name: job.Name, Sources: job.sources}
 	resCh := make(chan *uchecker.AppReport, 1)
 	go func() {
-		reports := scanner.ScanBatch(ctx, []uchecker.Target{{Name: job.Name, Sources: job.sources}})
+		reports := scanner.ScanBatch(ctx, []uchecker.Target{target})
 		resCh <- reports[0]
 	}()
 	if d.cfg.JobTimeout <= 0 {
@@ -849,14 +855,17 @@ func (d *Daemon) finishJob(job *Job, typ string, report json.RawMessage, errText
 	default:
 		state, metric = JobCancelled, "jobs_cancelled_total"
 	}
+	// Counters move before the state flips, so a client that sees the
+	// terminal job also sees them.
+	d.reg.Add(daemonLabels, metric, 1)
+	d.reg.Add(daemonLabels, "jobs_running_now", -1)
 	d.mu.Lock()
 	job.State = state
 	job.Report = report
 	job.Error = errText
 	job.cancelScan = nil
+	job.sources = nil // the spool file goes below; a terminal job never rescans
 	d.mu.Unlock()
-	d.reg.Add(daemonLabels, metric, 1)
-	d.reg.Add(daemonLabels, "jobs_running_now", -1)
 	d.removeSpool(job.ID)
 	d.hub.publishState(job.ID, state, errText)
 }

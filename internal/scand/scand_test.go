@@ -494,6 +494,43 @@ func TestDaemonCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestDaemonTerminalJobsDropSources checks that a finished job and a
+// cancelled queued job no longer pin their sources in memory: a
+// long-running daemon would otherwise hold every job's source map.
+func TestDaemonTerminalJobsDropSources(t *testing.T) {
+	dir := t.TempDir()
+	apps := vulnApps(2)
+	gate := newScanGate()
+	defer gate.release()
+	cfg := testConfig(dir, 1)
+	cfg.Scan.FaultHook = gate.hook
+	d := mustOpen(t, cfg)
+	defer d.Close()
+	running, err := d.Submit("acme", apps[0].Name, apps[0].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, running.ID, JobRunning, 10*time.Second)
+	queued, err := d.Submit("acme", apps[1].Name, apps[1].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := d.Get(queued.ID); j.sources == nil {
+		t.Fatal("queued job lost its sources before running")
+	}
+	if err := d.Cancel(queued.ID); err != nil {
+		t.Fatalf("cancel queued: %v", err)
+	}
+	if j, _ := d.Get(queued.ID); j.State != JobCancelled || j.sources != nil {
+		t.Fatalf("cancelled queued job: state=%s, sources kept=%v", j.State, j.sources != nil)
+	}
+	gate.release()
+	jobs := waitTerminal(t, d, []string{running.ID}, 60*time.Second, false)
+	if j := jobs[running.ID]; j.State != JobFinished || j.sources != nil {
+		t.Fatalf("finished job: state=%s, sources kept=%v", j.State, j.sources != nil)
+	}
+}
+
 func TestDaemonCancelRunningJob(t *testing.T) {
 	dir := t.TempDir()
 	apps := vulnApps(1)
@@ -543,6 +580,9 @@ func TestDaemonWatchdogFailsWedgedScan(t *testing.T) {
 	}
 	if !strings.Contains(j.Error, "watchdog") {
 		t.Fatalf("error = %q, want watchdog", j.Error)
+	}
+	if j.sources != nil {
+		t.Fatal("failed job kept its sources")
 	}
 	if got := counter(d.Registry(), daemonLabels, "watchdog_fired_total"); got != 1 {
 		t.Fatalf("watchdog_fired_total = %d", got)

@@ -13,7 +13,7 @@ import (
 // pointer identity instead of re-simplified per sink.
 //
 // Each sub-benchmark pair builds the SAME formulas through the same code
-// path; "direct" uses a nil factory (the -no-intern ablation), "interned"
+// path; "direct" uses a nil factory (the Options.DisableIntern ablation), "interned"
 // a fresh Factory per iteration (the per-root lifetime the scanner uses).
 // Construction cost is included on both sides — the comparison is the
 // end-to-end per-root constraint-pipeline cost.

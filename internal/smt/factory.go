@@ -19,7 +19,7 @@ import "encoding/binary"
 // A nil *Factory is valid and means "no interning": every constructor
 // method on a nil receiver falls back to direct allocation with semantics
 // identical to the package-level constructors. This is the ablation path
-// behind Options.DisableIntern / -no-intern.
+// behind Options.DisableIntern.
 //
 // Lifetime and determinism: a Factory is NOT safe for concurrent use. The
 // scanner creates one Factory per root attempt and uses it from a single
@@ -49,7 +49,6 @@ type Factory struct {
 	poolMemo  map[poolCacheKey]*candidatePool
 	nnfMemo   map[nnfKey]*Term
 	dnfMemo   map[dnfKey]dnfResult
-	substMemo map[substKey]*Term
 }
 
 // nnfKey memoizes NNF conversion per (node, polarity).
@@ -119,7 +118,6 @@ func NewFactory() *Factory {
 		poolMemo:   make(map[poolCacheKey]*candidatePool),
 		nnfMemo:    make(map[nnfKey]*Term),
 		dnfMemo:    make(map[dnfKey]dnfResult),
-		substMemo:  make(map[substKey]*Term),
 	}
 }
 

@@ -89,13 +89,6 @@ const (
 	OpToInt    // str.to.int -> Int (-1 when not a digit string)
 	OpFromInt  // str.from.int Int -> String
 	OpAt       // str.at s i -> String (1-char or empty)
-
-	// OpFormal is a formal-parameter placeholder used by function
-	// summaries (internal/summary): I is the zero-based formal index and
-	// the sort field carries the formal's sort. Formals never reach the
-	// solver — Factory.Substitute replaces them with actual-argument
-	// terms when a summary is instantiated at a call site.
-	OpFormal
 )
 
 var opNames = map[Op]string{
@@ -108,7 +101,6 @@ var opNames = map[Op]string{
 	OpContains: "str.contains", OpIndexOf: "str.indexof",
 	OpReplace: "str.replace", OpSubstr: "str.substr",
 	OpToInt: "str.to.int", OpFromInt: "str.from.int", OpAt: "str.at",
-	OpFormal: "formal",
 }
 
 func (o Op) String() string {
@@ -171,11 +163,6 @@ func Str(s string) *Term { return &Term{Op: OpStrConst, sort: SortString, S: s} 
 
 // Var returns a variable of the given sort.
 func Var(name string, sort Sort) *Term { return &Term{Op: OpVar, sort: sort, S: name} }
-
-// Formal returns a formal-parameter placeholder for the zero-based
-// parameter index i. Formals appear only inside function summaries and
-// are eliminated by Factory.Substitute before any term reaches a solver.
-func Formal(i int, sort Sort) *Term { return &Term{Op: OpFormal, sort: sort, I: int64(i)} }
 
 // Not negates a boolean term.
 func Not(t *Term) *Term { return &Term{Op: OpNot, sort: SortBool, Args: []*Term{t}} }
@@ -368,8 +355,6 @@ func writeTerm(sb *strings.Builder, t *Term) {
 		sb.WriteString(quoteSMT(t.S))
 	case OpVar:
 		sb.WriteString(t.S)
-	case OpFormal:
-		fmt.Fprintf(sb, "formal_%d", t.I)
 	default:
 		sb.WriteByte('(')
 		sb.WriteString(t.Op.String())

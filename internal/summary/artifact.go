@@ -3,9 +3,6 @@ package summary
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/phpast"
-	"repro/internal/smt"
 )
 
 // ArtifactVersion is the summary artifact schema version. It is baked
@@ -14,114 +11,7 @@ import (
 // invalidates cached artifacts instead of replaying stale ones; the
 // in-payload copy additionally rejects artifacts reached through a
 // stale fingerprint (e.g. a hand-edited cache directory).
-const ArtifactVersion = 1
-
-// TermNode is the serializable form of a summary return term. The
-// vocabulary is intentionally small — exactly what the local layer can
-// produce: formal placeholders, scalar constants, and concatenation.
-type TermNode struct {
-	Op   string      `json:"op"` // "formal","str","int","bool","null","concat"
-	I    int64       `json:"i,omitempty"`
-	S    string      `json:"s,omitempty"`
-	B    bool        `json:"b,omitempty"`
-	Args []*TermNode `json:"args,omitempty"`
-}
-
-// termOfExpr builds a TermNode for expressions in the summary term
-// vocabulary: scalar literals, unassigned formals, and "."-concats of
-// those. Returns nil for anything else.
-func termOfExpr(e phpast.Expr, params map[string]int, assigned map[string]bool) *TermNode {
-	switch n := e.(type) {
-	case *phpast.StringLit:
-		return &TermNode{Op: "str", S: n.Value}
-	case *phpast.IntLit:
-		return &TermNode{Op: "int", I: n.Value}
-	case *phpast.BoolLit:
-		return &TermNode{Op: "bool", B: n.Value}
-	case *phpast.NullLit:
-		return &TermNode{Op: "null"}
-	case *phpast.Var:
-		if i, ok := params[n.Name]; ok && !assigned[n.Name] {
-			return &TermNode{Op: "formal", I: int64(i)}
-		}
-		return nil
-	case *phpast.Binary:
-		if n.Op != "." {
-			return nil
-		}
-		l := termOfExpr(n.L, params, assigned)
-		r := termOfExpr(n.R, params, assigned)
-		if l == nil || r == nil {
-			return nil
-		}
-		return &TermNode{Op: "concat", Args: []*TermNode{l, r}}
-	default:
-		return nil
-	}
-}
-
-// toSMT interns a TermNode into the scan's term factory. All formals
-// are string-sorted: the summary vocabulary is PHP's string world, and
-// taint does not care about sorts.
-func (t *TermNode) toSMT(fac *smt.Factory) *smt.Term {
-	if t == nil {
-		return nil
-	}
-	switch t.Op {
-	case "formal":
-		return fac.Formal(int(t.I), smt.SortString)
-	case "str":
-		return fac.Str(t.S)
-	case "int":
-		return fac.Int(t.I)
-	case "bool":
-		return fac.Bool(t.B)
-	case "null":
-		return fac.Str("")
-	case "concat":
-		args := make([]*smt.Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = a.toSMT(fac)
-			if args[i] == nil {
-				return nil
-			}
-		}
-		return fac.Concat(args...)
-	default:
-		return nil
-	}
-}
-
-// termNodeOfSMT converts a composed smt term back into the
-// serializable vocabulary, or nil if the term strayed outside it
-// (composition can only combine vocabulary terms, so this is total in
-// practice; the nil path is a safety net).
-func termNodeOfSMT(t *smt.Term) *TermNode {
-	if t == nil {
-		return nil
-	}
-	switch t.Op {
-	case smt.OpFormal:
-		return &TermNode{Op: "formal", I: t.I}
-	case smt.OpStrConst:
-		return &TermNode{Op: "str", S: t.S}
-	case smt.OpIntConst:
-		return &TermNode{Op: "int", I: t.I}
-	case smt.OpBoolConst:
-		return &TermNode{Op: "bool", B: t.B}
-	case smt.OpConcat:
-		args := make([]*TermNode, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = termNodeOfSMT(a)
-			if args[i] == nil {
-				return nil
-			}
-		}
-		return &TermNode{Op: "concat", Args: args}
-	default:
-		return nil
-	}
-}
+const ArtifactVersion = 2
 
 // EncodeFile serializes one file's local summary layer.
 func EncodeFile(fl *FileLocal) ([]byte, error) {

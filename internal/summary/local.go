@@ -1,120 +1,22 @@
 package summary
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/phpast"
 
-	"repro/internal/callgraph"
-	"repro/internal/phpast"
-)
-
-// The local layer: a pure syntactic analysis of one file's function
-// declarations. Everything here is a function of the file's content
-// alone (no other files, no options), which is what makes the result
-// cacheable as a per-file artifact.
-//
-// Taint is tracked as AtomSets: a set of formal-parameter bits plus a
-// set of call-site indices whose return values flow in. Call sites
-// keep their own argument AtomSets, so the composition layer can
-// resolve everything to formal masks once callee summaries exist.
-
-// AtomSet is a taint value: which formals and which call results may
-// flow into a variable or expression. Sites is sorted and deduplicated.
-type AtomSet struct {
-	Formals uint64 `json:"f,omitempty"`
-	Sites   []int  `json:"s,omitempty"`
-}
-
-func (a AtomSet) union(b AtomSet) AtomSet {
-	out := AtomSet{Formals: a.Formals | b.Formals}
-	out.Sites = mergeSorted(a.Sites, b.Sites)
-	return out
-}
-
-func (a AtomSet) equal(b AtomSet) bool {
-	if a.Formals != b.Formals || len(a.Sites) != len(b.Sites) {
-		return false
-	}
-	for i := range a.Sites {
-		if a.Sites[i] != b.Sites[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (a AtomSet) empty() bool { return a.Formals == 0 && len(a.Sites) == 0 }
-
-func mergeSorted(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]int(nil), b...)
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Site is one resolvable call site inside a function body: a call to a
-// statically named function, with the taint atoms of each argument.
-type Site struct {
-	Callee string    `json:"c"`
-	Line   int       `json:"l"`
-	Args   []AtomSet `json:"a,omitempty"`
-}
-
-// SinkLocal is a direct sink call inside the body, with unresolved
-// source/destination taint.
-type SinkLocal struct {
-	Sink string  `json:"k"`
-	Line int     `json:"l"`
-	Src  AtomSet `json:"src"`
-	Dst  AtomSet `json:"dst"`
-}
-
-// RetCallLocal describes a `return g(args...)` body where every
-// argument is itself in the term vocabulary: the composition layer
-// instantiates g's return term with the argument terms via
-// smt.Factory.Substitute.
-type RetCallLocal struct {
-	Callee string      `json:"c"`
-	Args   []*TermNode `json:"a,omitempty"`
-}
+// The local layer: one syntactic walk over each function body in a
+// file. Everything here is a function of the file's content alone (no
+// other files, no options), which is what makes the result cacheable
+// as a per-file artifact.
 
 // FuncLocal is the serializable local layer for one function.
 type FuncLocal struct {
-	Name   string `json:"name"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Params int    `json:"params"`
+	Name string `json:"name"`
+	File string `json:"file"`
+	Line int    `json:"line"`
 
 	Escapes      bool   `json:"escapes,omitempty"`
 	EscapeReason string `json:"escapeReason,omitempty"`
-	Forks        bool   `json:"forks,omitempty"`
 
-	Sites []Site      `json:"sites,omitempty"`
-	Sinks []SinkLocal `json:"sinks,omitempty"`
-
-	Return  AtomSet       `json:"ret"`
-	RetTerm *TermNode     `json:"retTerm,omitempty"`
-	RetCall *RetCallLocal `json:"retCall,omitempty"`
-	RetLine int           `json:"retLine,omitempty"`
+	RetLine int `json:"retLine,omitempty"`
 
 	// Trivial-body classification (see Summary.Trivial): the body is
 	// {Nop|InlineHTML|FuncDecl|ClassDecl}* followed by exactly one
@@ -172,7 +74,6 @@ type localScan struct {
 	fl       *FuncLocal
 	params   map[string]int  // formal name -> index
 	assigned map[string]bool // formals that are assignment targets
-	vars     map[string]AtomSet
 	// occurrence bookkeeping for DeadVars / MergeVars
 	occs     map[string]int  // total occurrences per var
 	deadOccs map[string]int  // occurrences that are plain-assign LHS
@@ -181,12 +82,11 @@ type localScan struct {
 }
 
 func localFunc(name, file string, line int, params []phpast.Param, body []phpast.Stmt, isMethod bool) *FuncLocal {
-	fl := &FuncLocal{Name: name, File: file, Line: line, Params: len(params), RetFormal: -1}
+	fl := &FuncLocal{Name: name, File: file, Line: line, RetFormal: -1}
 	sc := &localScan{
 		fl:       fl,
 		params:   map[string]int{},
 		assigned: map[string]bool{},
-		vars:     map[string]AtomSet{},
 		occs:     map[string]int{},
 		deadOccs: map[string]int{},
 		condOccs: map[string]int{},
@@ -206,48 +106,14 @@ func localFunc(name, file string, line int, params []phpast.Param, body []phpast
 		sc.escape("class method")
 	}
 	if len(params) > 64 {
+		// No fact needs this bound any more; it stays so that every
+		// function keeps its escape verdict and reason.
 		sc.escape("too many params")
 	}
-
-	// Taint assignments are order-sensitive through locals
-	// ($x = $a; $y = $x;), so sweep the statement walk until the
-	// var table stops changing. Atom sets only grow, so the sweep
-	// count is bounded by the lattice height; the explicit cap is a
-	// backstop.
-	for sweep := 0; sweep < 64; sweep++ {
-		before := sc.snapshot()
-		first := sweep == 0
-		if !first {
-			// Re-sweeps only propagate taint; structural facts
-			// (sites, sinks, occurrences) were collected on the
-			// first pass and must not be duplicated.
-			sc.fl.Sites = sc.fl.Sites[:0]
-			sc.fl.Sinks = sc.fl.Sinks[:0]
-			sc.fl.Return = AtomSet{}
-		}
-		sc.stmts(body, first)
-		if sc.snapshot() == before {
-			break
-		}
-	}
-
+	sc.stmts(body)
 	sc.classifyTrivialReturn(body)
 	sc.finishVars()
 	return fl
-}
-
-func (sc *localScan) snapshot() string {
-	keys := make([]string, 0, len(sc.vars))
-	for k := range sc.vars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		a := sc.vars[k]
-		out += fmt.Sprintf("%s{%x %v}", k, a.Formals, a.Sites)
-	}
-	return out
 }
 
 func (sc *localScan) escape(reason string) {
@@ -257,368 +123,240 @@ func (sc *localScan) escape(reason string) {
 	}
 }
 
-// stmts walks a statement list. first is true on the initial sweep,
-// which also records structural facts (occurrences, forks, escapes).
-func (sc *localScan) stmts(list []phpast.Stmt, first bool) {
+func (sc *localScan) stmts(list []phpast.Stmt) {
 	for _, s := range list {
-		sc.stmt(s, first)
+		sc.stmt(s)
 	}
 }
 
-func (sc *localScan) stmt(s phpast.Stmt, first bool) {
+func (sc *localScan) stmt(s phpast.Stmt) {
 	switch n := s.(type) {
 	case nil, *phpast.Nop, *phpast.InlineHTML:
 	case *phpast.FuncDecl, *phpast.ClassDecl:
 		// Nested declarations are separate scopes, summarized on
 		// their own; executing the declaration is a no-op.
 	case *phpast.ExprStmt:
-		sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.Echo:
-		for _, e := range n.Args {
-			sc.expr(e, first)
-		}
+		sc.exprs(n.Args)
 	case *phpast.Block:
-		sc.stmts(n.Stmts, first)
+		sc.stmts(n.Stmts)
 	case *phpast.If:
-		sc.fl.Forks = true
-		if first {
-			sc.condOccurrence(n.Cond)
-		}
-		sc.expr(n.Cond, first)
+		sc.condOccurrence(n.Cond)
+		sc.expr(n.Cond)
 		if n.Then != nil {
-			sc.stmts(n.Then.Stmts, first)
+			sc.stmts(n.Then.Stmts)
 		}
-		sc.stmt(n.Else, first)
+		sc.stmt(n.Else)
 	case *phpast.While:
-		sc.fl.Forks = true
-		sc.expr(n.Cond, first)
+		sc.expr(n.Cond)
 		if n.Body != nil {
-			sc.stmts(n.Body.Stmts, first)
+			sc.stmts(n.Body.Stmts)
 		}
 	case *phpast.DoWhile:
-		sc.fl.Forks = true
 		if n.Body != nil {
-			sc.stmts(n.Body.Stmts, first)
+			sc.stmts(n.Body.Stmts)
 		}
-		sc.expr(n.Cond, first)
+		sc.expr(n.Cond)
 	case *phpast.For:
-		sc.fl.Forks = true
-		for _, e := range n.Init {
-			sc.expr(e, first)
-		}
-		for _, e := range n.Cond {
-			sc.expr(e, first)
-		}
-		for _, e := range n.Post {
-			sc.expr(e, first)
-		}
+		sc.exprs(n.Init)
+		sc.exprs(n.Cond)
+		sc.exprs(n.Post)
 		if n.Body != nil {
-			sc.stmts(n.Body.Stmts, first)
+			sc.stmts(n.Body.Stmts)
 		}
 	case *phpast.Foreach:
-		sc.fl.Forks = true
 		if n.ByRef {
 			sc.escape("by-ref foreach")
 		}
-		src := sc.expr(n.Arr, first)
+		sc.expr(n.Arr)
 		if n.Key != nil {
-			sc.assignTo(n.Key, src, false, first)
+			sc.assignTo(n.Key, false)
 		}
-		sc.assignTo(n.Val, src, false, first)
+		sc.assignTo(n.Val, false)
 		if n.Body != nil {
-			sc.stmts(n.Body.Stmts, first)
+			sc.stmts(n.Body.Stmts)
 		}
 	case *phpast.Switch:
-		sc.fl.Forks = true
-		if first {
-			sc.condOccurrence(n.Subject)
-		}
-		sc.expr(n.Subject, first)
+		sc.condOccurrence(n.Subject)
+		sc.expr(n.Subject)
 		for _, c := range n.Cases {
-			if c.Cond != nil {
-				sc.expr(c.Cond, first)
-			}
-			sc.stmts(c.Stmts, first)
+			sc.expr(c.Cond)
+			sc.stmts(c.Stmts)
 		}
 	case *phpast.Break, *phpast.Continue:
 	case *phpast.Return:
 		if n.X != nil {
-			sc.fl.Return = sc.fl.Return.union(sc.expr(n.X, first))
-			if first {
-				sc.fl.RetLine = n.P.Line
-			}
+			sc.expr(n.X)
+			sc.fl.RetLine = n.P.Line
 		}
 	case *phpast.Global:
 		sc.fl.TouchesGlobals = true
 		sc.escape("global statement")
-		if first {
-			for _, name := range n.Names {
-				sc.declared[name] = true
-			}
+		for _, name := range n.Names {
+			sc.declared[name] = true
 		}
 	case *phpast.StaticVars:
 		sc.escape("static variables")
-		if first {
-			for _, name := range n.Names {
-				sc.declared[name] = true
-			}
+		for _, name := range n.Names {
+			sc.declared[name] = true
 		}
-		for _, e := range n.Inits {
-			sc.expr(e, first)
-		}
+		sc.exprs(n.Inits)
 	case *phpast.Unset:
-		for _, v := range n.Vars {
-			sc.expr(v, first)
-		}
+		sc.exprs(n.Vars)
 	case *phpast.Try:
-		sc.fl.Forks = true
 		sc.escape("try/catch")
 		if n.Body != nil {
-			sc.stmts(n.Body.Stmts, first)
+			sc.stmts(n.Body.Stmts)
 		}
 		for _, c := range n.Catches {
 			if c.Body != nil {
-				sc.stmts(c.Body.Stmts, first)
+				sc.stmts(c.Body.Stmts)
 			}
 		}
 		if n.Finally != nil {
-			sc.stmts(n.Finally.Stmts, first)
+			sc.stmts(n.Finally.Stmts)
 		}
 	case *phpast.Throw:
 		sc.escape("throw")
-		sc.expr(n.X, first)
+		sc.expr(n.X)
 	default:
 		sc.escape("unsupported statement")
 	}
 }
 
-// expr walks an expression and returns its taint atoms.
-func (sc *localScan) expr(e phpast.Expr, first bool) AtomSet {
+func (sc *localScan) exprs(list []phpast.Expr) {
+	for _, e := range list {
+		sc.expr(e)
+	}
+}
+
+func (sc *localScan) expr(e phpast.Expr) {
 	switch n := e.(type) {
-	case nil:
-		return AtomSet{}
-	case *phpast.IntLit, *phpast.FloatLit, *phpast.StringLit, *phpast.BoolLit, *phpast.NullLit,
+	case nil, *phpast.IntLit, *phpast.FloatLit, *phpast.StringLit, *phpast.BoolLit, *phpast.NullLit,
 		*phpast.ConstFetch, *phpast.ClassConstFetch, *phpast.Name:
-		return AtomSet{}
 	case *phpast.InterpString:
-		var a AtomSet
-		for _, p := range n.Parts {
-			a = a.union(sc.expr(p, first))
-		}
-		return a
+		sc.exprs(n.Parts)
 	case *phpast.Var:
-		return sc.varRead(n, first)
+		sc.varRead(n)
 	case *phpast.ArrayDim:
-		a := sc.expr(n.Arr, first)
-		return a.union(sc.expr(n.Index, first))
+		sc.expr(n.Arr)
+		sc.expr(n.Index)
 	case *phpast.ArrayLit:
-		var a AtomSet
 		for _, it := range n.Items {
 			if it.ByRef {
 				sc.escape("by-ref array item")
 			}
-			a = a.union(sc.expr(it.Key, first))
-			a = a.union(sc.expr(it.Value, first))
+			sc.expr(it.Key)
+			sc.expr(it.Value)
 		}
-		return a
 	case *phpast.ListExpr:
-		var a AtomSet
-		for _, it := range n.Items {
-			a = a.union(sc.expr(it, first))
-		}
-		return a
+		sc.exprs(n.Items)
 	case *phpast.Unary:
-		return sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.Binary:
-		switch n.Op {
-		case "&&", "||", "and", "or", "xor", "??":
-			sc.fl.Forks = true
-		}
-		a := sc.expr(n.L, first)
-		return a.union(sc.expr(n.R, first))
+		sc.expr(n.L)
+		sc.expr(n.R)
 	case *phpast.Assign:
 		if n.ByRef {
 			sc.escape("by-ref assignment")
 		}
-		val := sc.expr(n.Value, first)
-		return sc.assignTo(n.Target, val, n.Op == "" && !n.ByRef, first)
+		sc.expr(n.Value)
+		sc.assignTo(n.Target, n.Op == "" && !n.ByRef)
 	case *phpast.IncDec:
 		// Counts as a read-modify-write use of the variable.
 		if v, ok := n.X.(*phpast.Var); ok {
-			a := sc.varRead(v, first)
+			sc.varRead(v)
 			sc.markAssignedFormal(v.Name)
-			return a
+		} else {
+			sc.expr(n.X)
 		}
-		return sc.expr(n.X, first)
 	case *phpast.Ternary:
-		sc.fl.Forks = true
-		a := sc.expr(n.Cond, first)
-		a = a.union(sc.expr(n.Then, first))
-		return a.union(sc.expr(n.Else, first))
+		sc.expr(n.Cond)
+		sc.expr(n.Then)
+		sc.expr(n.Else)
 	case *phpast.Cast:
-		return sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.ErrorSuppress:
-		return sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.Call:
-		return sc.call(n, first)
+		// Only the arguments are walked: a dynamic callee expression
+		// escapes without counting as a variable occurrence.
+		if name, ok := phpast.CalleeName(n); !ok {
+			sc.escape("dynamic call")
+		} else if name == "call_user_func" || name == "call_user_func_array" {
+			sc.escape("call_user_func")
+		}
+		sc.exprs(n.Args)
 	case *phpast.MethodCall:
 		sc.escape("method call")
-		a := sc.expr(n.Obj, first)
-		for _, arg := range n.Args {
-			a = a.union(sc.expr(arg, first))
-		}
-		return a
+		sc.expr(n.Obj)
+		sc.exprs(n.Args)
 	case *phpast.StaticCall:
 		sc.escape("static call")
-		var a AtomSet
-		for _, arg := range n.Args {
-			a = a.union(sc.expr(arg, first))
-		}
-		return a
+		sc.exprs(n.Args)
 	case *phpast.New:
 		sc.escape("object construction")
-		var a AtomSet
-		for _, arg := range n.Args {
-			a = a.union(sc.expr(arg, first))
-		}
-		return a
+		sc.exprs(n.Args)
 	case *phpast.PropFetch:
 		sc.escape("property access")
-		return sc.expr(n.Obj, first)
+		sc.expr(n.Obj)
 	case *phpast.StaticPropFetch:
 		sc.escape("static property access")
-		return AtomSet{}
 	case *phpast.Isset:
-		var a AtomSet
-		for _, v := range n.Vars {
-			a = a.union(sc.expr(v, first))
-		}
-		return a
+		sc.exprs(n.Vars)
 	case *phpast.Empty:
-		return sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.Exit:
 		sc.escape("exit")
-		return sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.Print:
-		return sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.Include:
 		sc.escape("include")
-		return sc.expr(n.X, first)
+		sc.expr(n.X)
 	case *phpast.Closure:
 		sc.escape("closure")
-		return AtomSet{}
 	default:
 		sc.escape("unsupported expression")
-		return AtomSet{}
 	}
 }
 
-// call handles a statically or dynamically named call expression.
-func (sc *localScan) call(n *phpast.Call, first bool) AtomSet {
-	name, ok := phpast.CalleeName(n)
-	if !ok {
-		sc.escape("dynamic call")
-		var a AtomSet
-		for _, arg := range n.Args {
-			a = a.union(sc.expr(arg, first))
-		}
-		return a
+// varRead records a variable occurrence.
+func (sc *localScan) varRead(v *phpast.Var) {
+	sc.occs[v.Name]++
+	switch v.Name {
+	case "_FILES":
+		sc.fl.TouchesFiles = true
+	case "GLOBALS":
+		sc.fl.TouchesGlobals = true
 	}
-	if name == "call_user_func" || name == "call_user_func_array" {
-		sc.escape("call_user_func")
-	}
-	args := make([]AtomSet, len(n.Args))
-	for i, arg := range n.Args {
-		args[i] = sc.expr(arg, first)
-	}
-	if callgraph.Sinks[name] {
-		src, dst := sinkArgRoles(name, args)
-		sc.fl.Sinks = append(sc.fl.Sinks, SinkLocal{Sink: name, Line: n.P.Line, Src: src, Dst: dst})
-		return AtomSet{}
-	}
-	idx := len(sc.fl.Sites)
-	sc.fl.Sites = append(sc.fl.Sites, Site{Callee: name, Line: n.P.Line, Args: args})
-	// The call result's taint is exactly the site atom: the
-	// composition layer routes argument taint through the callee's
-	// ReturnTaint (or conservatively unions the arguments for
-	// unknown built-ins), so unioning args here would only lose
-	// precision.
-	return AtomSet{Sites: []int{idx}}
 }
 
-// sinkArgRoles mirrors the interpreter's recordSink argument
-// convention: file_put_contents writes args[1] to args[0]; every other
-// sink copies args[0] to args[1].
-func sinkArgRoles(name string, args []AtomSet) (src, dst AtomSet) {
-	get := func(i int) AtomSet {
-		if i < len(args) {
-			return args[i]
-		}
-		return AtomSet{}
-	}
-	if name == "file_put_contents" || name == "file_put_content" {
-		return get(1), get(0)
-	}
-	return get(0), get(1)
-}
-
-// varRead records a variable occurrence and returns its taint.
-func (sc *localScan) varRead(v *phpast.Var, first bool) AtomSet {
-	if first {
-		sc.occs[v.Name]++
-	}
-	if superglobals[v.Name] {
-		if v.Name == "_FILES" {
-			sc.fl.TouchesFiles = true
-		}
-		if v.Name == "GLOBALS" {
-			sc.fl.TouchesGlobals = true
-		}
-		return AtomSet{}
-	}
-	if i, ok := sc.params[v.Name]; ok {
-		return AtomSet{Formals: 1 << uint(i)}.union(sc.vars[v.Name])
-	}
-	return sc.vars[v.Name]
-}
-
-// assignTo routes taint into an assignment target and maintains the
-// dead-variable occurrence counts. plain is true for `=` without
-// by-ref or a compound operator.
-func (sc *localScan) assignTo(target phpast.Expr, val AtomSet, plain bool, first bool) AtomSet {
+// assignTo walks an assignment target and maintains the dead-variable
+// occurrence counts. plain is true for `=` without by-ref or a
+// compound operator.
+func (sc *localScan) assignTo(target phpast.Expr, plain bool) {
 	switch t := target.(type) {
 	case *phpast.Var:
-		if first {
-			sc.occs[t.Name]++
-			if plain {
-				sc.deadOccs[t.Name]++
-			}
+		sc.occs[t.Name]++
+		if plain {
+			sc.deadOccs[t.Name]++
 		}
 		sc.markAssignedFormal(t.Name)
-		if superglobals[t.Name] {
-			if t.Name == "GLOBALS" {
-				sc.fl.TouchesGlobals = true
-			}
-			return val
+		if t.Name == "GLOBALS" {
+			sc.fl.TouchesGlobals = true
 		}
-		// Flow-insensitive: keep the union across the body.
-		sc.vars[t.Name] = sc.vars[t.Name].union(val)
-		return val
 	case *phpast.ArrayDim:
-		// $a[expr] = v taints the whole array variable.
-		sc.expr(t.Index, first)
-		return sc.assignTo(t.Arr, val, false, first)
+		sc.expr(t.Index)
+		sc.assignTo(t.Arr, false)
 	case *phpast.ListExpr:
 		for _, it := range t.Items {
-			if it != nil {
-				sc.assignTo(it, val, false, first)
-			}
+			sc.assignTo(it, false)
 		}
-		return val
 	default:
 		// Property/static-prop targets escape via expr's walk.
-		sc.expr(target, first)
-		return val
+		sc.expr(target)
 	}
 }
 
@@ -654,13 +392,12 @@ func (sc *localScan) classifyTrivialReturn(body []phpast.Stmt) {
 			return
 		}
 	}
-	if ret == nil || ret.X == nil {
+	if ret == nil {
 		return
 	}
 	// RetLine for const returns is the LITERAL's line, because the
 	// engine's instantiation must allocate its concrete at the same
 	// line the inlined evaluation would.
-	line := ret.P.Line
 	switch x := ret.X.(type) {
 	case *phpast.Var:
 		if i, ok := sc.params[x.Name]; ok && !sc.assigned[x.Name] {
@@ -669,55 +406,22 @@ func (sc *localScan) classifyTrivialReturn(body []phpast.Stmt) {
 	case *phpast.StringLit:
 		sc.fl.RetConstKind = "str"
 		sc.fl.RetConstStr = x.Value
-		line = x.P.Line
+		sc.fl.RetLine = x.P.Line
 	case *phpast.IntLit:
 		sc.fl.RetConstKind = "int"
 		sc.fl.RetConstInt = x.Value
-		line = x.P.Line
+		sc.fl.RetLine = x.P.Line
 	case *phpast.FloatLit:
 		sc.fl.RetConstKind = "float"
 		sc.fl.RetConstF = x.Value
-		line = x.P.Line
+		sc.fl.RetLine = x.P.Line
 	case *phpast.BoolLit:
 		sc.fl.RetConstKind = "bool"
 		sc.fl.RetConstBool = x.Value
-		line = x.P.Line
+		sc.fl.RetLine = x.P.Line
 	case *phpast.NullLit:
 		sc.fl.RetConstKind = "null"
-		line = x.P.Line
-	}
-	if sc.fl.RetFormal >= 0 || sc.fl.RetConstKind != "" {
-		sc.fl.RetTerm = termOfExpr(ret.X, sc.params, sc.assigned)
-		sc.fl.RetLine = line
-		return
-	}
-	// Not a trivial shape, but the single return may still be in the
-	// term vocabulary (concat of formals and literals, or one call).
-	sc.classifyReturnTerm(ret)
-}
-
-// classifyReturnTerm records a symbolic return term (or single-call
-// composition shape) for a lone-return body that is not trivial.
-func (sc *localScan) classifyReturnTerm(ret *phpast.Return) {
-	if t := termOfExpr(ret.X, sc.params, sc.assigned); t != nil {
-		sc.fl.RetTerm = t
-		sc.fl.RetLine = ret.P.Line
-		return
-	}
-	if c, ok := ret.X.(*phpast.Call); ok {
-		name, named := phpast.CalleeName(c)
-		if !named {
-			return
-		}
-		args := make([]*TermNode, len(c.Args))
-		for i, a := range c.Args {
-			args[i] = termOfExpr(a, sc.params, sc.assigned)
-			if args[i] == nil {
-				return
-			}
-		}
-		sc.fl.RetCall = &RetCallLocal{Callee: name, Args: args}
-		sc.fl.RetLine = ret.P.Line
+		sc.fl.RetLine = x.P.Line
 	}
 }
 

@@ -1,24 +1,21 @@
-// Package summary computes per-function symbolic summaries for the
-// interprocedural engine (ISSUE 10). A summary captures, for one PHP
-// code unit, the facts a call site needs without inlining the body:
+// Package summary computes per-function summaries for the
+// interprocedural engine's -interproc summary strategy. A summary holds
+// exactly the facts a call site reads:
 //
-//   - per-formal taint transfer to the return value (a bitmask),
-//   - the return value as a hash-consed smt term over formal
-//     placeholders (smt.OpFormal), when the body is simple enough,
-//   - sink effects (which formals reach which argument of which
-//     file-writing built-in),
-//   - whether the body touches $_FILES or global state,
-//   - an escape verdict for constructs the summary language cannot
-//     express (by-ref params, dynamic calls, closures, includes, ...).
+//   - an escape verdict for constructs the strategy cannot describe
+//     (by-ref params, dynamic calls, closures, includes, ...); the
+//     engine inlines escaped callees plainly, so findings never
+//     silently change;
+//   - the trivial-return shape (see Summary.Trivial), which lets a call
+//     site instantiate `return <formal>` and `return <literal>` bodies
+//     without pushing a frame;
+//   - the dead and merge variable sets behind statement-boundary path
+//     merging.
 //
-// Escaped callees fall back to the engine's existing inlining, so
-// findings never silently change. Summaries are built in two layers:
-// a per-file syntactic layer (local.go) that is a pure function of one
-// file's content — and therefore cacheable as a per-file artifact
-// (artifact.go) — and a cross-function composition layer (compose.go)
-// that resolves call effects bottom-up over the strongly connected
-// components of the call graph, running a taint fixpoint with a
-// widening bound inside recursive components.
+// The facts come from one syntactic walk per function (local.go). The
+// walk is a pure function of one file's content, and therefore
+// cacheable as a per-file artifact (artifact.go). Compose only resolves
+// duplicate names across files.
 package summary
 
 import (
@@ -30,65 +27,28 @@ import (
 	"repro/internal/smt"
 )
 
-// SinkEffect records that calling the function may invoke a sink
-// built-in, and which formals flow into its source and destination
-// arguments.
-type SinkEffect struct {
-	Sink       string
-	Line       int
-	SrcFormals uint64
-	DstFormals uint64
-}
-
-// Summary is the composed, engine-facing summary of one function.
+// Summary is the engine-facing summary of one function.
 type Summary struct {
-	Name   string // lowercase registered name
-	File   string
-	Line   int
-	Params int
+	Name string // lowercase registered name
+	File string
+	Line int
 
-	// Escapes marks functions the summary language cannot describe;
+	// Escapes marks functions the summary strategy cannot describe;
 	// the engine must inline them. EscapeReason names the first
-	// escaping construct found (for -trace and tests).
+	// escaping construct found (for tests and debugging).
 	Escapes      bool
 	EscapeReason string
-
-	// Recursive marks members of a call-graph cycle; Widened marks
-	// summaries whose taint fixpoint hit the widening bound (taint
-	// over-approximated to all formals) or whose return term exceeded
-	// the size cap.
-	Recursive bool
-	Widened   bool
-
-	// Forks reports whether executing the body can split the
-	// environment set (if/switch/loops/ternary/short-circuit ops).
-	Forks bool
-
-	// CallsEscaped reports that some call site inside the body targets
-	// an escaped or dynamic callee, so the body's effects are not
-	// fully captured by this summary's sink/taint fields.
-	CallsEscaped bool
-
-	// ReturnTaint is the bitmask of formals that may flow into the
-	// return value (bit i = formal i; functions with more than 64
-	// params escape long before this matters).
-	ReturnTaint uint64
-
-	// ReturnTerm is the return value as a term over smt Formal
-	// leaves, when the return expression is within the summary
-	// vocabulary (constants, formals, concatenation, one level of
-	// composed calls). nil means opaque.
-	ReturnTerm *smt.Term
-	ReturnLine int
 
 	// ReturnFormal / ReturnConst describe trivially instantiable
 	// bodies (see Trivial): ReturnFormal >= 0 means the body returns
 	// formal i unchanged; ReturnConst non-nil means it returns that
-	// scalar constant.
+	// scalar constant, allocated at ReturnLine (the literal's line).
+	// Otherwise ReturnLine is the line of the last value-returning
+	// statement, or 0.
 	ReturnFormal int
 	ReturnConst  sexpr.Expr
+	ReturnLine   int
 
-	Sinks          []SinkEffect
 	TouchesFiles   bool // reads $_FILES
 	TouchesGlobals bool // global statement or $GLOBALS access
 
@@ -104,13 +64,13 @@ type Summary struct {
 }
 
 // Trivial reports whether a call site may instantiate this summary
-// without pushing a frame at all: the body is straight-line noise plus
-// a single `return <formal>` or `return <scalar literal>`, with no
-// sinks, no superglobal or global access, and no calls. Instantiation
-// of such a body is byte-identical to inlining it.
+// without pushing a frame at all: the body is declarations and no-ops
+// plus a single `return <formal>` or `return <scalar literal>`.
+// Instantiation of such a body is byte-identical to inlining it. The
+// shape itself rules out calls, sinks and forks; the touch flags reject
+// a formal named $_FILES or $GLOBALS.
 func (s *Summary) Trivial() bool {
-	return !s.Escapes && !s.Forks && !s.CallsEscaped &&
-		len(s.Sinks) == 0 && !s.TouchesFiles && !s.TouchesGlobals &&
+	return !s.Escapes && !s.TouchesFiles && !s.TouchesGlobals &&
 		(s.ReturnFormal >= 0 || s.ReturnConst != nil)
 }
 
@@ -134,20 +94,72 @@ func (s *Set) Lookup(lname string) *Summary {
 	return s.Funcs[lname]
 }
 
-// Build computes summaries for a set of parsed files: the per-file
-// local layer followed by cross-function composition. The file order
+// Build computes summaries for a set of parsed files. The file order
 // must match the interpreter's, because both resolve duplicate
 // function names first-declaration-wins.
-func Build(files []*phpast.File, fac *smt.Factory) *Set {
+func Build(files []*phpast.File) *Set {
 	locals := make([]*FileLocal, 0, len(files))
 	for _, f := range files {
 		locals = append(locals, LocalFile(f))
 	}
-	set := Compose(locals, fac)
+	set := Compose(locals, nil)
 	for _, fl := range locals {
 		set.Computed += len(fl.Funcs)
 	}
 	return set
+}
+
+// Compose builds the summary table from per-file local layers. File
+// order decides duplicate-name resolution (first declaration wins),
+// matching the interpreter. The factory argument is unused; it stays
+// because the benchmark module (bench/layers.go) calls Compose with one.
+func Compose(locals []*FileLocal, _ *smt.Factory) *Set {
+	set := &Set{Funcs: map[string]*Summary{}}
+	for _, fl := range locals {
+		if fl == nil {
+			continue
+		}
+		for _, fn := range fl.Funcs {
+			if _, ok := set.Funcs[fn.Name]; !ok {
+				set.Funcs[fn.Name] = fn.summary()
+			}
+		}
+	}
+	return set
+}
+
+// summary converts one function's local layer into its Summary.
+func (fn *FuncLocal) summary() *Summary {
+	return &Summary{
+		Name:           fn.Name,
+		File:           fn.File,
+		Line:           fn.Line,
+		Escapes:        fn.Escapes,
+		EscapeReason:   fn.EscapeReason,
+		ReturnFormal:   fn.RetFormal,
+		ReturnConst:    fn.retConst(),
+		ReturnLine:     fn.RetLine,
+		TouchesFiles:   fn.TouchesFiles,
+		TouchesGlobals: fn.TouchesGlobals,
+		DeadVars:       fn.DeadVars,
+		MergeVars:      fn.MergeVars,
+	}
+}
+
+func (fn *FuncLocal) retConst() sexpr.Expr {
+	switch fn.RetConstKind {
+	case "str":
+		return sexpr.StrVal(fn.RetConstStr)
+	case "int":
+		return sexpr.IntVal(fn.RetConstInt)
+	case "float":
+		return sexpr.FloatVal(fn.RetConstF)
+	case "bool":
+		return sexpr.BoolVal(fn.RetConstBool)
+	case "null":
+		return sexpr.NullVal{}
+	}
+	return nil
 }
 
 // superglobals must never be treated as mergeable condition variables

@@ -31,9 +31,10 @@ func findingsFingerprint(t *testing.T, rep *AppReport) string {
 }
 
 // TestInternAblationByteIdentical is the ablation guarantee behind
-// -no-intern: with and without the hash-consing factory, across worker
-// counts, the scanner's findings are byte-identical on corpus apps
-// (including the true-negative Cimy miss) and synthetic multi-root apps.
+// Options.DisableIntern: with and without the hash-consing factory,
+// across worker counts, the scanner's findings are byte-identical on
+// corpus apps (including the true-negative Cimy miss) and synthetic
+// multi-root apps.
 func TestInternAblationByteIdentical(t *testing.T) {
 	var targets []Target
 	for _, name := range []string{

@@ -483,7 +483,7 @@ func scheduleFailure(root string, class FailureClass, msg string, skipped bool) 
 // content-addressed — keyed by the file's own source text, the options
 // fingerprint and the summary artifact version, so unchanged files on
 // unchanged configurations load their artifact instead of re-walking
-// the AST. Composition (cross-function taint routing, SCC fixpoint) is
+// the AST. Composition (first-declaration-wins name resolution) is
 // always recomputed: it is whole-program and cheap. Every cache failure
 // mode — unopenable directory, corrupt entry, version skew, failed
 // write — degrades to a recompute, never an error.
@@ -523,7 +523,7 @@ func (s *Scanner) buildSummaries(t Target, files []*phpast.File) *summary.Set {
 		}
 		locals = append(locals, fl)
 	}
-	set := summary.Compose(locals, smt.NewFactory())
+	set := summary.Compose(locals, nil)
 	set.Computed = computed
 	set.CacheHits = hits
 	return set
@@ -756,8 +756,8 @@ func (s *Scanner) verifySinks(parent, vctx context.Context, ar *rootResult, root
 	// a root is deterministic and single-goroutine, so the factory's
 	// counters — like every other per-root metric — are byte-identical
 	// across worker counts once merged in canonical root order. With
-	// DisableIntern the factory is nil and every layer falls back to
-	// direct construction (the -no-intern ablation).
+	// Options.DisableIntern the factory is nil and every layer falls
+	// back to direct construction.
 	var fac *smt.Factory
 	if !s.opts.DisableIntern {
 		fac = smt.NewFactory()

@@ -106,9 +106,9 @@ type Options struct {
 	// layer: every constraint term is heap-allocated directly (no intern
 	// table, no memoized simplification, no incremental-session reuse),
 	// exactly the pre-interning pipeline. Findings are byte-identical
-	// either way — this flag exists for the `-no-intern` ablation
-	// benchmark, and as a bisection lever should interning ever be
-	// suspected of a miscompare.
+	// either way. No CLI flag sets it: it is the reference side of
+	// TestInternAblationByteIdentical and a bisection lever should
+	// interning ever be suspected of a miscompare.
 	DisableIntern bool
 	// DisableDegraded switches the degradation ladder off wholesale: no
 	// halved-budget retries, no degraded verification of partial
