@@ -109,7 +109,7 @@ bench-scan:
 # comparison.
 bench-smt:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 2s -benchmem ./internal/smt; \
-	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
+	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
 # Symbolic-execution benchmarks: the interpreter alone on the most
@@ -135,7 +135,7 @@ bench-interp-diff:
 # `make check` without paying for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 1x ./internal/smt
-	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 1x ./internal/heapgraph
+	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 1x ./internal/heapgraph
 	$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 1x .
 
 # The repo benchmark (bench/, driven by bench/run.sh) is its own Go

@@ -1,47 +1,195 @@
 package heapgraph
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/sexpr"
 )
 
+// maxLayers bounds the chain of frozen layers under a frame. Clone
+// flattens a chain that grows past it into a single layer, so a lookup
+// probes at most maxLayers+1 maps: the frame's delta, then each layer.
+const maxLayers = 8
+
+// deleted is what Unbind writes into a frame's delta when the name is
+// still bound in an older layer: it hides that binding. Labels are
+// positive and Null is 0, so it is never a valid label.
+const deleted Label = -1
+
+// layer is a frozen set of bindings, shared by every environment forked
+// after it was frozen and never written again. A binding to deleted
+// hides the name's binding in the layers below.
+type layer struct {
+	vars   map[string]Label
+	parent *layer
+	// depth counts the layers from this one down to the bottom of the
+	// chain, this one included.
+	depth int
+}
+
+// height is the layer's depth, 0 for the empty chain.
+func (ly *layer) height() int {
+	if ly == nil {
+		return 0
+	}
+	return ly.depth
+}
+
+// lookup resolves a name through the chain, newest layer first.
+func (ly *layer) lookup(name string) (Label, bool) {
+	for ; ly != nil; ly = ly.parent {
+		if l, ok := ly.vars[name]; ok {
+			return visible(l)
+		}
+	}
+	return Null, false
+}
+
+// visible turns a stored binding into a lookup result: the deletion
+// marker reads as absent.
+func visible(l Label) (Label, bool) {
+	if l == deleted {
+		return Null, false
+	}
+	return l, true
+}
+
+// flatVars returns a fresh map holding the chain's visible bindings.
+func (ly *layer) flatVars() map[string]Label {
+	if ly.parent == nil {
+		return maps.Clone(ly.vars)
+	}
+	vars := ly.parent.flatVars()
+	for name, l := range ly.vars {
+		if l == deleted {
+			delete(vars, name)
+		} else {
+			vars[name] = l
+		}
+	}
+	return vars
+}
+
+// commonLayer returns the newest layer both chains share, or nil.
+func commonLayer(a, b *layer) *layer {
+	for a != b {
+		switch da, db := a.height(), b.height(); {
+		case da > db:
+			a = a.parent
+		case db > da:
+			b = b.parent
+		default:
+			a, b = a.parent, b.parent
+		}
+	}
+	return a
+}
+
 // frame is one variable scope. The bottom frame is the file-level (global)
 // scope; each inlined function call pushes a frame.
 //
-// Frames are copy-on-write: Clone marks both the original's and the
-// clone's frames shared without copying the maps, and every mutator
-// materializes a private copy (via Env.own) only when it actually writes
-// to a shared frame. Forking a path is therefore O(scope depth) instead
-// of O(total bindings) — the persistent shared-tail representation that
-// makes deep symbolic forks cheap.
+// A frame is a private delta map on top of a chain of frozen layers.
+// Clone freezes each frame's delta into a new layer that both sides then
+// share, and every later write goes to the writer's own (fresh, small)
+// delta. Forking a path therefore costs O(scope depth), and the state a
+// path adds afterwards grows with what it writes, not with how many
+// bindings it can see.
 type frame struct {
-	vars map[string]Label
+	// delta holds the bindings written since the last fork; nil until the
+	// first write.
+	delta map[string]Label
+	// base is the chain of frozen layers under delta.
+	base *layer
 	// globalImports records names aliased into this frame via PHP's
 	// `global` statement; their final values are written back to the
-	// global frame when the scope pops.
+	// global frame when the scope pops. The map is never mutated once
+	// built (ImportGlobal replaces it), so forks share it.
 	globalImports map[string]bool
-	// shared marks the maps as referenced by more than one Env; they must
-	// be copied before mutation.
+	// shared reports that the frame has not been written since the last
+	// fork: everything it binds lives in layers other paths also read.
 	shared bool
 }
 
-func newFrame() frame {
-	return frame{vars: map[string]Label{}}
+// lookup resolves a name in the frame: the delta first, then the layers.
+func (f *frame) lookup(name string) (Label, bool) {
+	if l, ok := f.delta[name]; ok {
+		return visible(l)
+	}
+	return f.base.lookup(name)
 }
 
-func (f frame) clone() frame {
-	n := frame{vars: make(map[string]Label, len(f.vars))}
-	for k, v := range f.vars {
-		n.vars[k] = v
+// set writes a binding into the frame's delta.
+func (f *frame) set(name string, l Label) {
+	if f.delta == nil {
+		f.delta = map[string]Label{}
 	}
-	if f.globalImports != nil {
-		n.globalImports = make(map[string]bool, len(f.globalImports))
-		for k := range f.globalImports {
-			n.globalImports[k] = true
+	f.delta[name] = l
+	f.shared = false
+}
+
+// freeze moves the frame's delta into a new layer on top of its chain,
+// flattening the chain once it grows past maxLayers, and marks the frame
+// shared.
+func (f *frame) freeze() {
+	f.shared = true
+	if len(f.delta) == 0 {
+		f.delta = nil
+		return
+	}
+	f.base = &layer{vars: f.delta, parent: f.base, depth: f.base.height() + 1}
+	f.delta = nil
+	if f.base.depth > maxLayers {
+		f.base = &layer{vars: f.base.flatVars(), depth: 1}
+	}
+}
+
+// sameAbove reports whether every name f wrote above layer stop, apart
+// from those in skip, resolves to the same binding (or the same absence)
+// in o.
+func (f *frame) sameAbove(o *frame, stop *layer, skip map[string]bool) bool {
+	if !f.sameFor(o, f.delta, skip) {
+		return false
+	}
+	for ly := f.base; ly != stop; ly = ly.parent {
+		if !f.sameFor(o, ly.vars, skip) {
+			return false
 		}
 	}
-	return n
+	return true
+}
+
+// sameFor reports whether f and o resolve every name of vars outside
+// skip alike.
+func (f *frame) sameFor(o *frame, vars map[string]Label, skip map[string]bool) bool {
+	for name := range vars {
+		if skip[name] {
+			continue
+		}
+		l, ok := f.lookup(name)
+		ol, ook := o.lookup(name)
+		if ok != ook || l != ol {
+			return false
+		}
+	}
+	return true
+}
+
+// equivalent reports whether two frames bind the same names (those in
+// skip excluded) to the same labels and import the same globals. Below
+// their newest common layer both frames read the same maps, so only the
+// names either side wrote above it are compared.
+func (f *frame) equivalent(o *frame, skip map[string]bool) bool {
+	if len(f.globalImports) != len(o.globalImports) {
+		return false
+	}
+	for name := range f.globalImports {
+		if !o.globalImports[name] {
+			return false
+		}
+	}
+	common := commonLayer(f.base, o.base)
+	return f.sameAbove(o, common, skip) && o.sameAbove(f, common, skip)
 }
 
 // Env is the environment of one execution path (the paper's
@@ -76,23 +224,10 @@ type Env struct {
 // NewEnv returns an environment with a single (global) scope, no bindings,
 // and an empty reachability constraint.
 func NewEnv() *Env {
-	return &Env{frames: []frame{newFrame()}}
+	return &Env{frames: []frame{{}}}
 }
 
 func (e *Env) top() *frame { return &e.frames[len(e.frames)-1] }
-
-// own returns frame i ready for mutation, materializing a private copy of
-// its maps first if they are shared with another Env (copy-on-write).
-func (e *Env) own(i int) *frame {
-	f := &e.frames[i]
-	if f.shared {
-		*f = f.clone()
-	}
-	return f
-}
-
-// ownTop is own for the current scope.
-func (e *Env) ownTop() *frame { return e.own(len(e.frames) - 1) }
 
 // Suspended reports whether the path is currently not executing statements
 // (terminated or unwinding a break/continue).
@@ -102,26 +237,51 @@ func (e *Env) Suspended() bool {
 
 // Get returns the label bound to the variable in the current scope, or
 // Null (the paper's Get_Map).
-func (e *Env) Get(name string) Label { return e.top().vars[name] }
+func (e *Env) Get(name string) Label {
+	l, _ := e.top().lookup(name)
+	return l
+}
 
 // Has reports whether the variable is bound in the current scope.
 func (e *Env) Has(name string) bool {
-	_, ok := e.top().vars[name]
+	_, ok := e.top().lookup(name)
 	return ok
 }
 
 // Bind associates a variable with an object label in the current scope
 // (the paper's Add_Var + Add_Map).
-func (e *Env) Bind(name string, l Label) { e.ownTop().vars[name] = l }
+func (e *Env) Bind(name string, l Label) { e.top().set(name, l) }
 
-// Unbind removes a variable binding (PHP unset()).
-func (e *Env) Unbind(name string) { delete(e.ownTop().vars, name) }
+// Unbind removes a variable binding (PHP unset()). A binding that lives
+// in a shared layer is hidden by a deletion marker in the delta.
+func (e *Env) Unbind(name string) {
+	f := e.top()
+	if _, below := f.base.lookup(name); below {
+		f.set(name, deleted)
+		return
+	}
+	delete(f.delta, name)
+	f.shared = false
+}
 
 // VarNames returns the bound variable names of the current scope, sorted.
 func (e *Env) VarNames() []string {
-	out := make([]string, 0, len(e.top().vars))
-	for v := range e.top().vars {
-		out = append(out, v)
+	f := e.top()
+	seen := map[string]bool{}
+	out := make([]string, 0, len(f.delta))
+	visit := func(vars map[string]Label) {
+		for name, l := range vars {
+			if !seen[name] {
+				seen[name] = true
+				if l != deleted {
+					out = append(out, name)
+				}
+			}
+		}
+	}
+	visit(f.delta)
+	for ly := f.base; ly != nil; ly = ly.parent {
+		visit(ly.vars)
 	}
 	sort.Strings(out)
 	return out
@@ -129,21 +289,23 @@ func (e *Env) VarNames() []string {
 
 // PushScope enters a fresh variable scope for an inlined function call.
 func (e *Env) PushScope() {
-	e.frames = append(e.frames, newFrame())
+	e.frames = append(e.frames, frame{})
 }
 
 // PopScope leaves the current scope, writing back variables imported with
 // `global`, and clears the return state so the caller's path continues.
 func (e *Env) PopScope() {
 	top := e.top()
-	if len(e.frames) > 1 && top.globalImports != nil {
-		g := e.own(0)
+	if len(e.frames) > 1 {
 		for name := range top.globalImports {
-			if l, ok := top.vars[name]; ok {
-				g.vars[name] = l
+			if l, ok := top.lookup(name); ok {
+				e.frames[0].set(name, l)
 			}
 		}
 	}
+	// Clear the slot so the backing array does not keep the popped
+	// frame's maps alive.
+	*top = frame{}
 	e.frames = e.frames[:len(e.frames)-1]
 	e.Returned = Null
 	e.Terminated = false
@@ -157,17 +319,19 @@ func (e *Env) Depth() int { return len(e.frames) }
 // back on PopScope.
 func (e *Env) ImportGlobal(name string, mk func() Label) {
 	g := &e.frames[0]
-	l, ok := g.vars[name]
+	l, ok := g.lookup(name)
 	if !ok {
 		l = mk()
-		e.own(0).vars[name] = l
+		g.set(name, l)
 	}
-	top := e.ownTop()
-	top.vars[name] = l
-	if top.globalImports == nil {
-		top.globalImports = map[string]bool{}
+	top := e.top()
+	top.set(name, l)
+	if !top.globalImports[name] {
+		imports := make(map[string]bool, len(top.globalImports)+1)
+		maps.Copy(imports, top.globalImports)
+		imports[name] = true
+		top.globalImports = imports
 	}
-	top.globalImports[name] = true
 }
 
 // Clone forks the environment. Cloning is how the interpreter forks paths
@@ -175,11 +339,12 @@ func (e *Env) ImportGlobal(name string, mk func() Label) {
 // the memory-sharing design the paper credits for the small per-path
 // object counts.
 //
-// Scope frames are shared copy-on-write: both sides keep referencing the
-// same variable maps, marked shared, and whichever path writes first pays
-// for the copy of just the frame it writes to. The path condition (Cur)
-// is a heap-graph label, so the condition prefix is a shared tail by
-// construction. Forking is therefore O(scope depth), not O(bindings).
+// Each scope frame's delta is frozen into a layer that both sides then
+// share, and each side's later writes go to a fresh delta of its own. The
+// path condition (Cur) is a heap-graph label, so the condition prefix is
+// a shared tail by construction. Forking is therefore O(scope depth), not
+// O(bindings), and a forked path's private state grows with what it
+// writes.
 func (e *Env) Clone() *Env {
 	n := &Env{
 		frames:     make([]frame, len(e.frames)),
@@ -190,7 +355,7 @@ func (e *Env) Clone() *Env {
 		ContinueN:  e.ContinueN,
 	}
 	for i := range e.frames {
-		e.frames[i].shared = true
+		e.frames[i].freeze()
 		n.frames[i] = e.frames[i]
 	}
 	if len(e.Tmp) > 0 {
@@ -199,9 +364,9 @@ func (e *Env) Clone() *Env {
 	return n
 }
 
-// SharedFrames returns the number of scope frames currently borrowed
-// copy-on-write (shared with at least one other Env at the time of the
-// last fork). The interpreter samples it at fork sites to report how much
+// SharedFrames returns the number of scope frames not written since the
+// last fork, whose bindings all live in layers shared with at least one
+// other Env. The interpreter samples it at fork sites to report how much
 // structure forking shared instead of copied.
 func (e *Env) SharedFrames() int {
 	n := 0
@@ -266,34 +431,12 @@ func (e *Env) EquivalentModulo(o *Env, ignore map[string]bool) bool {
 	}
 	top := len(e.frames) - 1
 	for i := range e.frames {
-		ef, of := &e.frames[i], &o.frames[i]
-		skip := func(name string) bool { return i == top && ignore[name] }
-		n := 0
-		for name, l := range ef.vars {
-			if skip(name) {
-				continue
-			}
-			n++
-			if ol, ok := of.vars[name]; !ok || ol != l {
-				return false
-			}
+		var skip map[string]bool
+		if i == top {
+			skip = ignore
 		}
-		m := 0
-		for name := range of.vars {
-			if !skip(name) {
-				m++
-			}
-		}
-		if n != m {
+		if !e.frames[i].equivalent(&o.frames[i], skip) {
 			return false
-		}
-		if len(ef.globalImports) != len(of.globalImports) {
-			return false
-		}
-		for name := range ef.globalImports {
-			if !of.globalImports[name] {
-				return false
-			}
 		}
 	}
 	return true

@@ -83,10 +83,29 @@ type ArrayInfo struct {
 	NextIndex int64
 }
 
-// Graph is the heap graph.
+// chunkBits sizes the arena's chunks at 64 objects (7 KB): the graph of
+// a small root does not pay for a mostly empty chunk, and a large graph
+// still allocates one chunk per 64 objects instead of one per object.
+const (
+	chunkBits = 6
+	chunkSize = 1 << chunkBits
+)
+
+// node is one arena slot: an object and its ordered operand list. The
+// first two operands live inline in ops (nops of them); a third moves
+// the whole list to more.
+type node struct {
+	obj  Object
+	nops int
+	ops  [2]Label
+	more []Label
+}
+
+// Graph is the heap graph. Objects live in an arena of fixed-size chunks
+// indexed by label; chunks never move, so the *Object Find returns stays
+// valid as the graph grows.
 type Graph struct {
-	objs   map[Label]*Object
-	edges  map[Label][]Label
+	chunks []*[chunkSize]node
 	arrays map[Label]*ArrayInfo
 	next   Label
 	symSeq int
@@ -94,32 +113,47 @@ type Graph struct {
 
 // New returns an empty heap graph.
 func New() *Graph {
-	return &Graph{
-		objs:   map[Label]*Object{},
-		edges:  map[Label][]Label{},
-		arrays: map[Label]*ArrayInfo{},
+	return &Graph{arrays: map[Label]*ArrayInfo{}}
+}
+
+// slot returns the arena slot of a label, or nil for Null and for labels
+// no object has.
+func (g *Graph) slot(l Label) *node {
+	if l <= Null || l > g.next {
+		return nil
 	}
+	i := int(l - 1)
+	return &g.chunks[i>>chunkBits][i&(chunkSize-1)]
 }
 
 // Find returns the object with the given label, or nil (the paper's
 // Find(G, l)).
-func (g *Graph) Find(l Label) *Object { return g.objs[l] }
+func (g *Graph) Find(l Label) *Object {
+	if n := g.slot(l); n != nil {
+		return &n.obj
+	}
+	return nil
+}
 
 // NumObjects returns the number of objects in the graph (Table III's
 // "Objects" column).
-func (g *Graph) NumObjects() int { return len(g.objs) }
+func (g *Graph) NumObjects() int { return int(g.next) }
 
-func (g *Graph) add(o *Object) Label {
+func (g *Graph) add(o Object) Label {
+	i := int(g.next)
+	if i&(chunkSize-1) == 0 {
+		g.chunks = append(g.chunks, new([chunkSize]node))
+	}
 	g.next++
 	o.Label = g.next
-	g.objs[o.Label] = o
+	g.chunks[i>>chunkBits][i&(chunkSize-1)].obj = o
 	return o.Label
 }
 
 // NewConcrete creates and adds an object for a concrete value (the paper's
 // Create_Concrete_Obj + Add_Concrete_Obj). The value's own type is used.
 func (g *Graph) NewConcrete(v sexpr.Expr, line int) Label {
-	return g.add(&Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line})
+	return g.add(Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line})
 }
 
 // NewSymbol creates a symbolic-value object. An empty name generates a
@@ -129,23 +163,23 @@ func (g *Graph) NewSymbol(name string, t sexpr.Type, line int) Label {
 		g.symSeq++
 		name = "s_" + strconv.Itoa(g.symSeq)
 	}
-	return g.add(&Object{Kind: KindSymbol, Type: t, Name: name, Line: line})
+	return g.add(Object{Kind: KindSymbol, Type: t, Name: name, Line: line})
 }
 
 // NewFunc creates an object for a built-in function invocation whose result
 // type is t.
 func (g *Graph) NewFunc(name string, t sexpr.Type, line int) Label {
-	return g.add(&Object{Kind: KindFunc, Type: t, Name: name, Line: line})
+	return g.add(Object{Kind: KindFunc, Type: t, Name: name, Line: line})
 }
 
 // NewOp creates an operation object (the paper's Create_OP_Obj).
 func (g *Graph) NewOp(op string, t sexpr.Type, line int) Label {
-	return g.add(&Object{Kind: KindOp, Type: t, Name: op, Line: line})
+	return g.add(Object{Kind: KindOp, Type: t, Name: op, Line: line})
 }
 
 // NewArray creates an empty array object.
 func (g *Graph) NewArray(line int) Label {
-	l := g.add(&Object{Kind: KindArray, Type: sexpr.Array, Line: line})
+	l := g.add(Object{Kind: KindArray, Type: sexpr.Array, Line: line})
 	g.arrays[l] = &ArrayInfo{Elems: map[string]Label{}}
 	return l
 }
@@ -193,13 +227,35 @@ func (g *Graph) Elem(arr Label, key string) (Label, bool) {
 
 // AddEdge appends a directed, ordered edge from an operation/function
 // object to an operand (the paper's Add_Edge; order distinguishes left and
-// right operands).
+// right operands). An edge from a label with no object is dropped.
 func (g *Graph) AddEdge(from, to Label) {
-	g.edges[from] = append(g.edges[from], to)
+	n := g.slot(from)
+	switch {
+	case n == nil:
+	case n.more != nil:
+		n.more = append(n.more, to)
+	case n.nops < len(n.ops):
+		n.ops[n.nops] = to
+		n.nops++
+	default:
+		n.more = []Label{n.ops[0], n.ops[1], to}
+	}
 }
 
-// Edges returns the ordered operand labels of an object.
-func (g *Graph) Edges(l Label) []Label { return g.edges[l] }
+// Edges returns the ordered operand labels of an object, or nil. The
+// slice's capacity is its length, so appending to it copies instead of
+// writing into the graph.
+func (g *Graph) Edges(l Label) []Label {
+	n := g.slot(l)
+	switch {
+	case n == nil || n.nops == 0:
+		return nil
+	case n.more != nil:
+		return n.more[:len(n.more):len(n.more)]
+	default:
+		return n.ops[:n.nops:n.nops]
+	}
+}
 
 // ToSexpr renders the value rooted at l as a PHP-semantics s-expression by
 // traversing the heap graph (the paper's Section III-B1 observation that
@@ -211,7 +267,7 @@ func (g *Graph) ToSexpr(l Label) sexpr.Expr {
 }
 
 func (g *Graph) toSexpr(l Label, visiting map[Label]bool) sexpr.Expr {
-	o := g.objs[l]
+	o := g.Find(l)
 	if o == nil {
 		return sexpr.NullVal{}
 	}
@@ -237,7 +293,7 @@ func (g *Graph) toSexpr(l Label, visiting map[Label]bool) sexpr.Expr {
 		visiting[l] = true
 		defer delete(visiting, l)
 		app := &sexpr.App{Op: o.Name, Type: o.Type}
-		for _, e := range g.edges[l] {
+		for _, e := range g.Edges(l) {
 			app.Args = append(app.Args, g.toSexpr(e, visiting))
 		}
 		return app
@@ -262,7 +318,7 @@ func (g *Graph) Reaches(src, target Label) bool {
 			return false
 		}
 		seen[l] = true
-		for _, e := range g.edges[l] {
+		for _, e := range g.Edges(l) {
 			if dfs(e) {
 				return true
 			}
@@ -290,11 +346,11 @@ func (g *Graph) ReachesName(src Label, name string) bool {
 			return false
 		}
 		seen[l] = true
-		o := g.objs[l]
+		o := g.Find(l)
 		if o != nil && o.Name == name {
 			return true
 		}
-		for _, e := range g.edges[l] {
+		for _, e := range g.Edges(l) {
 			if dfs(e) {
 				return true
 			}
@@ -323,14 +379,14 @@ func (g *Graph) Lines(l Label) []int {
 			return
 		}
 		seen[x] = true
-		o := g.objs[x]
+		o := g.Find(x)
 		if o == nil {
 			return
 		}
 		if o.Line > 0 {
 			lineSet[o.Line] = true
 		}
-		for _, e := range g.edges[x] {
+		for _, e := range g.Edges(x) {
 			dfs(e)
 		}
 		if info := g.arrays[x]; info != nil {

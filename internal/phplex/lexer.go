@@ -477,9 +477,9 @@ func (l *Lexer) restore(off int) {
 	l.col = col
 }
 
-func (l *Lexer) scanOperator(start phptoken.Pos) phptoken.Token {
-	// Longest-match operator table, ordered by length.
-	three := [...]struct {
+// Operator tables for scanOperator's longest match, by length.
+var (
+	threeCharOps = [...]struct {
 		s string
 		k phptoken.Kind
 	}{
@@ -488,13 +488,7 @@ func (l *Lexer) scanOperator(start phptoken.Pos) phptoken.Token {
 		{"??=", phptoken.CoalAssign}, {"<<=", phptoken.ShlAssign},
 		{">>=", phptoken.ShrAssign},
 	}
-	for _, op := range three {
-		if strings.HasPrefix(l.src[l.off:], op.s) {
-			l.advanceN(3)
-			return phptoken.Token{Kind: op.k, Pos: start}
-		}
-	}
-	two := [...]struct {
+	twoCharOps = [...]struct {
 		s string
 		k phptoken.Kind
 	}{
@@ -511,13 +505,9 @@ func (l *Lexer) scanOperator(start phptoken.Pos) phptoken.Token {
 		{"->", phptoken.Arrow}, {"=>", phptoken.DArrow},
 		{"::", phptoken.Scope}, {"<<", phptoken.Shl}, {">>", phptoken.Shr},
 	}
-	for _, op := range two {
-		if strings.HasPrefix(l.src[l.off:], op.s) {
-			l.advanceN(2)
-			return phptoken.Token{Kind: op.k, Pos: start}
-		}
-	}
-	one := map[byte]phptoken.Kind{
+	// oneCharOps maps a byte to its one-character operator; Invalid (the
+	// zero Kind) marks bytes that are not one.
+	oneCharOps = [256]phptoken.Kind{
 		';': phptoken.Semicolon, ',': phptoken.Comma,
 		'(': phptoken.LParen, ')': phptoken.RParen,
 		'{': phptoken.LBrace, '}': phptoken.RBrace,
@@ -529,8 +519,23 @@ func (l *Lexer) scanOperator(start phptoken.Pos) phptoken.Token {
 		'^': phptoken.Caret, '~': phptoken.Tilde, '?': phptoken.Quest,
 		':': phptoken.Colon, '@': phptoken.At, '\\': phptoken.Bslash,
 	}
+)
+
+func (l *Lexer) scanOperator(start phptoken.Pos) phptoken.Token {
+	for _, op := range threeCharOps {
+		if strings.HasPrefix(l.src[l.off:], op.s) {
+			l.advanceN(3)
+			return phptoken.Token{Kind: op.k, Pos: start}
+		}
+	}
+	for _, op := range twoCharOps {
+		if strings.HasPrefix(l.src[l.off:], op.s) {
+			l.advanceN(2)
+			return phptoken.Token{Kind: op.k, Pos: start}
+		}
+	}
 	c := l.peek()
-	if k, ok := one[c]; ok {
+	if k := oneCharOps[c]; k != phptoken.Invalid {
 		l.advance()
 		return phptoken.Token{Kind: k, Pos: start}
 	}
