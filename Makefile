@@ -42,9 +42,10 @@ crash-matrix:
 
 # Bounded coverage-guided fuzzing of the robustness frontier: the lexer
 # and parser must never panic on malformed PHP (the scanner's parse-stage
-# fault containment assumes it), and the summary strategy must keep its
-# contract with inlining on arbitrary programs. Seed corpora live under
-# each package's testdata/fuzz/.
+# fault containment assumes it), the summary strategy must keep its
+# contract with inlining on arbitrary programs, and the solver's search
+# plan must prune exactly where Eval says a conjunct fails. Seed corpora
+# live under each package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime $(FUZZTIME) ./internal/phplex
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/phpparser
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSummaryEquivalence$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalFold$$' -fuzztime $(FUZZTIME) ./internal/scanjournal
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordFold$$' -fuzztime $(FUZZTIME) ./internal/shardcoord
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchPlan$$' -fuzztime $(FUZZTIME) ./internal/smt
 
 # Registry-scale distributed-scanning acceptance suite under the race
 # detector: a 4-worker fleet over a 40-target corpus with a victim
@@ -105,10 +107,11 @@ bench-scan:
 	$(GO) test -run '^$$' -bench 'BenchmarkScan(Serial|Parallel|Roots)' .
 
 # Shared-structure constraint-engine micro-benchmarks (interned vs the
-# Options.DisableIntern ablation), archived as JSON for cross-commit
-# comparison.
+# Options.DisableIntern ablation, and the model search on
+# portfolio-showcase's budget-exhausting cube), archived as JSON for
+# cross-commit comparison.
 bench-smt:
-	@{ $(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 2s -benchmem ./internal/smt; \
+	@{ $(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch' -benchtime 2s -benchmem ./internal/smt; \
 	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
@@ -134,7 +137,7 @@ bench-interp-diff:
 # benchmarks: keeps the benchmark harnesses compiling and running inside
 # `make check` without paying for a real measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 1x ./internal/smt
+	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch' -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 1x ./internal/heapgraph
 	$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 1x .
 

@@ -129,3 +129,20 @@ func BenchmarkInternConstruction(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSolverSearch decides portfolio-showcase's cube (plan_test.go):
+// three string variables, a str.replace inside a str.++ under
+// str.suffixof, and the name equality. No candidate satisfies it, so the
+// search runs to the default budget of 500,000 assignments, every one
+// pruned at the last depth. A fresh factory per iteration, as the scanner
+// uses per root attempt.
+func BenchmarkSolverSearch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := NewFactory()
+		solver := NewSolverWithFactory(Options{}, f)
+		if _, _, st, _ := solver.Check(portfolioCube(f)); st.Assignments != 500000 {
+			b.Fatalf("tried %d assignments, want 500000", st.Assignments)
+		}
+	}
+}

@@ -26,6 +26,11 @@ type candidatePool struct {
 	strs  []Value
 	ints  []Value
 	bools []Value
+	// strBytes holds the bytes of every string candidate back to back, the
+	// form the search plan binds: strs[i] is
+	// strBytes[strStart[i]:strStart[i+1]].
+	strBytes []byte
+	strStart []int32
 }
 
 func newCandidatePool(conj *Term, opts Options) *candidatePool {
@@ -195,6 +200,17 @@ func newCandidatePool(conj *Term, opts Options) *candidatePool {
 		}
 	}
 
+	n := 0
+	for _, v := range p.strs {
+		n += len(v.S)
+	}
+	p.strBytes = make([]byte, 0, n)
+	p.strStart = make([]int32, 0, len(p.strs)+1)
+	for _, v := range p.strs {
+		p.strStart = append(p.strStart, int32(len(p.strBytes)))
+		p.strBytes = append(p.strBytes, v.S...)
+	}
+	p.strStart = append(p.strStart, int32(len(p.strBytes)))
 	return p
 }
 
@@ -207,6 +223,17 @@ func (p *candidatePool) forVar(v *Term) []Value {
 	default:
 		return p.strs
 	}
+}
+
+// reg returns c, candidate i of the list forVar returned, in the search
+// plan's register form.
+func (p *candidatePool) reg(c *Value, i int) reg {
+	r := reg{sort: c.Sort, b: c.B, i: c.I}
+	if c.Sort == SortString {
+		end := p.strStart[i+1]
+		r.s = p.strBytes[p.strStart[i]:end:end]
+	}
+	return r
 }
 
 func itoa(n int64) string {

@@ -37,9 +37,13 @@ func (v Value) String() string {
 type Model map[string]Value
 
 // Eval evaluates a ground or fully-assigned term under the model. It is the
-// soundness anchor of the solver: every Sat answer is re-verified through
-// this function before being reported. It returns an error for variables
-// missing from the model or sort confusion.
+// solver's reference evaluator: every model the bounded search finds, and
+// the default model of a cube that rewrites to true, is re-checked with it
+// against the original formula before Sat is reported. The one Sat answer
+// it does not check is a whole formula that rewrites to true: CheckCtx
+// then returns default values for its variables without evaluation. The
+// search plan (plan.go) is tested against Eval. It returns an error for
+// variables missing from the model or sort confusion.
 func Eval(t *Term, m Model) (Value, error) {
 	switch t.Op {
 	case OpBoolConst:
@@ -142,7 +146,7 @@ func Eval(t *Term, m Model) (Value, error) {
 	case OpContains:
 		return BoolValue(strings.Contains(args[0].S, args[1].S)), nil
 	case OpIndexOf:
-		return IntValue(indexOf(args[0].S, args[1].S, args[2].I)), nil
+		return IntValue(indexOf(args[0].S, args[1].S, args[2].I, strings.Index)), nil
 	case OpReplace:
 		return StrValue(replaceFirst(args[0].S, args[1].S, args[2].S)), nil
 	case OpSubstr:
@@ -169,12 +173,12 @@ func Eval(t *Term, m Model) (Value, error) {
 // indexOf implements SMT-LIB str.indexof semantics: the first position >=
 // from where sub occurs in s, or -1. A negative from, or from beyond
 // len(s), yields -1 — except that per SMT-LIB, (str.indexof s "" n) with
-// 0 <= n <= len(s) is n.
-func indexOf(s, sub string, from int64) int64 {
+// 0 <= n <= len(s) is n. index is strings.Index or bytes.Index.
+func indexOf[S ~string | ~[]byte](s, sub S, from int64, index func(S, S) int) int64 {
 	if from < 0 || from > int64(len(s)) {
 		return -1
 	}
-	i := strings.Index(s[from:], sub)
+	i := index(s[from:], sub)
 	if i < 0 {
 		return -1
 	}
@@ -197,9 +201,9 @@ func replaceFirst(s, old, new string) string {
 // substr implements SMT-LIB str.substr: the empty string when off is out of
 // range or length is non-positive; otherwise the longest prefix of s[off:]
 // of length at most length.
-func substr(s string, off, length int64) string {
+func substr[S ~string | ~[]byte](s S, off, length int64) S {
 	if off < 0 || off >= int64(len(s)) || length <= 0 {
-		return ""
+		return s[:0]
 	}
 	end := off + length
 	if end > int64(len(s)) {
@@ -211,8 +215,8 @@ func substr(s string, off, length int64) string {
 // strToInt implements SMT-LIB str.to_int: the non-negative integer denoted
 // by s if s consists solely of digits, otherwise -1. Leading zeros are
 // accepted. Overflow returns -1.
-func strToInt(s string) int64 {
-	if s == "" {
+func strToInt[S ~string | ~[]byte](s S) int64 {
+	if len(s) == 0 {
 		return -1
 	}
 	var v int64

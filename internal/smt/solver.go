@@ -15,7 +15,8 @@ const (
 	// Unknown means the solver exceeded a budget before finding a model or
 	// exhausting its bounded search space.
 	Unknown Status = iota
-	// Sat means a model was found and verified by evaluation.
+	// Sat means a model was found and verified by evaluation, or the
+	// formula rewrote to true (the model is then its variables' defaults).
 	Sat
 	// Unsat means the formula was refuted: either the simplifier reduced it
 	// to false, or the bounded candidate space for every DNF cube was
@@ -137,7 +138,8 @@ var ErrBudget = errors.New("smt: budget exhausted")
 const ctxPollMask = 0x3ff
 
 // Check decides the boolean term f. On Sat the returned model has been
-// verified by evaluating f. On Unsat the model is nil.
+// verified by evaluating f, unless f rewrote to true. On Unsat the model
+// is nil.
 func (s *Solver) Check(f *Term) (Status, Model, Stats, error) {
 	return s.CheckCtx(context.Background(), f)
 }
@@ -259,12 +261,16 @@ func (s *Solver) verify(f *Term, m Model) bool {
 	return err == nil && val.Sort == SortBool && val.B
 }
 
-// search enumerates candidate assignments for the variables of conj,
-// pruning with per-literal partial evaluation, and returns the first model
-// that satisfies the full original formula f, or nil. It reports how many
-// assignments were tried. ctx is polled every ctxPollMask+1 assignments;
-// cancellation aborts the enumeration (returning nil, like exhaustion —
-// the caller distinguishes via ctx.Err()).
+// search enumerates candidate assignments for the variables of conj and
+// returns the first model that satisfies the full original formula f, or
+// nil. It reports how many assignments were tried: every partial
+// assignment a conjunct prunes counts once, and so does every complete
+// assignment handed to verification. The conjuncts are compiled into a
+// searchPlan (plan.go), which checks each one at the depth where its last
+// variable binds and evaluates candidates in place. ctx is polled each
+// time the count passes a multiple of ctxPollMask+1; cancellation aborts
+// the enumeration (returning nil, like exhaustion — the caller
+// distinguishes via ctx.Err()).
 func (s *Solver) search(ctx context.Context, conj, f *Term, budget int, opts Options, st *Stats) (Model, int) {
 	vars := s.f.Vars(conj)
 	if len(vars) == 0 {
@@ -300,68 +306,60 @@ func (s *Solver) search(ctx context.Context, conj, f *Term, budget int, opts Opt
 	} else {
 		lits = []*Term{conj}
 	}
-	litVars := make([][]string, len(lits))
-	for i, l := range lits {
-		for _, v := range s.f.Vars(l) {
-			litVars[i] = append(litVars[i], v.S)
-		}
+	slots := make([]*Term, len(order))
+	for k, vi := range order {
+		slots[k] = vars[vi]
 	}
+	p := compilePlan(lits, slots, s.f.Size(conj))
 
-	m := Model{}
+	// Depth-first over the candidates: idx[k] is the candidate bound at
+	// depth k.
+	n := len(order)
+	idx := make([]int, n)
 	tried := 0
-	canceled := false
-	var dfs func(k int) Model
-	dfs = func(k int) Model {
-		if tried >= budget || canceled {
-			return nil
+	nextPoll := ctxPollMask + 1
+	for k := 0; ; {
+		c := cands[order[k]]
+		if idx[k] == len(c) {
+			if k == 0 {
+				return nil, tried
+			}
+			k--
+			idx[k]++
+			continue
 		}
-		if tried&ctxPollMask == ctxPollMask && ctx.Err() != nil {
-			canceled = true
-			return nil
+		if tried >= budget {
+			return nil, tried
 		}
-		if k == len(order) {
+		if tried >= nextPoll {
+			nextPoll = (tried | ctxPollMask) + 1
+			if ctx.Err() != nil {
+				return nil, tried
+			}
+		}
+		if !p.try(k, pool.reg(&c[idx[k]], idx[k])) {
 			tried++
-			// verify extends the clone with defaults for variables of f that
-			// the cube never constrained; return that completed model.
-			full := cloneModel(m)
-			st.VerifyEvals++
-			if s.verify(f, full) {
-				return full
-			}
-			return nil
+			idx[k]++
+			continue
 		}
-		vi := order[k]
-		name := vars[vi].S
-		for _, c := range cands[vi] {
-			if tried >= budget || canceled {
-				return nil
-			}
-			m[name] = c
-			// Prune: any literal whose variables are all bound must hold.
-			ok := true
-			for i, l := range lits {
-				if !allBound(litVars[i], m) {
-					continue
-				}
-				v, err := Eval(l, m)
-				if err != nil || !v.B {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if res := dfs(k + 1); res != nil {
-					return res
-				}
-			} else {
-				tried++
-			}
+		if k+1 < n {
+			k++
+			idx[k] = 0
+			continue
 		}
-		delete(m, name)
-		return nil
+		// Every conjunct holds: verify extends the model with defaults
+		// for variables of f that the cube never constrained.
+		tried++
+		m := make(Model, n)
+		for d, vi := range order {
+			m[vars[vi].S] = cands[vi][idx[d]]
+		}
+		st.VerifyEvals++
+		if s.verify(f, m) {
+			return m, tried
+		}
+		idx[k]++
 	}
-	res := dfs(0)
-	return res, tried
 }
 
 // pool returns the candidate pool for conj, cached per (conjunction,
@@ -380,23 +378,6 @@ func (s *Solver) pool(conj *Term, opts Options) *candidatePool {
 	p := newCandidatePool(conj, opts)
 	s.f.poolMemo[key] = p
 	return p
-}
-
-func allBound(names []string, m Model) bool {
-	for _, n := range names {
-		if _, ok := m[n]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func cloneModel(m Model) Model {
-	out := make(Model, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // --- normal forms ---

@@ -11,7 +11,8 @@
 // folding and structural reasoning (concat flattening, suffix decomposition,
 // length arithmetic); the remainder is converted to DNF and each cube is
 // checked by a literal-seeded bounded model search whose witnesses are
-// verified by evaluation, so Sat answers are always sound. Unsat answers
+// verified by evaluation, so Sat answers are as sound as Eval (or, for a
+// formula the simplifier folds to true, as the rewrites). Unsat answers
 // are bounded-complete: complete for the finite candidate space documented
 // in candidates.go, which covers the constraint shapes the detector
 // generates. An SMT-LIB2 serializer (ToSMTLIB2) keeps compatibility with
