@@ -63,13 +63,16 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// fuzzExprSeeds are FuzzParseExpr's in-code seeds.
+var fuzzExprSeeds = []string{
+	"", "1 + 2", `$a . "x$b"`, "f(g(", "$a ? : $b", "new C(1,", "(int)$x",
+	"$_FILES['f']['name']", "$a[1][2][3]", "!~-+$x",
+}
+
 // FuzzParseExpr asserts the expression entry point holds the same
 // no-panic contract.
 func FuzzParseExpr(f *testing.F) {
-	for _, seed := range []string{
-		"", "1 + 2", `$a . "x$b"`, "f(g(", "$a ? : $b", "new C(1,", "(int)$x",
-		"$_FILES['f']['name']", "$a[1][2][3]", "!~-+$x",
-	} {
+	for _, seed := range fuzzExprSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
