@@ -115,27 +115,28 @@ bench-smt:
 	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
-# Symbolic-execution benchmarks: the interpreter alone on the most
-# path-heavy completing app, a 32-root app end to end, and the serial
-# full-corpus sweep — archived as JSON for cross-commit comparison.
-INTERP_BENCH = ^Benchmark(PhaseSymbolicExecution|ScanRoots|ScanSerial)$$
+# Parse and symbolic-execution benchmarks: the parser alone on the
+# largest corpus app, the interpreter alone on the most path-heavy
+# completing app, a 32-root app end to end, and the serial full-corpus
+# sweep — archived as JSON for cross-commit comparison.
+INTERP_BENCH = ^Benchmark(PhaseParse|PhaseSymbolicExecution|ScanRoots|ScanSerial)$$
 bench-interp:
 	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
 	@echo "wrote BENCH_interp.json"
 
-# Symbolic-execution regression gate: re-runs bench-interp's suite and
-# fails when ns/op or allocs/op regresses more than 15% against the
-# committed BENCH_interp.json. The fresh run lands in
+# Parse and symbolic-execution regression gate: re-runs bench-interp's
+# suite and fails when ns/op, allocs/op or B/op regresses more than 15%
+# against the committed BENCH_interp.json. The fresh run lands in
 # BENCH_interp.new.json — CI archives it as the candidate baseline, and
 # after an intentional perf change it replaces the committed file.
 bench-interp-diff:
 	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | \
-	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseSymbolicExecution|ScanRoots|ScanSerial)' -out BENCH_interp.new.json
+	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseSymbolicExecution|ScanRoots|ScanSerial)' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
-# One-iteration smoke over the constraint-engine and symbolic-execution
-# benchmarks: keeps the benchmark harnesses compiling and running inside
-# `make check` without paying for a real measurement.
+# One-iteration smoke over the constraint-engine, parse and
+# symbolic-execution benchmarks: keeps the benchmark harnesses compiling
+# and running inside `make check` without paying for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch' -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 1x ./internal/heapgraph

@@ -10,12 +10,12 @@
 // pair (ns/op, B/op, allocs/op, custom ReportMetric units, …).
 //
 // With -baseline, benchjson additionally diffs the fresh run against a
-// previously archived JSON document and exits non-zero when ns/op or
-// allocs/op regresses by more than -max-regress percent on any benchmark
-// (optionally filtered by -match). This is the CI regression gate for
-// the symbolic-execution benchmarks:
+// previously archived JSON document and exits non-zero when ns/op,
+// allocs/op or B/op regresses by more than -max-regress percent on any
+// benchmark (optionally filtered by -match). This is the CI regression
+// gate for the parse and symbolic-execution benchmarks:
 //
-//	go test -run '^$' -bench '^Benchmark(PhaseSymbolicExecution|ScanRoots|ScanSerial)$' -benchmem . |
+//	go test -run '^$' -bench '^Benchmark(PhaseParse|PhaseSymbolicExecution|ScanRoots|ScanSerial)$' -benchmem . |
 //	  go run ./cmd/benchjson -baseline BENCH_interp.json -out BENCH_interp.new.json
 package main
 
@@ -43,14 +43,15 @@ type doc struct {
 	Results []result          `json:"results"`
 }
 
-// gatedMetrics are the metrics the -baseline diff enforces. Wall time
-// and allocation count regress for real reasons; B/op is deliberately
-// left out (it tracks allocs/op and double-reports the same failure).
-var gatedMetrics = []string{"ns/op", "allocs/op"}
+// gatedMetrics are the metrics the -baseline diff enforces. Allocation
+// count and allocated bytes move independently: a few large allocations
+// (a whole-input buffer grown by append) can change B/op severalfold
+// while allocs/op barely moves, so both are gated.
+var gatedMetrics = []string{"ns/op", "allocs/op", "B/op"}
 
 func main() {
 	baseline := flag.String("baseline", "", "archived benchjson JSON to diff the fresh run against; exit 1 on regression")
-	maxRegress := flag.Float64("max-regress", 15, "maximum allowed regression in percent for ns/op and allocs/op")
+	maxRegress := flag.Float64("max-regress", 15, "maximum allowed regression in percent for ns/op, allocs/op and B/op")
 	match := flag.String("match", "", "regexp restricting which benchmarks the -baseline diff gates (default: all)")
 	out := flag.String("out", "", "write the fresh JSON document to this file instead of stdout")
 	flag.Parse()

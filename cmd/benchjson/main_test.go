@@ -98,3 +98,20 @@ func TestDiffMatchFilter(t *testing.T) {
 		t.Fatalf("-match did not exclude non-engine regression")
 	}
 }
+
+// TestDiffBytesRegression: bringing back a whole-input token slice
+// costs a few large allocations, so B/op quadruples while allocs/op
+// moves 0.3%. The gate must fail on B/op alone.
+func TestDiffBytesRegression(t *testing.T) {
+	base := mkDoc(res("BenchmarkPhaseParse-2", 100, 455864))
+	fresh := mkDoc(res("BenchmarkPhaseParse-2", 100, 457450))
+	base.Results[0].Metrics["B/op"] = 28.3e6
+	fresh.Results[0].Metrics["B/op"] = 128.2e6
+	var sb strings.Builder
+	if n := diff(base, fresh, regexp.MustCompile(""), 15, &sb); n != 1 {
+		t.Fatalf("got %d regressions, want 1 (B/op +353%%):\n%s", n, sb.String())
+	}
+	if !strings.Contains(sb.String(), "FAIL BenchmarkPhaseParse-2 B/op") {
+		t.Errorf("report lacks the B/op FAIL line:\n%s", sb.String())
+	}
+}

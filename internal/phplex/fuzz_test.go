@@ -8,7 +8,9 @@ import (
 
 // FuzzLex asserts the lexer never panics on arbitrary bytes, always
 // terminates, and always ends the token stream with exactly one EOF —
-// the progress contract the parser's error recovery depends on.
+// the progress contract the parser's error recovery depends on. EOF is
+// sticky: once Next returns it, later calls return the same token and
+// record no more errors, so the parser may pull past the end.
 func FuzzLex(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -43,7 +45,8 @@ func FuzzLex(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		toks := New("fuzz.php", src).Tokens()
+		l := New("fuzz.php", src)
+		toks := tokens(l)
 		if len(toks) == 0 {
 			t.Fatal("empty token stream (missing EOF)")
 		}
@@ -55,8 +58,18 @@ func FuzzLex(f *testing.F) {
 				t.Fatalf("negative position %+v", tok.Pos)
 			}
 		}
-		if toks[len(toks)-1].Kind != phptoken.EOF {
-			t.Fatalf("stream ends with %v, want EOF", toks[len(toks)-1])
+		eof := toks[len(toks)-1]
+		if eof.Kind != phptoken.EOF {
+			t.Fatalf("stream ends with %v, want EOF", eof)
+		}
+		errs := len(l.Errors())
+		for i := 0; i < 3; i++ {
+			if tok := l.Next(); tok != eof {
+				t.Fatalf("Next after EOF = %+v, want %+v", tok, eof)
+			}
+		}
+		if len(l.Errors()) != errs {
+			t.Fatalf("Next after EOF added errors: %v", l.Errors()[errs:])
 		}
 	})
 }

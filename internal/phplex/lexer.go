@@ -95,19 +95,6 @@ func (l *Lexer) Next() phptoken.Token {
 	return l.scanPHP()
 }
 
-// Tokens scans the entire remaining input and returns all tokens including
-// the final EOF token.
-func (l *Lexer) Tokens() []phptoken.Token {
-	var toks []phptoken.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == phptoken.EOF {
-			return toks
-		}
-	}
-}
-
 func (l *Lexer) scanHTML() phptoken.Token {
 	start := l.pos()
 	if l.eof() {
@@ -477,21 +464,21 @@ func (l *Lexer) restore(off int) {
 	l.col = col
 }
 
+// operator is one multi-character operator spelling and its kind.
+type operator struct {
+	s string
+	k phptoken.Kind
+}
+
 // Operator tables for scanOperator's longest match, by length.
 var (
-	threeCharOps = [...]struct {
-		s string
-		k phptoken.Kind
-	}{
+	threeCharOps = [...]operator{
 		{"===", phptoken.Identical}, {"!==", phptoken.NotIdent},
 		{"<=>", phptoken.Spaceship}, {"**=", phptoken.PowAssign},
 		{"??=", phptoken.CoalAssign}, {"<<=", phptoken.ShlAssign},
 		{">>=", phptoken.ShrAssign},
 	}
-	twoCharOps = [...]struct {
-		s string
-		k phptoken.Kind
-	}{
+	twoCharOps = [...]operator{
 		{"==", phptoken.Eq}, {"!=", phptoken.NotEq}, {"<>", phptoken.NotEq},
 		{"<=", phptoken.LtEq}, {">=", phptoken.GtEq},
 		{"&&", phptoken.BoolAnd}, {"||", phptoken.BoolOr},
@@ -521,20 +508,28 @@ var (
 	}
 )
 
-func (l *Lexer) scanOperator(start phptoken.Pos) phptoken.Token {
+// opsByFirstByte lists, for each byte, the three-character and then the
+// two-character operators that start with it, each group in table order,
+// so scanOperator tries the same candidates in the same order as a scan
+// of both tables would.
+var opsByFirstByte = func() (t [256][]operator) {
 	for _, op := range threeCharOps {
-		if strings.HasPrefix(l.src[l.off:], op.s) {
-			l.advanceN(3)
-			return phptoken.Token{Kind: op.k, Pos: start}
-		}
+		t[op.s[0]] = append(t[op.s[0]], op)
 	}
 	for _, op := range twoCharOps {
+		t[op.s[0]] = append(t[op.s[0]], op)
+	}
+	return t
+}()
+
+func (l *Lexer) scanOperator(start phptoken.Pos) phptoken.Token {
+	c := l.peek()
+	for _, op := range opsByFirstByte[c] {
 		if strings.HasPrefix(l.src[l.off:], op.s) {
-			l.advanceN(2)
+			l.advanceN(len(op.s))
 			return phptoken.Token{Kind: op.k, Pos: start}
 		}
 	}
-	c := l.peek()
 	if k := oneCharOps[c]; k != phptoken.Invalid {
 		l.advance()
 		return phptoken.Token{Kind: k, Pos: start}

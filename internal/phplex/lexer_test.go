@@ -2,17 +2,31 @@ package phplex
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/phptoken"
 )
 
+// tokens scans the rest of l's input and returns every token up to and
+// including the first EOF.
+func tokens(l *Lexer) []phptoken.Token {
+	var toks []phptoken.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == phptoken.EOF {
+			return toks
+		}
+	}
+}
+
 // kinds extracts the kind sequence of all tokens excluding the final EOF.
 func kinds(t *testing.T, src string) []phptoken.Kind {
 	t.Helper()
 	l := New("test.php", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	if len(l.Errors()) > 0 {
 		t.Fatalf("lex errors: %v", l.Errors())
 	}
@@ -26,7 +40,7 @@ func kinds(t *testing.T, src string) []phptoken.Kind {
 func values(t *testing.T, src string) []string {
 	t.Helper()
 	l := New("test.php", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	out := make([]string, 0, len(toks)-1)
 	for _, tk := range toks[:len(toks)-1] {
 		out = append(out, tk.Value)
@@ -119,7 +133,7 @@ func TestLexNumbers(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.src, func(t *testing.T) {
 			l := New("t", tt.src)
-			toks := l.Tokens()
+			toks := tokens(l)
 			if toks[1].Kind != tt.kind || toks[1].Value != tt.val {
 				t.Errorf("got %v %q, want %v %q", toks[1].Kind, toks[1].Value, tt.kind, tt.val)
 			}
@@ -151,7 +165,7 @@ func TestLexStrings(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			l := New("t", tt.src)
-			toks := l.Tokens()
+			toks := tokens(l)
 			if toks[1].Kind != tt.kind || toks[1].Value != tt.val {
 				t.Errorf("got %v %q, want %v %q", toks[1].Kind, toks[1].Value, tt.kind, tt.val)
 			}
@@ -162,7 +176,7 @@ func TestLexStrings(t *testing.T) {
 func TestLexHeredoc(t *testing.T) {
 	src := "<?php $x = <<<EOT\nhello\nworld\nEOT;\n"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	if len(l.Errors()) > 0 {
 		t.Fatalf("errors: %v", l.Errors())
 	}
@@ -175,7 +189,7 @@ func TestLexHeredoc(t *testing.T) {
 func TestLexNowdoc(t *testing.T) {
 	src := "<?php $x = <<<'EOT'\nno $interp here\nEOT;\n"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	if toks[3].Kind != phptoken.StringLit || toks[3].Value != "no $interp here" {
 		t.Errorf("nowdoc token = %v", toks[3])
 	}
@@ -184,7 +198,7 @@ func TestLexNowdoc(t *testing.T) {
 func TestLexHeredocInterp(t *testing.T) {
 	src := "<?php $x = <<<EOT\nhello $name\nEOT;\n"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	if toks[3].Kind != phptoken.StringInterp {
 		t.Errorf("heredoc with $var should be StringInterp, got %v", toks[3])
 	}
@@ -237,7 +251,7 @@ func TestLexAngleNotEq(t *testing.T) {
 func TestLexPositions(t *testing.T) {
 	src := "<?php\n$a = 1;\n$b = 2;"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	// toks: OpenTag $a = 1 ; $b = 2 EOF
 	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 1 {
 		t.Errorf("$a pos = %v, want 2:1", toks[1].Pos)
@@ -250,7 +264,7 @@ func TestLexPositions(t *testing.T) {
 func TestLexCloseTagSwallowsNewline(t *testing.T) {
 	src := "<?php ?>\nX"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	// InlineHTML should be "X" without the leading newline.
 	var html string
 	for _, tk := range toks {
@@ -265,7 +279,7 @@ func TestLexCloseTagSwallowsNewline(t *testing.T) {
 
 func TestLexUnterminatedString(t *testing.T) {
 	l := New("t", `<?php "abc`)
-	l.Tokens()
+	tokens(l)
 	if len(l.Errors()) == 0 {
 		t.Error("expected error for unterminated string")
 	}
@@ -401,7 +415,7 @@ func TestDecodeEscapes(t *testing.T) {
 func TestLexArbitraryInputTerminates(t *testing.T) {
 	f := func(s string) bool {
 		l := New("fuzz", "<?php "+s)
-		toks := l.Tokens()
+		toks := tokens(l)
 		return len(toks) > 0 && toks[len(toks)-1].Kind == phptoken.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -433,7 +447,7 @@ func TestLexPositionsMonotonic(t *testing.T) {
 func TestLexCRLFLineEndings(t *testing.T) {
 	src := "<?php\r\n$a = 1;\r\n$b = 2;\r\n"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	if len(l.Errors()) > 0 {
 		t.Fatalf("errors: %v", l.Errors())
 	}
@@ -452,7 +466,7 @@ func TestLexCRLFLineEndings(t *testing.T) {
 func TestLexHeredocIndentedClose(t *testing.T) {
 	src := "<?php $x = <<<EOT\n  body line\n  EOT;\n"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	if toks[3].Kind != phptoken.StringLit {
 		t.Errorf("tok = %v", toks[3])
 	}
@@ -462,7 +476,7 @@ func TestLexHeredocLabelPrefixNotTerminator(t *testing.T) {
 	// "EOTX" must not terminate a heredoc labelled EOT.
 	src := "<?php $x = <<<EOT\nEOTX keeps going\nEOT;\n"
 	l := New("t", src)
-	toks := l.Tokens()
+	toks := tokens(l)
 	if toks[3].Value != "EOTX keeps going" {
 		t.Errorf("heredoc body = %q", toks[3].Value)
 	}
@@ -470,7 +484,7 @@ func TestLexHeredocLabelPrefixNotTerminator(t *testing.T) {
 
 func TestLexBacktickString(t *testing.T) {
 	l := New("t", "<?php $o = `ls -la`;")
-	toks := l.Tokens()
+	toks := tokens(l)
 	if toks[3].Kind != phptoken.StringLit || toks[3].Value != "ls -la" {
 		t.Errorf("backtick = %v", toks[3])
 	}
@@ -497,7 +511,7 @@ func TestLexDollarAlone(t *testing.T) {
 
 func TestLexInvalidByteRecovers(t *testing.T) {
 	l := New("t", "<?php \x01 $x = 1;")
-	toks := l.Tokens()
+	toks := tokens(l)
 	if len(l.Errors()) == 0 {
 		t.Error("expected lex error")
 	}
@@ -509,5 +523,56 @@ func TestLexInvalidByteRecovers(t *testing.T) {
 	}
 	if !sawVar {
 		t.Error("lexing did not recover after invalid byte")
+	}
+}
+
+// TestScanOperatorLongestMatch runs scanOperator on every string of one
+// to three bytes over the operator bytes plus one byte that starts no
+// operator, and checks the kind and length it consumes against a
+// longest-prefix match over all three operator tables.
+func TestScanOperatorLongestMatch(t *testing.T) {
+	ops := map[string]phptoken.Kind{}
+	for _, op := range threeCharOps {
+		ops[op.s] = op.k
+	}
+	for _, op := range twoCharOps {
+		ops[op.s] = op.k
+	}
+	for c, k := range oneCharOps {
+		if k != phptoken.Invalid {
+			ops[string(rune(c))] = k
+		}
+	}
+	longest := func(s string) (phptoken.Kind, int) {
+		kind, n := phptoken.Invalid, 1
+		for op, k := range ops {
+			if strings.HasPrefix(s, op) && (kind == phptoken.Invalid || len(op) > n) {
+				kind, n = k, len(op)
+			}
+		}
+		return kind, n
+	}
+
+	const alphabet = "=!<>*?+-/%.&|^:~@x"
+	strs := []string{""}
+	for length := 1; length <= 3; length++ {
+		var longer []string
+		for _, p := range strs {
+			for i := 0; i < len(alphabet); i++ {
+				s := p + alphabet[i:i+1]
+				longer = append(longer, s)
+				wantKind, wantLen := longest(s)
+				l := New("t", s)
+				tok := l.scanOperator(l.pos())
+				if tok.Kind != wantKind || l.off != wantLen || l.col != 1+wantLen {
+					t.Errorf("scanOperator(%q) = %v after %d bytes (col %d), want %v after %d",
+						s, tok.Kind, l.off, l.col, wantKind, wantLen)
+				}
+				if (wantKind == phptoken.Invalid) != (len(l.Errors()) == 1) {
+					t.Errorf("scanOperator(%q) errors = %v", s, l.Errors())
+				}
+			}
+		}
+		strs = longer
 	}
 }

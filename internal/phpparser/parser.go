@@ -23,22 +23,36 @@ import (
 	"repro/internal/phptoken"
 )
 
-// Parser parses one PHP file.
+// Parser parses one PHP file. It pulls tokens from the lexer as it
+// needs them into a three-token window: it never looks more than two
+// tokens past the current one.
 type Parser struct {
 	file string
-	toks []phptoken.Token
-	pos  int
-	errs []error
+	lex  *phplex.Lexer
+	win  [3]phptoken.Token // win[0] is the current token
+	n    int               // tokens buffered in win, at least 1
+	pos  int               // tokens consumed so far
+	// lastLine is the line of the last consumed token, 0 before the
+	// first; declarations record it as their EndLine.
+	lastLine int
+	errs     []error
 }
+
+// newParser returns a parser over src with the first token buffered.
+func newParser(file, src string) *Parser {
+	lex := phplex.New(file, src)
+	return &Parser{file: file, lex: lex, win: [3]phptoken.Token{lex.Next()}, n: 1}
+}
+
+// errors returns every lexical error, then every parse error: the lexer
+// has reached EOF by the time the parser returns.
+func (p *Parser) errors() []error { return append(p.lex.Errors(), p.errs...) }
 
 // Parse parses src as the contents of the named file. It always returns a
 // (possibly partial) File; errors describe any malformed regions that were
 // skipped.
 func Parse(file, src string) (*phpast.File, []error) {
-	lex := phplex.New(file, src)
-	toks := lex.Tokens()
-	p := &Parser{file: file, toks: toks}
-	p.errs = append(p.errs, lex.Errors()...)
+	p := newParser(file, src)
 	f := &phpast.File{Name: file}
 	for !p.at(phptoken.EOF) {
 		s := p.parseTopLevel()
@@ -46,26 +60,27 @@ func Parse(file, src string) (*phpast.File, []error) {
 			f.Stmts = append(f.Stmts, s)
 		}
 	}
-	return f, p.errs
+	return f, p.errors()
 }
 
 // ParseExpr parses a standalone PHP expression (no surrounding <?php tag),
 // as used for the inner text of complex string interpolation.
 func ParseExpr(file, src string) (phpast.Expr, []error) {
-	lex := phplex.New(file, "<?php "+src)
-	toks := lex.Tokens()
-	p := &Parser{file: file, toks: toks}
-	p.errs = append(p.errs, lex.Errors()...)
+	p := newParser(file, "<?php "+src)
 	if p.at(phptoken.OpenTag) {
 		p.next()
 	}
 	e := p.parseExpr()
-	return e, p.errs
+	// Lex what follows the expression too, so its lexical errors are
+	// reported.
+	for p.lex.Next().Kind != phptoken.EOF {
+	}
+	return e, p.errors()
 }
 
 // --- token plumbing ---
 
-func (p *Parser) cur() phptoken.Token { return p.toks[p.pos] }
+func (p *Parser) cur() phptoken.Token { return p.win[0] }
 
 func (p *Parser) at(k phptoken.Kind) bool { return p.cur().Kind == k }
 
@@ -78,17 +93,28 @@ func (p *Parser) atAny(ks ...phptoken.Kind) bool {
 	return false
 }
 
+// peek returns the token n places past the current one, n <= 2. Past
+// the end of input it is the EOF token, which the lexer repeats.
 func (p *Parser) peek(n int) phptoken.Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	for ; p.n <= n; p.n++ {
+		p.win[p.n] = p.lex.Next()
 	}
-	return p.toks[p.pos+n]
+	return p.win[n]
 }
 
+// next consumes and returns the current token; EOF is never consumed.
 func (p *Parser) next() phptoken.Token {
-	t := p.cur()
-	if t.Kind != phptoken.EOF {
-		p.pos++
+	t := p.win[0]
+	if t.Kind == phptoken.EOF {
+		return t
+	}
+	p.pos++
+	p.lastLine = t.Pos.Line
+	if p.n == 1 {
+		p.win[0] = p.lex.Next()
+	} else {
+		copy(p.win[:], p.win[1:p.n])
+		p.n--
 	}
 	return t
 }
@@ -444,7 +470,7 @@ func (p *Parser) parseIf() phpast.Stmt {
 	node := &phpast.If{P: t.Pos, Cond: cond, Then: then}
 	if p.at(phptoken.KwElseif) {
 		// Re-enter as a nested if: elseif (c) ... == else { if (c) ... }.
-		p.toks[p.pos].Kind = phptoken.KwIf
+		p.win[0].Kind = phptoken.KwIf
 		node.Else = p.parseIf()
 		return node
 	}
@@ -688,11 +714,7 @@ func (p *Parser) parseFuncDecl() phpast.Stmt {
 	name := p.expect(phptoken.Ident).Value
 	params := p.parseParams()
 	body := p.parseBlock()
-	end := 0
-	if p.pos > 0 {
-		end = p.toks[p.pos-1].Pos.Line
-	}
-	return &phpast.FuncDecl{P: t.Pos, Name: name, Params: params, Body: body.Stmts, EndLine: end}
+	return &phpast.FuncDecl{P: t.Pos, Name: name, Params: params, Body: body.Stmts, EndLine: p.lastLine}
 }
 
 func (p *Parser) parseClassDecl(modified bool) phpast.Stmt {
@@ -717,9 +739,7 @@ func (p *Parser) parseClassDecl(modified bool) phpast.Stmt {
 		p.parseClassMember(node)
 	}
 	p.expect(phptoken.RBrace)
-	if p.pos > 0 {
-		node.EndLine = p.toks[p.pos-1].Pos.Line
-	}
+	node.EndLine = p.lastLine
 	return node
 }
 
@@ -778,9 +798,7 @@ func (p *Parser) parseClassMember(cls *phpast.ClassDecl) {
 		} else {
 			p.stmtEnd() // abstract or interface method
 		}
-		if p.pos > 0 {
-			m.EndLine = p.toks[p.pos-1].Pos.Line
-		}
+		m.EndLine = p.lastLine
 		cls.Methods = append(cls.Methods, m)
 	case phptoken.KwConst:
 		p.next()

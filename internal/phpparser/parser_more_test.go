@@ -1,6 +1,7 @@
 package phpparser
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/phpast"
@@ -271,5 +272,56 @@ func TestParseExprEntry(t *testing.T) {
 	b, ok := e.(*phpast.Binary)
 	if !ok || b.Op != "." {
 		t.Errorf("got %+v", e)
+	}
+}
+
+// TestParseExprLexesToEOF pins ParseExpr's error list: it stops after
+// one expression but still reports lexical errors in what follows, and
+// lexical errors come before parse errors.
+func TestParseExprLexesToEOF(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want []string
+	}{
+		{"$a; 'never closed", []string{
+			"x.php:1:11: unterminated string literal",
+		}},
+		{"f(; 'never closed", []string{
+			"x.php:1:11: unterminated string literal",
+			"x.php:1:9: unexpected token ; in expression",
+			"x.php:1:9: expected ), found ;",
+		}},
+	} {
+		_, errs := ParseExpr("x.php", tc.src)
+		got := make([]string, len(errs))
+		for i, err := range errs {
+			got[i] = err.Error()
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("ParseExpr(%q) errors:\n%s\nwant:\n%s", tc.src, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
+	}
+}
+
+// TestParseLookaheadWindow covers the two places the parser looks two
+// tokens ahead and then consumes past them: a by-reference function
+// declaration (function & name) and a cast ((int)). A window that
+// shifted wrongly would hand the parser a stale token.
+func TestParseLookaheadWindow(t *testing.T) {
+	f := mustParse(t, "<?php\nfunction &f($a) {\n  return (int)\n    $a;\n}\n")
+	fd, ok := f.Stmts[0].(*phpast.FuncDecl)
+	if !ok || fd.Name != "f" || len(fd.Params) != 1 || fd.EndLine != 5 {
+		t.Fatalf("got %#v, want function f($a) ending on line 5", f.Stmts[0])
+	}
+	ret, ok := fd.Body[0].(*phpast.Return)
+	if !ok {
+		t.Fatalf("body[0] = %T, want Return", fd.Body[0])
+	}
+	c, ok := ret.X.(*phpast.Cast)
+	if !ok || c.Type != "int" {
+		t.Fatalf("return %s, want an (int) cast", phpast.Dump(ret.X))
+	}
+	if v, ok := c.X.(*phpast.Var); !ok || v.Name != "a" || v.P.Line != 4 {
+		t.Errorf("cast of %s, want $a on line 4", phpast.Dump(c.X))
 	}
 }
