@@ -86,14 +86,17 @@ daemon-chaos:
 # Interprocedural-strategy differential acceptance suite under the race
 # detector: summary vs inline on every corpus app at Workers=1/4
 # (findings and Table III verdicts byte-identical modulo summary-only
-# work counters, and every Workers=1 report matching the frozen hashes
-# in internal/uchecker/testdata/corpus_reports.golden), the Cimy
+# work counters, each strategy's reports byte-identical across worker
+# counts, and every Workers=1 report matching the frozen hashes in
+# internal/uchecker/testdata/corpus_reports.golden), the Cimy
 # path-explosion case completing cleanly under default budgets with zero
-# retries, the summary artifact cache's cold/warm/corrupt/version-skew
-# cycle, the daemon's cross-job summary reuse, and the unit-level
-# merge/summary suites.
+# retries, summary-mode reports byte-identical at Workers=1/2/8 on the
+# determinism suite's apps, reports that do not depend on what the
+# scanner or the daemon scanned before, and the unit-level
+# merge/summary suites (including concurrent first lookups).
 summary-diff:
-	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryArtifactCache' ./internal/uchecker
+	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryReportIgnoresScanHistory' ./internal/uchecker
+	$(GO) test -race -run 'TestScanDeterministicAcrossWorkers/.*/summary' ./internal/uchecker
 	$(GO) test -race -run 'TestMerge|TestNoMerge|TestTrivial|TestEscapedCallee|TestMethodCallNeverSummarized|TestSummary' ./internal/interp
 	$(GO) test -race ./internal/summary
 	$(GO) test -race -run 'TestHTTPMetricsExposeSummaryCounters' ./internal/scand

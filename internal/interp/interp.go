@@ -94,8 +94,9 @@ type Options struct {
 	// Summaries switches the call path to the summary interprocedural
 	// strategy: trivial callees instantiate without a frame, and
 	// summarized frames merge observably equivalent paths at statement
-	// boundaries. nil (the default) keeps the inline-everything
-	// behavior.
+	// boundaries. The set computes a function's summary on its first
+	// lookup, so engines running one scan's roots concurrently may
+	// share it. nil (the default) keeps the inline-everything behavior.
 	Summaries *summary.Set
 }
 

@@ -488,14 +488,13 @@ func promValue(exposition, prefix string) int64 {
 }
 
 // Satellite: under -interproc summary the daemon's /metrics exposition
-// carries the summary-strategy counters, and per-file summary artifacts
-// are shared across jobs — a second job reusing a file another job
-// already summarized shows up as summary_cache_hits.
+// carries the summary-strategy counters, and a job's result does not
+// depend on the jobs that ran before it: a job sharing a file with an
+// earlier job reports the same bytes as on a fresh daemon.
 func TestHTTPMetricsExposeSummaryCounters(t *testing.T) {
 	// Two distinct jobs (different sources → different report keys, so
 	// neither replays the other's report) sharing one identical helper
-	// file whose summary artifact the second job loads from the shared
-	// cache. Each plugin also calls a by-ref function, which the summary
+	// file. Each plugin also calls a by-ref function, which the summary
 	// strategy classifies as escaped and falls back to inlining.
 	helper := `<?php
 function ext_label($n) { return "." . $n; }
@@ -509,23 +508,39 @@ grab($name);
 move_uploaded_file($_FILES['doc']['tmp_name'], "` + dest + `" . $name);
 `
 	}
-	cfg := testConfig(t.TempDir(), 1)
-	cfg.Scan.Interproc = interp.InterprocSummary
-	d := mustOpen(t, cfg)
-	defer d.Close()
-
-	var ids []string
-	for i, sources := range []map[string]string{
+	jobs := []map[string]string{
 		{"helper.php": helper, "plugin.php": plugin("uploads/")},
 		{"helper.php": helper, "plugin.php": plugin("attachments/")},
-	} {
-		job, err := d.Submit("acme", fmt.Sprintf("summary-app-%d", i), sources)
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		ids = append(ids, job.ID)
 	}
-	waitTerminal(t, d, ids, 30*time.Second, false)
+	// runJobs submits the jobs one at a time, each after the previous
+	// finished, to a daemon over a fresh state directory, and returns
+	// the daemon (open) and each job's result bytes.
+	runJobs := func(first int) (*Daemon, [][]byte) {
+		cfg := testConfig(t.TempDir(), 1)
+		cfg.Scan.Interproc = interp.InterprocSummary
+		d := mustOpen(t, cfg)
+		var results [][]byte
+		for i := first; i < len(jobs); i++ {
+			job, err := d.Submit("acme", fmt.Sprintf("summary-app-%d", i), jobs[i])
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			waitTerminal(t, d, []string{job.ID}, 30*time.Second, false)
+			res, err := d.Result(job.ID)
+			if err != nil {
+				t.Fatalf("result: %v", err)
+			}
+			results = append(results, res)
+		}
+		return d, results
+	}
+	d, afterFirst := runJobs(0)
+	defer d.Close()
+	fresh, alone := runJobs(1)
+	fresh.Close()
+	if !bytes.Equal(afterFirst[1], alone[0]) {
+		t.Errorf("second job's result differs from a fresh daemon's:\n got: %s\nwant: %s", afterFirst[1], alone[0])
+	}
 
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
@@ -539,7 +554,6 @@ move_uploaded_file($_FILES['doc']['tmp_name'], "` + dest + `" . $name);
 
 	for _, m := range []string{
 		"ucheckerd_summary_computed",
-		"ucheckerd_summary_cache_hits",
 		"ucheckerd_summary_escaped_callees",
 	} {
 		if v := promValue(exposition, m+`{scope="scans"}`); v < 1 {

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/scanjournal"
 	"repro/internal/uchecker"
@@ -50,9 +49,8 @@ type Config struct {
 	Dir string
 	// Scan is the scan configuration. Workers bounds per-scan
 	// parallelism; persistence fields (Journal, ResumeFrom, CacheDir)
-	// are ignored — the daemon owns persistence. Under Interproc
-	// "summary" the daemon points the scanner's cache at Dir/summaries
-	// so per-file summary artifacts are shared across jobs.
+	// are ignored — the daemon owns persistence, so a job's report
+	// depends only on its sources and this configuration.
 	Scan uchecker.Options
 	// ScanWorkers is the number of concurrently running jobs. Zero or
 	// negative selects 1.
@@ -807,21 +805,13 @@ func (d *Daemon) executeScan(ctx context.Context, job *Job) (rep *uchecker.AppRe
 	}
 }
 
-// jobScanner builds this job's scanner: same options, plus a span hook
-// feeding the job's SSE stream.
+// jobScanner builds this job's scanner: same options without their
+// persistence fields, plus a span hook feeding the job's SSE stream.
+// The scanner keeps no state between jobs, so a job re-run after a
+// crash reports exactly what its first run would have.
 func (d *Daemon) jobScanner(jobID string) *uchecker.Scanner {
 	opts := d.cfg.Scan
 	opts.Journal, opts.ResumeFrom, opts.CacheDir = "", "", ""
-	if opts.Interproc == interp.InterprocSummary {
-		// Cross-job summary reuse: per-file summary artifacts are
-		// content-addressed (file bytes + options fingerprint + artifact
-		// version), so every job under the same configuration shares
-		// them. Reuse shows up in /metrics as summary_cache_hits. The
-		// scanner's batch layer also stores report entries in this
-		// directory; identical resubmissions are still served by the
-		// daemon's own cache first, so that duplication is inert.
-		opts.CacheDir = filepath.Join(d.cfg.Dir, "summaries")
-	}
 	parent := opts.OnSpan
 	opts.OnSpan = func(sp obs.Span) {
 		d.hub.publishSpan(jobID, sp)

@@ -336,7 +336,7 @@ func (w *Writer) compactLocked() error {
 	if lockPath == "" {
 		lockPath = w.path + ".lock"
 	}
-	unlock, err := lockFile(lockPath)
+	unlock, err := Lock(lockPath)
 	if err != nil {
 		return fmt.Errorf("lock %s: %w", lockPath, err)
 	}

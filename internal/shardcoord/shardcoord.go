@@ -310,7 +310,7 @@ func Init(dir, fingerprint string, targets []string, shardSize int, hook faultin
 		retry: scanjournal.DefaultRetry,
 		plan:  &Plan{Fingerprint: fingerprint, Targets: targets, ShardSize: shardSize},
 	}
-	unlock, err := lockFile(filepath.Join(dir, LockFile))
+	unlock, err := scanjournal.Lock(filepath.Join(dir, LockFile))
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +405,7 @@ func (c *Coord) foldLocked(jpath string) (*LeaseView, error) {
 // txn runs one read-fold-validate-append transaction under the
 // directory lock.
 func (c *Coord) txn(fn func(v *LeaseView, w *scanjournal.Writer) error) error {
-	unlock, err := lockFile(filepath.Join(c.dir, LockFile))
+	unlock, err := scanjournal.Lock(filepath.Join(c.dir, LockFile))
 	if err != nil {
 		return err
 	}

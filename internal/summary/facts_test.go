@@ -31,17 +31,18 @@ const corpusFactsPath = "testdata/corpus_facts.golden"
 // FuzzSummaryEquivalence.
 const summarySeedDir = "../interp/testdata/fuzz/FuzzSummaryEquivalence"
 
-// factsFingerprint renders the engine-facing facts of every function,
-// sorted by registered name.
+// factsFingerprint renders the engine-facing facts of every registered
+// function, sorted by name, reading each through Lookup as the
+// interpreter does.
 func factsFingerprint(set *Set) string {
-	names := make([]string, 0, len(set.Funcs))
-	for n := range set.Funcs {
+	names := make([]string, 0, len(set.funcs))
+	for n := range set.funcs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	var sb strings.Builder
 	for _, n := range names {
-		s := set.Funcs[n]
+		s := set.Lookup(n)
 		fmt.Fprintf(&sb, "%s escapes=%t reason=%q trivial=%t retFormal=%d retConst=%#v retLine=%d dead=%q merge=%q\n",
 			n, s.Escapes, s.EscapeReason, s.Trivial(), s.ReturnFormal, s.ReturnConst, s.ReturnLine, s.DeadVars, s.MergeVars)
 	}

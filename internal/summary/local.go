@@ -1,77 +1,18 @@
 package summary
 
-import "repro/internal/phpast"
+import (
+	"repro/internal/phpast"
+	"repro/internal/sexpr"
+)
 
-// The local layer: one syntactic walk over each function body in a
-// file. Everything here is a function of the file's content alone (no
-// other files, no options), which is what makes the result cacheable
-// as a per-file artifact.
-
-// FuncLocal is the serializable local layer for one function.
-type FuncLocal struct {
-	Name string `json:"name"`
-	File string `json:"file"`
-	Line int    `json:"line"`
-
-	Escapes      bool   `json:"escapes,omitempty"`
-	EscapeReason string `json:"escapeReason,omitempty"`
-
-	RetLine int `json:"retLine,omitempty"`
-
-	// Trivial-body classification (see Summary.Trivial): the body is
-	// {Nop|InlineHTML|FuncDecl|ClassDecl}* followed by exactly one
-	// return of a never-assigned formal or a scalar literal.
-	RetFormal    int     `json:"retFormal"`
-	RetConstKind string  `json:"retConstKind,omitempty"` // "str","int","float","bool","null"
-	RetConstStr  string  `json:"retConstStr,omitempty"`
-	RetConstInt  int64   `json:"retConstInt,omitempty"`
-	RetConstF    float64 `json:"retConstF,omitempty"`
-	RetConstBool bool    `json:"retConstBool,omitempty"`
-
-	TouchesFiles   bool `json:"touchesFiles,omitempty"`
-	TouchesGlobals bool `json:"touchesGlobals,omitempty"`
-
-	DeadVars  []string `json:"deadVars,omitempty"`
-	MergeVars []string `json:"mergeVars,omitempty"`
-}
-
-// FileLocal is the per-file artifact payload: the local layer of every
-// function declared in one file, in declaration order.
-type FileLocal struct {
-	Version int          `json:"version"`
-	File    string       `json:"file"`
-	Funcs   []*FuncLocal `json:"funcs,omitempty"`
-}
-
-// LocalFile computes the local layer for one parsed file. Function
-// name registration mirrors the interpreter's declare(): FuncDecls
-// under their lowercase name, class methods under both the qualified
-// "class::method" and the bare method name, first declaration wins
-// (collisions are resolved by Compose across files).
-func LocalFile(f *phpast.File) *FileLocal {
-	fl := &FileLocal{Version: ArtifactVersion, File: f.Name}
-	for _, s := range f.Stmts {
-		phpast.Walk(s, func(n phpast.Node) bool {
-			switch d := n.(type) {
-			case *phpast.FuncDecl:
-				fl.Funcs = append(fl.Funcs, localFunc(lower(d.Name), f.Name, d.P.Line, d.Params, d.Body, false))
-			case *phpast.ClassDecl:
-				for _, m := range d.Methods {
-					qual := lower(d.Name + "::" + m.Name)
-					fl.Funcs = append(fl.Funcs, localFunc(qual, f.Name, m.P.Line, m.Params, m.Body, true))
-					fl.Funcs = append(fl.Funcs, localFunc(lower(m.Name), f.Name, m.P.Line, m.Params, m.Body, true))
-				}
-				return false // methods handled; don't re-walk as nested decls
-			}
-			return true
-		})
-	}
-	return fl
-}
+// The local layer: one syntactic walk over one function body.
+// Everything here is a function of the declaration alone (no other
+// functions, no options), which is what lets a Set compute it on first
+// lookup and share the result across a scan.
 
 // localScan carries the walker state for one function body.
 type localScan struct {
-	fl       *FuncLocal
+	sum      *Summary
 	params   map[string]int  // formal name -> index
 	assigned map[string]bool // formals that are assignment targets
 	// occurrence bookkeeping for DeadVars / MergeVars
@@ -81,10 +22,24 @@ type localScan struct {
 	declared map[string]bool // names in global/static declarations or params
 }
 
-func localFunc(name, file string, line int, params []phpast.Param, body []phpast.Stmt, isMethod bool) *FuncLocal {
-	fl := &FuncLocal{Name: name, File: file, Line: line, RetFormal: -1}
+// summarize walks one declaration's body (decl is a *phpast.FuncDecl
+// or *phpast.ClassMethod registered under name) and returns its facts.
+func summarize(name, file string, decl phpast.Node) *Summary {
+	var (
+		params   []phpast.Param
+		body     []phpast.Stmt
+		line     int
+		isMethod bool
+	)
+	switch d := decl.(type) {
+	case *phpast.FuncDecl:
+		params, body, line = d.Params, d.Body, d.P.Line
+	case *phpast.ClassMethod:
+		params, body, line, isMethod = d.Params, d.Body, d.P.Line, true
+	}
+	sum := &Summary{Name: name, File: file, Line: line, ReturnFormal: -1}
 	sc := &localScan{
-		fl:       fl,
+		sum:      sum,
 		params:   map[string]int{},
 		assigned: map[string]bool{},
 		occs:     map[string]int{},
@@ -113,13 +68,13 @@ func localFunc(name, file string, line int, params []phpast.Param, body []phpast
 	sc.stmts(body)
 	sc.classifyTrivialReturn(body)
 	sc.finishVars()
-	return fl
+	return sum
 }
 
 func (sc *localScan) escape(reason string) {
-	if !sc.fl.Escapes {
-		sc.fl.Escapes = true
-		sc.fl.EscapeReason = reason
+	if !sc.sum.Escapes {
+		sc.sum.Escapes = true
+		sc.sum.EscapeReason = reason
 	}
 }
 
@@ -188,10 +143,10 @@ func (sc *localScan) stmt(s phpast.Stmt) {
 	case *phpast.Return:
 		if n.X != nil {
 			sc.expr(n.X)
-			sc.fl.RetLine = n.P.Line
+			sc.sum.ReturnLine = n.P.Line
 		}
 	case *phpast.Global:
-		sc.fl.TouchesGlobals = true
+		sc.sum.TouchesGlobals = true
 		sc.escape("global statement")
 		for _, name := range n.Names {
 			sc.declared[name] = true
@@ -327,9 +282,9 @@ func (sc *localScan) varRead(v *phpast.Var) {
 	sc.occs[v.Name]++
 	switch v.Name {
 	case "_FILES":
-		sc.fl.TouchesFiles = true
+		sc.sum.TouchesFiles = true
 	case "GLOBALS":
-		sc.fl.TouchesGlobals = true
+		sc.sum.TouchesGlobals = true
 	}
 }
 
@@ -345,7 +300,7 @@ func (sc *localScan) assignTo(target phpast.Expr, plain bool) {
 		}
 		sc.markAssignedFormal(t.Name)
 		if t.Name == "GLOBALS" {
-			sc.fl.TouchesGlobals = true
+			sc.sum.TouchesGlobals = true
 		}
 	case *phpast.ArrayDim:
 		sc.expr(t.Index)
@@ -395,34 +350,30 @@ func (sc *localScan) classifyTrivialReturn(body []phpast.Stmt) {
 	if ret == nil {
 		return
 	}
-	// RetLine for const returns is the LITERAL's line, because the
+	// ReturnLine for const returns is the LITERAL's line, because the
 	// engine's instantiation must allocate its concrete at the same
 	// line the inlined evaluation would.
 	switch x := ret.X.(type) {
 	case *phpast.Var:
 		if i, ok := sc.params[x.Name]; ok && !sc.assigned[x.Name] {
-			sc.fl.RetFormal = i
+			sc.sum.ReturnFormal = i
 		}
 	case *phpast.StringLit:
-		sc.fl.RetConstKind = "str"
-		sc.fl.RetConstStr = x.Value
-		sc.fl.RetLine = x.P.Line
+		sc.returnConst(sexpr.StrVal(x.Value), x.P.Line)
 	case *phpast.IntLit:
-		sc.fl.RetConstKind = "int"
-		sc.fl.RetConstInt = x.Value
-		sc.fl.RetLine = x.P.Line
+		sc.returnConst(sexpr.IntVal(x.Value), x.P.Line)
 	case *phpast.FloatLit:
-		sc.fl.RetConstKind = "float"
-		sc.fl.RetConstF = x.Value
-		sc.fl.RetLine = x.P.Line
+		sc.returnConst(sexpr.FloatVal(x.Value), x.P.Line)
 	case *phpast.BoolLit:
-		sc.fl.RetConstKind = "bool"
-		sc.fl.RetConstBool = x.Value
-		sc.fl.RetLine = x.P.Line
+		sc.returnConst(sexpr.BoolVal(x.Value), x.P.Line)
 	case *phpast.NullLit:
-		sc.fl.RetConstKind = "null"
-		sc.fl.RetLine = x.P.Line
+		sc.returnConst(sexpr.NullVal{}, x.P.Line)
 	}
+}
+
+func (sc *localScan) returnConst(v sexpr.Expr, line int) {
+	sc.sum.ReturnConst = v
+	sc.sum.ReturnLine = line
 }
 
 // finishVars computes the sorted DeadVars and MergeVars lists.
@@ -446,6 +397,6 @@ func (sc *localScan) finishVars() {
 			merge[name] = true
 		}
 	}
-	sc.fl.DeadVars = sortedNames(dead)
-	sc.fl.MergeVars = sortedNames(merge)
+	sc.sum.DeadVars = sortedNames(dead)
+	sc.sum.MergeVars = sortedNames(merge)
 }

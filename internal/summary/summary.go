@@ -12,15 +12,18 @@
 //   - the dead and merge variable sets behind statement-boundary path
 //     merging.
 //
-// The facts come from one syntactic walk per function (local.go). The
-// walk is a pure function of one file's content, and therefore
-// cacheable as a per-file artifact (artifact.go). Compose only resolves
-// duplicate names across files.
+// The facts come from one syntactic walk over a function's body
+// (local.go), a pure function of its declaration. A Set only indexes
+// the declarations up front; Lookup walks a body the first time a scan
+// asks for it, so a scan pays for the functions it reaches rather than
+// for every function the target declares.
 package summary
 
 import (
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/phpast"
 	"repro/internal/sexpr"
@@ -74,92 +77,95 @@ func (s *Summary) Trivial() bool {
 		(s.ReturnFormal >= 0 || s.ReturnConst != nil)
 }
 
-// Set is the full summary table for one scan.
+// Set is the summary table for one scan, shared by every root, retry
+// rung and worker. It is safe for concurrent Lookup.
 type Set struct {
-	Funcs map[string]*Summary
+	funcs    map[string]*entry
+	computed atomic.Int64
+}
 
-	// Computed counts function summaries computed fresh this scan;
-	// CacheHits counts per-file artifacts served from the
-	// content-addressed cache. Both feed scan-level metrics.
-	Computed  int
-	CacheHits int
+// entry is one registered name: the declaration that won it (a
+// *phpast.FuncDecl or *phpast.ClassMethod) and, once some Lookup asked
+// for it, its summary.
+type entry struct {
+	file *phpast.File
+	decl phpast.Node
+	once sync.Once
+	sum  *Summary
 }
 
 // Lookup returns the summary registered under the interpreter's
-// lowercase name for the callee, or nil.
+// lowercase name for the callee, or nil. The first call for a name
+// computes its facts; every later call returns the same *Summary.
 func (s *Set) Lookup(lname string) *Summary {
 	if s == nil {
 		return nil
 	}
-	return s.Funcs[lname]
+	e := s.funcs[lname]
+	if e == nil {
+		return nil
+	}
+	e.once.Do(func() {
+		e.sum = summarize(lname, e.file.Name, e.decl)
+		s.computed.Add(1)
+	})
+	return e.sum
 }
 
-// Build computes summaries for a set of parsed files. The file order
-// must match the interpreter's, because both resolve duplicate
-// function names first-declaration-wins.
+// Computed is the number of registered functions whose facts Lookup
+// has computed so far. It depends only on which names were looked up,
+// not on their order, so a scan's total is the same at every worker
+// count.
+func (s *Set) Computed() int64 { return s.computed.Load() }
+
+// Build indexes the functions of a set of parsed files without walking
+// any body. Name registration mirrors the interpreter's declare():
+// FuncDecls under their lowercase name, class methods under both the
+// qualified "class::method" and the bare method name, and the first
+// declaration wins, so the file order must match the interpreter's.
 func Build(files []*phpast.File) *Set {
-	locals := make([]*FileLocal, 0, len(files))
+	set := &Set{funcs: map[string]*entry{}}
 	for _, f := range files {
-		locals = append(locals, LocalFile(f))
-	}
-	set := Compose(locals, nil)
-	for _, fl := range locals {
-		set.Computed += len(fl.Funcs)
-	}
-	return set
-}
-
-// Compose builds the summary table from per-file local layers. File
-// order decides duplicate-name resolution (first declaration wins),
-// matching the interpreter. The factory argument is unused; it stays
-// because the benchmark module (bench/layers.go) calls Compose with one.
-func Compose(locals []*FileLocal, _ *smt.Factory) *Set {
-	set := &Set{Funcs: map[string]*Summary{}}
-	for _, fl := range locals {
-		if fl == nil {
-			continue
-		}
-		for _, fn := range fl.Funcs {
-			if _, ok := set.Funcs[fn.Name]; !ok {
-				set.Funcs[fn.Name] = fn.summary()
+		add := func(name string, decl phpast.Node) {
+			if _, ok := set.funcs[name]; !ok {
+				set.funcs[name] = &entry{file: f, decl: decl}
 			}
 		}
+		phpast.Walk(f, func(n phpast.Node) bool {
+			switch d := n.(type) {
+			case *phpast.FuncDecl:
+				add(lower(d.Name), d)
+			case *phpast.ClassDecl:
+				for _, m := range d.Methods {
+					add(lower(d.Name+"::"+m.Name), m)
+					add(lower(m.Name), m)
+				}
+				return false // methods handled; don't re-walk as nested decls
+			}
+			return true
+		})
 	}
 	return set
 }
 
-// summary converts one function's local layer into its Summary.
-func (fn *FuncLocal) summary() *Summary {
-	return &Summary{
-		Name:           fn.Name,
-		File:           fn.File,
-		Line:           fn.Line,
-		Escapes:        fn.Escapes,
-		EscapeReason:   fn.EscapeReason,
-		ReturnFormal:   fn.RetFormal,
-		ReturnConst:    fn.retConst(),
-		ReturnLine:     fn.RetLine,
-		TouchesFiles:   fn.TouchesFiles,
-		TouchesGlobals: fn.TouchesGlobals,
-		DeadVars:       fn.DeadVars,
-		MergeVars:      fn.MergeVars,
-	}
-}
+// FileLocal is one parsed file as Compose takes it. LocalFile and
+// Compose split Build in two only because the benchmark module
+// (bench/layers.go) calls and times them separately.
+type FileLocal struct{ file *phpast.File }
 
-func (fn *FuncLocal) retConst() sexpr.Expr {
-	switch fn.RetConstKind {
-	case "str":
-		return sexpr.StrVal(fn.RetConstStr)
-	case "int":
-		return sexpr.IntVal(fn.RetConstInt)
-	case "float":
-		return sexpr.FloatVal(fn.RetConstF)
-	case "bool":
-		return sexpr.BoolVal(fn.RetConstBool)
-	case "null":
-		return sexpr.NullVal{}
+// LocalFile wraps one parsed file for Compose.
+func LocalFile(f *phpast.File) *FileLocal { return &FileLocal{file: f} }
+
+// Compose is Build over the wrapped files, in order; nil entries are
+// skipped. The factory argument is unused.
+func Compose(locals []*FileLocal, _ *smt.Factory) *Set {
+	files := make([]*phpast.File, 0, len(locals))
+	for _, fl := range locals {
+		if fl != nil {
+			files = append(files, fl.file)
+		}
 	}
-	return nil
+	return Build(files)
 }
 
 // superglobals must never be treated as mergeable condition variables

@@ -1,9 +1,9 @@
 package summary
 
 import (
-	"encoding/json"
-	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/phpast"
@@ -235,56 +235,78 @@ function odd($n, $x) { if ($n) { return even($n, $x); } return "done"; }
 	}
 }
 
-func TestArtifactRoundTrip(t *testing.T) {
-	file := parse(t, `
-function ident($s) { return $s; }
-function str() { return "up/"; }
-function num() { return 7; }
-function flt() { return 1.5; }
-function yes() { return true; }
-function nul() { return null; }
-function save($tmp, $dst) { $d = 1; if ($c) { $e = 2; } move_uploaded_file($tmp, $dst); }
-function files() { global $g; return $_FILES; }
-function &byref() { return 1; }
-`)
-	fl := LocalFile(file)
-	blob, err := EncodeFile(fl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeFile(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Compose([]*FileLocal{fl}, nil)
-	b := Compose([]*FileLocal{back}, nil)
-	if len(a.Funcs) != len(b.Funcs) {
-		t.Fatalf("round trip kept %d of %d summaries", len(b.Funcs), len(a.Funcs))
-	}
-	for name, sa := range a.Funcs {
-		sb := b.Funcs[name]
-		if fresh, decoded := fmt.Sprintf("%+v", sa), fmt.Sprintf("%+v", sb); fresh != decoded {
-			t.Errorf("%s: round-trip mismatch:\n  fresh:   %s\n  decoded: %s", name, fresh, decoded)
+// TestFirstDeclarationWins pins duplicate-name resolution to the
+// interpreter's: across files in scan order, and between a method's
+// bare name and a later function of the same name, the first
+// declaration owns the name.
+func TestFirstDeclarationWins(t *testing.T) {
+	parseAs := func(name, src string) *phpast.File {
+		f, errs := phpparser.Parse(name, "<?php\n"+src)
+		if len(errs) > 0 {
+			t.Fatalf("%s: parse errors: %v", name, errs)
 		}
+		return f
+	}
+	set := Build([]*phpast.File{
+		parseAs("a.php", `function f($x) { return $x; } class C { function g() { return 1; } }`),
+		parseAs("b.php", `function f(&$x) { return $x; } function g() { return 1; }`),
+	})
+	if s := set.Lookup("f"); s.File != "a.php" || s.Escapes || !s.Trivial() {
+		t.Errorf("f: File=%s Escapes=%v Trivial=%v, want a.php's trivial passthrough", s.File, s.Escapes, s.Trivial())
+	}
+	if s := set.Lookup("g"); s.File != "a.php" || s.EscapeReason != "class method" {
+		t.Errorf("g: File=%s EscapeReason=%q, want a.php's method", s.File, s.EscapeReason)
 	}
 }
 
-func TestArtifactVersionSkew(t *testing.T) {
-	fl := LocalFile(parse(t, `function f($x) { return $x; }`))
-	blob, err := EncodeFile(fl)
-	if err != nil {
-		t.Fatal(err)
+// TestLookupComputesOnce has 8 goroutines look up every registered
+// name at once (run it under -race): each name must yield one *Summary
+// shared by every caller, computed exactly once, and unregistered names
+// must compute nothing.
+func TestLookupComputesOnce(t *testing.T) {
+	set := build(t, `
+function ident($x) { return $x; }
+function konst() { return "up/"; }
+function save($tmp, $dst) { if ($c) { $d = 1; } move_uploaded_file($tmp, $dst); }
+function outer() { function inner() { return 1; } }
+class C { function m($x) { return $x; } }
+`)
+	names := make([]string, 0, len(set.funcs))
+	for n := range set.funcs {
+		names = append(names, n)
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(blob, &raw); err != nil {
-		t.Fatal(err)
+	sort.Strings(names)
+	if got := strings.Join(names, ","); got != "c::m,ident,inner,konst,m,outer,save" {
+		t.Fatalf("registered names = %s", got)
 	}
-	raw["version"] = json.RawMessage("999")
-	skewed, _ := json.Marshal(raw)
-	if _, err := DecodeFile(skewed); err == nil {
-		t.Fatal("version-skewed artifact decoded without error")
+	if set.Computed() != 0 {
+		t.Fatalf("Build computed %d summaries, want 0", set.Computed())
 	}
-	if _, err := DecodeFile([]byte("{not json")); err == nil {
-		t.Fatal("corrupt artifact decoded without error")
+	const goroutines = 8
+	got := make([][]*Summary, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range names {
+				got[g] = append(got[g], set.Lookup(n))
+			}
+			set.Lookup("undeclared")
+		}()
+	}
+	wg.Wait()
+	for i, n := range names {
+		if got[0][i] == nil {
+			t.Errorf("%s: nil summary", n)
+		}
+		for g := 1; g < goroutines; g++ {
+			if got[g][i] != got[0][i] {
+				t.Errorf("%s: goroutine %d got a different *Summary", n, g)
+			}
+		}
+	}
+	if c := set.Computed(); c != int64(len(names)) {
+		t.Errorf("Computed = %d, want %d (one per registered name)", c, len(names))
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phpast"
 	"repro/internal/phpparser"
-	"repro/internal/scanjournal"
 	"repro/internal/sexpr"
 	"repro/internal/smt"
 	"repro/internal/summary"
@@ -245,18 +244,14 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 	// every root, worker and degradation-ladder rung shares.
 	engines := interp.NewEngineFactory(interp.EngineTree, files)
 
-	// Function summaries (the -interproc summary strategy) are computed
-	// once per scan over the same parsed files every root shares; the
-	// per-file local layer is served from the content-addressed artifact
-	// cache when CacheDir is set. Nil under inline mode, which keeps the
-	// engines (and their reports) bit-for-bit on the pre-summary path.
+	// Function summaries (the -interproc summary strategy) are indexed
+	// once per scan over the same parsed files every root shares; each
+	// function's facts are computed on its first lookup. Nil under inline
+	// mode, which keeps the engines (and their reports) bit-for-bit on
+	// the pre-summary path.
 	var sums *summary.Set
 	if s.opts.Interproc == interp.InterprocSummary {
-		sumSpan := tr.start(scanSpan.ID(), "summaries")
-		sums = s.buildSummaries(t, files)
-		rep.Metrics.Add("summary_computed", int64(sums.Computed))
-		rep.Metrics.Add("summary_cache_hits", int64(sums.CacheHits))
-		tr.end(sumSpan, obs.A("functions", strconv.Itoa(len(sums.Funcs))))
+		sums = summary.Build(files)
 	}
 
 	// --- Phase 2: locality analysis ---
@@ -369,6 +364,10 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 		rep.Findings = append(rep.Findings, rr.findings...)
 		rep.Metrics.Merge(rr.metrics)
 	}
+	if sums != nil {
+		// Every root has finished, so the set has computed all it will.
+		rep.Metrics.Add("summary_computed", sums.Computed())
+	}
 	rep.Findings = dedupeDegraded(rep.Findings)
 	sortFindings(rep.Findings)
 	if c := countFailures(rep.Failures); len(c) > 0 {
@@ -476,57 +475,6 @@ func scheduleFailure(root string, class FailureClass, msg string, skipped bool) 
 		skipped:  skipped,
 		failures: []Failure{{Root: root, Stage: StageSchedule, Class: class, Err: msg}},
 	}
-}
-
-// buildSummaries computes the scan's function-summary table for the
-// -interproc summary strategy. The per-file local layer is
-// content-addressed — keyed by the file's own source text, the options
-// fingerprint and the summary artifact version, so unchanged files on
-// unchanged configurations load their artifact instead of re-walking
-// the AST. Composition (first-declaration-wins name resolution) is
-// always recomputed: it is whole-program and cheap. Every cache failure
-// mode — unopenable directory, corrupt entry, version skew, failed
-// write — degrades to a recompute, never an error.
-func (s *Scanner) buildSummaries(t Target, files []*phpast.File) *summary.Set {
-	var cache *scanjournal.Cache
-	if s.opts.CacheDir != "" {
-		if c, err := scanjournal.OpenCache(s.opts.CacheDir, s.opts.FaultHook); err == nil {
-			cache = c
-		}
-	}
-	// The artifact version rides in the key alongside the options
-	// fingerprint, so a format bump self-invalidates every cached
-	// per-file summary without touching report cache entries.
-	fp := fmt.Sprintf("%s summary=v%d", s.optionsFingerprint(), summary.ArtifactVersion)
-	locals := make([]*summary.FileLocal, 0, len(files))
-	computed, hits := 0, 0
-	for _, f := range files {
-		var fl *summary.FileLocal
-		if cache != nil {
-			key := scanjournal.CacheKey(map[string]string{f.Name: t.Sources[f.Name]}, fp)
-			if raw, ok := cache.Get(key); ok {
-				if dec, err := summary.DecodeFile(raw); err == nil {
-					fl = dec
-					hits++
-				}
-			}
-			if fl == nil {
-				fl = summary.LocalFile(f)
-				computed += len(fl.Funcs)
-				if raw, err := summary.EncodeFile(fl); err == nil {
-					cache.Put(key, raw) // best-effort: a failed Put costs one recompute
-				}
-			}
-		} else {
-			fl = summary.LocalFile(f)
-			computed += len(fl.Funcs)
-		}
-		locals = append(locals, fl)
-	}
-	set := summary.Compose(locals, nil)
-	set.Computed = computed
-	set.CacheHits = hits
-	return set
 }
 
 // scanRoot runs the degradation ladder for one root:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/interp"
 	"repro/internal/obs"
 )
 
@@ -44,9 +45,30 @@ func reportFingerprint(t *testing.T, rep *AppReport) string {
 	return string(data)
 }
 
+// sharedHelperTarget is a multi-root app whose n handler files all call
+// the same two helpers: under -interproc summary every root looks both
+// up, so roots on different workers race to compute the same summary.
+func sharedHelperTarget(n int) Target {
+	sources := map[string]string{"helper.php": `<?php
+function keep($x) { return $x; }
+function dest_dir($d) { if ($alt) { $tmp = 1; } return "/uploads/" . $d; }
+function unused($y) { return $y . $y; }
+`}
+	for i := 0; i < n; i++ {
+		sources[fmt.Sprintf("handler%02d.php", i)] = fmt.Sprintf(`<?php
+$name = keep($_FILES['f%d']['name']);
+move_uploaded_file($_FILES['f%d']['tmp_name'], dest_dir("%02d") . "/" . $name);
+`, i, i, i)
+	}
+	return Target{Name: "shared-helper", Sources: sources}
+}
+
 // TestScanDeterministicAcrossWorkers asserts byte-identical reports for
-// Workers=1,2,8 on corpus apps (single-root), a synthetic multi-root app,
-// and a whole-program (DisableLocality) multi-root configuration.
+// Workers=1,2,8 under both interprocedural strategies on corpus apps
+// (single-root), synthetic multi-root apps, and a whole-program
+// (DisableLocality) multi-root configuration. Under summary mode that
+// includes summary_computed, which counts the distinct functions the
+// scan looked up however the roots were scheduled.
 func TestScanDeterministicAcrossWorkers(t *testing.T) {
 	corpusApps := []string{
 		"Foxypress 0.4.1.1-0.4.2.1",
@@ -59,6 +81,9 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 		target  Target
 		opts    Options
 		minRoot int
+		// computed is the summary_computed a summary-mode scan must
+		// report; checked when non-zero.
+		computed int64
 	}
 	var cases []tc
 	for _, name := range corpusApps {
@@ -78,6 +103,13 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 		opts:    Options{},
 		minRoot: 9,
 	})
+	cases = append(cases, tc{
+		name:     "shared-helper-multi-root",
+		target:   sharedHelperTarget(9),
+		opts:     Options{},
+		minRoot:  9,
+		computed: 2,
+	})
 	foxy, _ := corpus.ByName("Foxypress 0.4.1.1-0.4.2.1")
 	cases = append(cases, tc{
 		name:    "whole-program-multi-root",
@@ -90,29 +122,37 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			var want string
-			var wantRep *AppReport
-			for _, workers := range []int{1, 2, 8} {
-				opts := c.opts
-				opts.Workers = workers
-				rep, err := NewScanner(opts).Scan(context.Background(), c.target)
-				if err != nil {
-					t.Fatalf("Workers=%d: %v", workers, err)
-				}
-				got := reportFingerprint(t, rep)
-				if want == "" {
-					want, wantRep = got, rep
-					if len(rep.Roots) < c.minRoot {
-						t.Fatalf("roots = %d, want >= %d (not a multi-root workload)", len(rep.Roots), c.minRoot)
+			for _, mode := range []interp.InterprocKind{interp.InterprocInline, interp.InterprocSummary} {
+				t.Run(string(mode), func(t *testing.T) {
+					var want string
+					var wantRep *AppReport
+					for _, workers := range []int{1, 2, 8} {
+						opts := c.opts
+						opts.Interproc = mode
+						opts.Workers = workers
+						rep, err := NewScanner(opts).Scan(context.Background(), c.target)
+						if err != nil {
+							t.Fatalf("Workers=%d: %v", workers, err)
+						}
+						got := reportFingerprint(t, rep)
+						if want == "" {
+							want, wantRep = got, rep
+							if len(rep.Roots) < c.minRoot {
+								t.Fatalf("roots = %d, want >= %d (not a multi-root workload)", len(rep.Roots), c.minRoot)
+							}
+							if mode == interp.InterprocSummary && c.computed != 0 && rep.Metrics["summary_computed"] != c.computed {
+								t.Errorf("summary_computed = %d, want %d", rep.Metrics["summary_computed"], c.computed)
+							}
+							continue
+						}
+						if got != want {
+							t.Errorf("Workers=%d: report differs from Workers=1\n got: %s\nwant: %s", workers, got, want)
+						}
+						if rep.Vulnerable != wantRep.Vulnerable || rep.Paths != wantRep.Paths || len(rep.Findings) != len(wantRep.Findings) {
+							t.Errorf("Workers=%d: verdict/paths/findings drift", workers)
+						}
 					}
-					continue
-				}
-				if got != want {
-					t.Errorf("Workers=%d: report differs from Workers=1\n got: %s\nwant: %s", workers, got, want)
-				}
-				if rep.Vulnerable != wantRep.Vulnerable || rep.Paths != wantRep.Paths || len(rep.Findings) != len(wantRep.Findings) {
-					t.Errorf("Workers=%d: verdict/paths/findings drift", workers)
-				}
+				})
 			}
 		})
 	}

@@ -3,18 +3,13 @@ package uchecker
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/interp"
-	"repro/internal/obs"
-	"repro/internal/scanjournal"
-	"repro/internal/summary"
 )
 
 // summaryComparableFingerprint is the cross-strategy projection of a
@@ -34,32 +29,12 @@ func summaryComparableFingerprint(t *testing.T, rep *AppReport) string {
 	return reportFingerprint(t, &clone)
 }
 
-// summaryModeFingerprint is the within-strategy projection: everything
-// except the summary-only counters, which count work (merges, cache
-// hits) that may be scheduled differently across worker counts while
-// the report stays byte-identical.
-func summaryModeFingerprint(t *testing.T, rep *AppReport) string {
-	t.Helper()
-	clone := *rep
-	if clone.Metrics != nil {
-		m := obs.NewMetrics()
-		for k, v := range clone.Metrics {
-			if strings.HasPrefix(k, "summary_") || k == "interp_paths_avoided" {
-				continue
-			}
-			m[k] = v
-		}
-		clone.Metrics = m
-	}
-	return reportFingerprint(t, &clone)
-}
-
 // TestSummaryDifferentialCorpus is the interproc-strategy acceptance
 // suite: every corpus application is scanned under inline and summary
 // strategies at Workers=1 and Workers=4, and
 //
 //   - within each strategy, the two worker counts must agree
-//     byte-for-byte;
+//     byte-for-byte, summary-only work counters included;
 //   - across strategies, findings and every Table III verdict must be
 //     byte-identical — except where the inline strategy aborted on a
 //     path budget, which is precisely the failure mode summaries exist
@@ -115,7 +90,7 @@ func TestSummaryDifferentialCorpus(t *testing.T) {
 			if a, b := reportFingerprint(t, inline1), reportFingerprint(t, inline4); a != b {
 				t.Errorf("inline workers=1 vs 4 differ:\n got: %s\nwant: %s", b, a)
 			}
-			if a, b := summaryModeFingerprint(t, sum1), summaryModeFingerprint(t, sum4); a != b {
+			if a, b := reportFingerprint(t, sum1), reportFingerprint(t, sum4); a != b {
 				t.Errorf("summary workers=1 vs 4 differ:\n got: %s\nwant: %s", b, a)
 			}
 
@@ -256,95 +231,44 @@ func TestInlineReportHasNoSummaryCounters(t *testing.T) {
 	}
 }
 
-// TestSummaryArtifactCache exercises the per-file summary artifact
-// cache end to end: a second scan over unchanged sources is served from
-// the cache; corrupted entries and version-skewed payloads are silent
-// misses that recompute (self-invalidation) and self-heal; the report
-// is byte-identical throughout.
-func TestSummaryArtifactCache(t *testing.T) {
-	app, _ := corpus.ByName("Cimy User Extra Fields 2.3.8")
-	target := Target{Name: app.Name, Sources: app.Sources}
-	dir := t.TempDir()
-	opts := Options{Interproc: interp.InterprocSummary, CacheDir: dir}
-
-	scanOne := func() *AppReport {
-		rep, err := NewScanner(opts).Scan(context.Background(), target)
+// TestSummaryReportIgnoresScanHistory pins that a summary-mode report
+// depends only on its target and options: scanning target B after a
+// target A that shares helper.php, through one scanner and one
+// CacheDir, must report exactly what a fresh scan of B reports, its
+// summary_computed included.
+func TestSummaryReportIgnoresScanHistory(t *testing.T) {
+	helper := `<?php
+function ext_label($n) { return "." . $n; }
+function up_prefix() { return "uploads/"; }
+`
+	plugin := func(dest string) string {
+		return `<?php
+function grab(&$n) { $n = $_FILES['doc']['name']; }
+$name = "";
+grab($name);
+move_uploaded_file($_FILES['doc']['tmp_name'], up_prefix() . "` + dest + `" . $name);
+`
+	}
+	a := Target{Name: "app", Sources: map[string]string{"helper.php": helper, "plugin.php": plugin("a/")}}
+	b := Target{Name: "app", Sources: map[string]string{"helper.php": helper, "plugin.php": plugin("b/")}}
+	scan := func(s *Scanner, target Target) *AppReport {
+		rep, err := s.Scan(context.Background(), target)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
 
-	cold := scanOne()
-	if cold.Metrics["summary_cache_hits"] != 0 {
-		t.Errorf("cold scan had %d cache hits, want 0", cold.Metrics["summary_cache_hits"])
+	shared := NewScanner(Options{Interproc: interp.InterprocSummary, CacheDir: t.TempDir()})
+	scan(shared, a)
+	afterA := scan(shared, b)
+	fresh := scan(NewScanner(Options{Interproc: interp.InterprocSummary, CacheDir: t.TempDir()}), b)
+	if got, want := reportFingerprint(t, afterA), reportFingerprint(t, fresh); got != want {
+		t.Errorf("B scanned after A differs from a fresh scan of B:\n got: %s\nwant: %s", got, want)
 	}
-	if cold.Metrics["summary_computed"] == 0 {
-		t.Error("cold scan computed no summaries")
-	}
-	want := summaryModeFingerprint(t, cold)
-
-	warm := scanOne()
-	if got := warm.Metrics["summary_cache_hits"]; got != int64(len(target.Sources)) {
-		t.Errorf("warm scan cache hits = %d, want %d (one per file)", got, len(target.Sources))
-	}
-	if warm.Metrics["summary_computed"] != 0 {
-		t.Errorf("warm scan recomputed %d summaries, want 0", warm.Metrics["summary_computed"])
-	}
-	if got := summaryModeFingerprint(t, warm); got != want {
-		t.Errorf("warm report differs from cold:\n got: %s\nwant: %s", got, want)
-	}
-
-	// Corrupt every cached entry: the next scan must treat them as
-	// misses, recompute, rewrite (self-heal), and report identically.
-	entries, err := filepath.Glob(filepath.Join(dir, "*.rep"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no cache entries written (err=%v)", err)
-	}
-	for _, p := range entries {
-		if err := os.WriteFile(p, []byte("garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	healed := scanOne()
-	if healed.Metrics["summary_cache_hits"] != 0 {
-		t.Errorf("scan over corrupt cache had %d hits, want 0", healed.Metrics["summary_cache_hits"])
-	}
-	if healed.Metrics["summary_computed"] == 0 {
-		t.Error("scan over corrupt cache recomputed nothing")
-	}
-	if got := summaryModeFingerprint(t, healed); got != want {
-		t.Errorf("post-corruption report differs:\n got: %s\nwant: %s", got, want)
-	}
-	rehit := scanOne()
-	if got := rehit.Metrics["summary_cache_hits"]; got != int64(len(target.Sources)) {
-		t.Errorf("self-heal failed: cache hits = %d, want %d", got, len(target.Sources))
-	}
-
-	// Version skew: overwrite each entry with a structurally valid frame
-	// holding a payload from a future artifact version. DecodeFile must
-	// reject it, so the scan recomputes — the self-invalidation that
-	// makes ArtifactVersion bumps safe without wiping the cache.
-	cache, err := scanjournal.OpenCache(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := fmt.Sprintf("%s summary=v%d", NewScanner(opts).OptionsFingerprint(), summary.ArtifactVersion)
-	skewed, err := json.Marshal(&summary.FileLocal{Version: summary.ArtifactVersion + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, src := range target.Sources {
-		key := scanjournal.CacheKey(map[string]string{name: src}, fp)
-		if err := cache.Put(key, skewed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	skewScan := scanOne()
-	if skewScan.Metrics["summary_cache_hits"] != 0 {
-		t.Errorf("version-skewed entries were served: hits = %d, want 0", skewScan.Metrics["summary_cache_hits"])
-	}
-	if got := summaryModeFingerprint(t, skewScan); got != want {
-		t.Errorf("post-skew report differs:\n got: %s\nwant: %s", got, want)
+	// grab (by-ref, so escaped) and up_prefix are looked up; ext_label
+	// is never called.
+	if got := fresh.Metrics["summary_computed"]; got != 2 {
+		t.Errorf("summary_computed = %d, want 2 (the functions the scan looked up)", got)
 	}
 }
