@@ -92,12 +92,17 @@ daemon-chaos:
 # path-explosion case completing cleanly under default budgets with zero
 # retries, summary-mode reports byte-identical at Workers=1/2/8 on the
 # determinism suite's apps, reports that do not depend on what the
-# scanner or the daemon scanned before, and the unit-level
-# merge/summary suites (including concurrent first lookups).
+# scanner or the daemon scanned before, the four shapes on which the
+# call graph, the interpreter and the summary table once disagreed
+# (TestProgramTableAgreement: a function nested in a method body, "./"
+# and "../" includes, constructor-only and call_user_func-only sinks),
+# every FuzzSummaryEquivalence seed (seed_nested_method_func among
+# them), and the unit-level merge/summary suites (including concurrent
+# first lookups).
 summary-diff:
-	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryReportIgnoresScanHistory' ./internal/uchecker
+	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryReportIgnoresScanHistory|TestProgramTableAgreement' ./internal/uchecker
 	$(GO) test -race -run 'TestScanDeterministicAcrossWorkers/.*/summary' ./internal/uchecker
-	$(GO) test -race -run 'TestMerge|TestNoMerge|TestTrivial|TestEscapedCallee|TestMethodCallNeverSummarized|TestSummary' ./internal/interp
+	$(GO) test -race -run 'TestMerge|TestNoMerge|TestTrivial|TestEscapedCallee|TestMethodCallNeverSummarized|TestSummary|FuzzSummaryEquivalence' ./internal/interp
 	$(GO) test -race ./internal/summary
 	$(GO) test -race -run 'TestHTTPMetricsExposeSummaryCounters' ./internal/scand
 

@@ -17,7 +17,6 @@ package callgraph
 
 import (
 	"fmt"
-	"path"
 	"sort"
 	"strings"
 
@@ -98,110 +97,47 @@ type Graph struct {
 	// Succ maps each node to its ordered successors.
 	Succ map[*Node][]*Node
 
+	prog        *phpast.Program
 	files       map[string]*Node // file path -> node
-	funcs       map[string]*Node // lower-case function name -> node
+	funcs       []Node           // function nodes, indexed by phpast.Func.ID
 	filesAccess *Node            // the shared $_FILES node
 	sinks       map[string]*Node // sink name -> node
 }
 
 // Build constructs the extended call graph for the given parsed files.
+// Functions, includes and call targets resolve through the same
+// phpast.Program table the interpreter dispatches through.
 func Build(files []*phpast.File) *Graph {
+	prog := phpast.NewProgram(files)
 	g := &Graph{
+		// Files, functions, the $_FILES node and at most one node per sink.
+		Nodes: make([]*Node, 0, len(prog.Units)+len(prog.Decls)+1+len(Sinks)),
 		Succ:  map[*Node][]*Node{},
-		files: map[string]*Node{},
-		funcs: map[string]*Node{},
+		prog:  prog,
+		files: make(map[string]*Node, len(prog.Units)),
+		funcs: make([]Node, len(prog.Decls)),
 		sinks: map[string]*Node{},
 	}
 	// Pass 1: declare file and function nodes so calls can resolve forward
 	// references.
-	for _, f := range files {
-		fn := &Node{Kind: FileNode, Name: f.Name, File: f.Name, Line: 1}
+	for _, u := range prog.Units {
+		fn := &Node{Kind: FileNode, Name: u.Name, File: u.Name, Line: 1}
 		g.Nodes = append(g.Nodes, fn)
-		g.files[f.Name] = fn
-		g.declareFuncs(f.Name, f.Stmts)
+		g.files[u.Name] = fn
+		for _, d := range u.Decls {
+			n := &g.funcs[d.ID]
+			*n = Node{Kind: FuncNode, Name: d.Name, File: u.Name, Func: d.Decl, Line: d.Decl.P.Line}
+			g.Nodes = append(g.Nodes, n)
+		}
 	}
-	// Pass 2: edges.
-	for _, f := range files {
-		fileNode := g.files[f.Name]
-		body := topLevelBody(f.Stmts)
-		g.scanScope(fileNode, f.Name, body)
-		// Function bodies.
-		g.scanDecls(f.Name, f.Stmts)
+	// Pass 2: edges, from each file's top level and each function body.
+	for _, u := range prog.Units {
+		g.scanScope(g.files[u.Name], u.Name, u.Top)
+		for _, d := range u.Decls {
+			g.scanScope(&g.funcs[d.ID], u.Name, d.Decl.Body)
+		}
 	}
 	return g
-}
-
-// declareFuncs registers all function and method declarations found
-// anywhere in the statement list (PHP hoists declarations).
-func (g *Graph) declareFuncs(file string, stmts []phpast.Stmt) {
-	for _, s := range stmts {
-		phpast.Walk(s, func(n phpast.Node) bool {
-			switch d := n.(type) {
-			case *phpast.FuncDecl:
-				name := strings.ToLower(d.Name)
-				if _, exists := g.funcs[name]; !exists {
-					fn := &Node{Kind: FuncNode, Name: name, File: file, Func: d, Line: d.P.Line}
-					g.Nodes = append(g.Nodes, fn)
-					g.funcs[name] = fn
-				}
-			case *phpast.ClassDecl:
-				for _, m := range d.Methods {
-					name := strings.ToLower(d.Name + "::" + m.Name)
-					if _, exists := g.funcs[name]; exists {
-						continue
-					}
-					decl := &phpast.FuncDecl{P: m.P, Name: name, Params: m.Params, Body: m.Body, EndLine: m.EndLine}
-					fn := &Node{Kind: FuncNode, Name: name, File: file, Func: decl, Line: m.P.Line}
-					g.Nodes = append(g.Nodes, fn)
-					g.funcs[name] = fn
-					// Also register the bare method name as a fallback
-					// resolution target when unambiguous.
-					bare := strings.ToLower(m.Name)
-					if _, exists := g.funcs[bare]; !exists {
-						g.funcs[bare] = fn
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// topLevelBody returns the statements of a file or function body excluding
-// nested declarations (those are separate nodes).
-func topLevelBody(stmts []phpast.Stmt) []phpast.Stmt {
-	out := make([]phpast.Stmt, 0, len(stmts))
-	for _, s := range stmts {
-		switch s.(type) {
-		case *phpast.FuncDecl, *phpast.ClassDecl:
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// scanDecls walks declarations and scans each function/method body as its
-// own scope.
-func (g *Graph) scanDecls(file string, stmts []phpast.Stmt) {
-	for _, s := range stmts {
-		phpast.Walk(s, func(n phpast.Node) bool {
-			switch d := n.(type) {
-			case *phpast.FuncDecl:
-				if fn := g.funcs[strings.ToLower(d.Name)]; fn != nil && fn.Func == d {
-					g.scanScope(fn, file, d.Body)
-				}
-			case *phpast.ClassDecl:
-				for _, m := range d.Methods {
-					name := strings.ToLower(d.Name + "::" + m.Name)
-					if fn := g.funcs[name]; fn != nil {
-						g.scanScope(fn, file, m.Body)
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 // scanScope adds edges from the scope node for calls, includes, $_FILES
@@ -219,47 +155,45 @@ func (g *Graph) scanScope(from *Node, file string, stmts []phpast.Stmt) {
 				if x.Name == "_FILES" {
 					g.addEdge(from, g.filesNode())
 				}
-			case *phpast.Call:
-				name, ok := phpast.CalleeName(x)
+			case *phpast.Call, *phpast.StaticCall:
+				t, ok := g.prog.Target(x)
 				if !ok {
 					return true
 				}
-				if Sinks[name] {
-					g.addEdge(from, g.sinkNode(name))
+				if Sinks[t.Name] {
+					g.addEdge(from, g.sinkNode(t.Name))
 					return true
 				}
-				if callee, ok := g.funcs[name]; ok {
-					g.addEdge(from, callee)
-				}
+				g.callEdge(from, t.Func)
 				// String-literal callbacks passed to registration functions
 				// (add_action/add_filter/register_*) create an edge to the
-				// named callback: WordPress invokes it from this scope.
-				if isCallbackRegistrar(name) {
-					for _, a := range x.Args {
+				// named callback: WordPress invokes it from this scope. The
+				// interpreter does not run them, so only the call graph
+				// draws these edges.
+				if isCallbackRegistrar(t.Name) {
+					for _, a := range t.Args {
 						if lit, ok := a.(*phpast.StringLit); ok {
-							if callee, ok := g.funcs[strings.ToLower(lit.Value)]; ok {
-								g.addEdge(from, callee)
-							}
+							g.callEdge(from, g.prog.Funcs[strings.ToLower(lit.Value)])
 						}
 					}
 				}
-			case *phpast.MethodCall:
-				if callee, ok := g.funcs[strings.ToLower(x.Method)]; ok {
-					g.addEdge(from, callee)
-				}
-			case *phpast.StaticCall:
-				if callee, ok := g.funcs[strings.ToLower(x.Class+"::"+x.Method)]; ok {
-					g.addEdge(from, callee)
-				} else if callee, ok := g.funcs[strings.ToLower(x.Method)]; ok {
-					g.addEdge(from, callee)
-				}
+			case *phpast.MethodCall, *phpast.New:
+				t, _ := g.prog.Target(x)
+				g.callEdge(from, t.Func)
 			case *phpast.Include:
-				if target := g.resolveInclude(file, x); target != nil {
-					g.addEdge(from, target)
+				if u := g.prog.Include(file, x); u != nil {
+					g.addEdge(from, g.files[u.Name])
 				}
 			}
 			return true
 		})
+	}
+}
+
+// callEdge adds an edge to a declared callee; a nil callee adds none.
+func (g *Graph) callEdge(from *Node, callee *phpast.Func) {
+	if callee != nil {
+		g.addEdge(from, &g.funcs[callee.ID])
 	}
 }
 
@@ -272,51 +206,6 @@ func isCallbackRegistrar(name string) bool {
 		return true
 	}
 	return strings.HasPrefix(name, "add_") && strings.HasSuffix(name, "_hook")
-}
-
-// resolveInclude resolves include/require with a constant path against the
-// known file set, trying the raw path, the path relative to the including
-// file's directory, and a basename match.
-func (g *Graph) resolveInclude(fromFile string, inc *phpast.Include) *Node {
-	lit := constPath(inc.X)
-	if lit == "" {
-		return nil
-	}
-	if n, ok := g.files[lit]; ok {
-		return n
-	}
-	rel := path.Join(path.Dir(fromFile), lit)
-	if n, ok := g.files[rel]; ok {
-		return n
-	}
-	base := path.Base(lit)
-	var match *Node
-	for name, n := range g.files {
-		if path.Base(name) == base {
-			if match != nil {
-				return nil // ambiguous
-			}
-			match = n
-		}
-	}
-	return match
-}
-
-// constPath extracts a constant path from an include argument, tolerating
-// the common "dirname(__FILE__) . '/x.php'" and "__DIR__ . '/x.php'"
-// shapes by keeping only the trailing literal.
-func constPath(e phpast.Expr) string {
-	switch x := e.(type) {
-	case *phpast.StringLit:
-		return x.Value
-	case *phpast.Binary:
-		if x.Op == "." {
-			if lit := constPath(x.R); lit != "" {
-				return strings.TrimPrefix(lit, "/")
-			}
-		}
-	}
-	return ""
 }
 
 func (g *Graph) filesNode() *Node {
@@ -403,7 +292,12 @@ func (g *Graph) Reaches(n *Node, kind Kind) bool {
 }
 
 // Func returns the function node with the given (case-insensitive) name.
-func (g *Graph) Func(name string) *Node { return g.funcs[strings.ToLower(name)] }
+func (g *Graph) Func(name string) *Node {
+	if fn := g.prog.Funcs[strings.ToLower(name)]; fn != nil {
+		return &g.funcs[fn.ID]
+	}
+	return nil
+}
 
 // File returns the file node for the given path.
 func (g *Graph) File(name string) *Node { return g.files[name] }

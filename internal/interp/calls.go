@@ -1,83 +1,77 @@
 package interp
 
 import (
-	"strings"
-
 	"repro/internal/callgraph"
 	"repro/internal/heapgraph"
 	"repro/internal/phpast"
 	"repro/internal/sexpr"
 )
 
-// evalCall dispatches a function call: sinks are recorded, user functions
-// are inlined context-sensitively, built-ins are modeled, and everything
-// else becomes a FUNC node with a typed symbolic result.
+// evalCall dispatches a function call through the program table's
+// call-target rule: sinks are recorded, user functions are inlined
+// context-sensitively, built-ins are modeled, and everything else
+// becomes a FUNC node with a typed symbolic result.
 func (in *Interp) evalCall(x *phpast.Call, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
-	name, named := phpast.CalleeName(x)
-
-	// call_user_func('fn', args...) indirection.
-	if named && (name == "call_user_func" || name == "call_user_func_array") && len(x.Args) > 0 {
-		if lit, ok := x.Args[0].(*phpast.StringLit); ok {
-			inner := &phpast.Call{P: x.P, Func: &phpast.Name{P: x.P, Value: lit.Value}, Args: x.Args[1:]}
-			return in.evalCall(inner, envs)
-		}
+	if t, ok := in.prog.Target(x); ok {
+		return in.dispatch(t, x.P.Line, envs)
 	}
+	// Variable function: opaque symbolic result.
+	envs = in.pushArgs(x.Args, envs)
+	labels := make([]heapgraph.Label, len(envs))
+	for i, e := range envs {
+		fn := in.g.NewFunc("call_dynamic", sexpr.Unknown, x.P.Line)
+		for _, a := range popArgs(e, len(x.Args)) {
+			in.g.AddEdge(fn, a)
+		}
+		labels[i] = fn
+	}
+	return envs, labels
+}
 
-	// Evaluate arguments (left to right), parking on the operand stack.
-	for _, a := range x.Args {
+// dispatch runs a resolved function or static-method call.
+func (in *Interp) dispatch(t phpast.Target, line int, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
+	envs = in.pushArgs(t.Args, envs)
+	switch {
+	case callgraph.Sinks[t.Name]:
+		labels := make([]heapgraph.Label, len(envs))
+		for i, e := range envs {
+			labels[i] = in.recordSink(t.Name, popArgs(e, len(t.Args)), e, line)
+		}
+		return envs, labels
+	case t.Func != nil:
+		argMatrix := make([][]heapgraph.Label, len(envs))
+		for i, e := range envs {
+			argMatrix[i] = popArgs(e, len(t.Args))
+		}
+		return in.inlineCall(t.Func, argMatrix, envs, heapgraph.Null, line)
+	}
+	// Built-in model or generic FUNC node.
+	labels := make([]heapgraph.Label, len(envs))
+	for i, e := range envs {
+		labels[i] = in.builtinCall(t.Name, popArgs(e, len(t.Args)), e, line)
+	}
+	return envs, labels
+}
+
+// pushArgs evaluates call arguments left to right, parking each on
+// every path's operand stack.
+func (in *Interp) pushArgs(args []phpast.Expr, envs heapgraph.EnvSet) heapgraph.EnvSet {
+	for _, a := range args {
 		var ls []heapgraph.Label
 		envs, ls = in.eval(a, envs)
 		pushTmp(envs, ls)
 	}
-	argVec := func(e *heapgraph.Env) []heapgraph.Label {
-		args := make([]heapgraph.Label, len(x.Args))
-		for j := len(x.Args) - 1; j >= 0; j-- {
-			args[j] = e.PopTmp()
-		}
-		return args
-	}
+	return envs
+}
 
-	if !named {
-		// Variable function: opaque symbolic result.
-		labels := make([]heapgraph.Label, len(envs))
-		for i, e := range envs {
-			args := argVec(e)
-			fn := in.g.NewFunc("call_dynamic", sexpr.Unknown, x.P.Line)
-			for _, a := range args {
-				in.g.AddEdge(fn, a)
-			}
-			labels[i] = fn
-		}
-		return envs, labels
+// popArgs pops n parked arguments off one path's operand stack, in
+// argument order.
+func popArgs(e *heapgraph.Env, n int) []heapgraph.Label {
+	args := make([]heapgraph.Label, n)
+	for j := n - 1; j >= 0; j-- {
+		args[j] = e.PopTmp()
 	}
-
-	// Sink?
-	if callgraph.Sinks[name] {
-		labels := make([]heapgraph.Label, len(envs))
-		for i, e := range envs {
-			args := argVec(e)
-			labels[i] = in.recordSink(name, args, e, x.P.Line)
-		}
-		return envs, labels
-	}
-
-	// User function?
-	if decl, ok := in.funcs[name]; ok {
-		// Pop args per env into a parallel matrix.
-		argMatrix := make([][]heapgraph.Label, len(envs))
-		for i, e := range envs {
-			argMatrix[i] = argVec(e)
-		}
-		return in.inlineCall(decl, argMatrix, envs, heapgraph.Null, x.P.Line)
-	}
-
-	// Built-in model or generic FUNC node.
-	labels := make([]heapgraph.Label, len(envs))
-	for i, e := range envs {
-		args := argVec(e)
-		labels[i] = in.builtinCall(name, args, e, x.P.Line)
-	}
-	return envs, labels
+	return args
 }
 
 // recordSink records a sink invocation on one path and returns the sink's
@@ -117,39 +111,17 @@ func (in *Interp) recordSink(name string, args []heapgraph.Label, e *heapgraph.E
 	return fn
 }
 
-// inlineCall executes a user function body per path, with a fresh scope
-// per environment. Forks inside the callee propagate to the caller
-// naturally, because the callee's environments are the callers' with one
-// extra scope frame.
-func (in *Interp) inlineCall(decl *phpast.FuncDecl, argMatrix [][]heapgraph.Label, envs heapgraph.EnvSet, thisLabel heapgraph.Label, line int) (heapgraph.EnvSet, []heapgraph.Label) {
-	return in.inlineFrame(strings.ToLower(decl.Name), decl.Params, decl.P.Line, decl.EndLine, line, argMatrix, envs, thisLabel,
-		func(es heapgraph.EnvSet) heapgraph.EnvSet { return in.execStmts(decl.Body, es) })
-}
-
 // inlineCallWithThis evaluates constructor arguments then inlines the
 // method with $this bound.
-func (in *Interp) inlineCallWithThis(decl *phpast.FuncDecl, argExprs []phpast.Expr, envs heapgraph.EnvSet, thisLabels []heapgraph.Label, line int) (heapgraph.EnvSet, []heapgraph.Label) {
+func (in *Interp) inlineCallWithThis(fn *phpast.Func, argExprs []phpast.Expr, envs heapgraph.EnvSet, thisLabels []heapgraph.Label, line int) (heapgraph.EnvSet, []heapgraph.Label) {
 	pushTmp(envs, thisLabels)
-	for _, a := range argExprs {
-		var ls []heapgraph.Label
-		envs, ls = in.eval(a, envs)
-		pushTmp(envs, ls)
-	}
-	argMatrix := make([][]heapgraph.Label, len(envs))
-	this := make([]heapgraph.Label, len(envs))
-	for i, e := range envs {
-		args := make([]heapgraph.Label, len(argExprs))
-		for j := len(argExprs) - 1; j >= 0; j-- {
-			args[j] = e.PopTmp()
-		}
-		argMatrix[i] = args
-		this[i] = e.PopTmp()
-	}
+	envs = in.pushArgs(argExprs, envs)
+	argMatrix, this := popThisArgs(envs, len(argExprs))
 	// Inline per common this label; constructors keep the object labels.
 	var out heapgraph.EnvSet
 	var outLabels []heapgraph.Label
 	for i, e := range envs {
-		sub, _ := in.inlineCall(decl, [][]heapgraph.Label{argMatrix[i]}, heapgraph.EnvSet{e}, this[i], line)
+		sub, _ := in.inlineCall(fn, [][]heapgraph.Label{argMatrix[i]}, heapgraph.EnvSet{e}, this[i], line)
 		for range sub {
 			outLabels = append(outLabels, this[i])
 		}
@@ -158,31 +130,31 @@ func (in *Interp) inlineCallWithThis(decl *phpast.FuncDecl, argExprs []phpast.Ex
 	return out, outLabels
 }
 
+// popThisArgs pops n parked arguments and then the parked $this off
+// every path.
+func popThisArgs(envs heapgraph.EnvSet, n int) ([][]heapgraph.Label, []heapgraph.Label) {
+	argMatrix := make([][]heapgraph.Label, len(envs))
+	this := make([]heapgraph.Label, len(envs))
+	for i, e := range envs {
+		argMatrix[i] = popArgs(e, n)
+		this[i] = e.PopTmp()
+	}
+	return argMatrix, this
+}
+
 func (in *Interp) evalMethodCall(x *phpast.MethodCall, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	var objs []heapgraph.Label
 	envs, objs = in.eval(x.Obj, envs)
 	pushTmp(envs, objs)
-	for _, a := range x.Args {
-		var ls []heapgraph.Label
-		envs, ls = in.eval(a, envs)
-		pushTmp(envs, ls)
-	}
-	argMatrix := make([][]heapgraph.Label, len(envs))
-	this := make([]heapgraph.Label, len(envs))
-	for i, e := range envs {
-		args := make([]heapgraph.Label, len(x.Args))
-		for j := len(x.Args) - 1; j >= 0; j-- {
-			args[j] = e.PopTmp()
-		}
-		argMatrix[i] = args
-		this[i] = e.PopTmp()
-	}
+	envs = in.pushArgs(x.Args, envs)
+	argMatrix, this := popThisArgs(envs, len(x.Args))
 
-	if decl, ok := in.funcs[strings.ToLower(x.Method)]; ok {
+	t, _ := in.prog.Target(x)
+	if t.Func != nil {
 		var out heapgraph.EnvSet
 		var outLabels []heapgraph.Label
 		for i, e := range envs {
-			sub, ls := in.inlineCall(decl, [][]heapgraph.Label{argMatrix[i]}, heapgraph.EnvSet{e}, this[i], x.P.Line)
+			sub, ls := in.inlineCall(t.Func, [][]heapgraph.Label{argMatrix[i]}, heapgraph.EnvSet{e}, this[i], x.P.Line)
 			out = append(out, sub...)
 			outLabels = append(outLabels, ls...)
 		}
@@ -190,7 +162,7 @@ func (in *Interp) evalMethodCall(x *phpast.MethodCall, envs heapgraph.EnvSet) (h
 	}
 	labels := make([]heapgraph.Label, len(envs))
 	for i := range envs {
-		fn := in.g.NewFunc("method_"+strings.ToLower(x.Method), sexpr.Unknown, x.P.Line)
+		fn := in.g.NewFunc("method_"+t.Name, sexpr.Unknown, x.P.Line)
 		in.g.AddEdge(fn, this[i])
 		for _, a := range argMatrix[i] {
 			in.g.AddEdge(fn, a)
@@ -201,10 +173,6 @@ func (in *Interp) evalMethodCall(x *phpast.MethodCall, envs heapgraph.EnvSet) (h
 }
 
 func (in *Interp) evalStaticCall(x *phpast.StaticCall, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
-	call := &phpast.Call{P: x.P, Func: &phpast.Name{P: x.P, Value: x.Class + "::" + x.Method}, Args: x.Args}
-	if _, ok := in.funcs[strings.ToLower(x.Class+"::"+x.Method)]; ok {
-		return in.evalCall(call, envs)
-	}
-	call.Func = &phpast.Name{P: x.P, Value: x.Method}
-	return in.evalCall(call, envs)
+	t, _ := in.prog.Target(x)
+	return in.dispatch(t, x.P.Line, envs)
 }

@@ -271,12 +271,14 @@ func (in *Interp) tryJoin(envs heapgraph.EnvSet, runBody bodyFn, catches []catch
 	return all
 }
 
-// inlineFrame inlines one user-function call given the callee's shape and
-// a body runner: recursion/depth cuts yield an opaque symbolic result;
-// otherwise each path gets a fresh scope with parameters bound, the body
-// runs, and return values (or implicit nulls) are collected as the scope
-// pops.
-func (in *Interp) inlineFrame(lname string, params []phpast.Param, declLine, endLine, line int, argMatrix [][]heapgraph.Label, envs heapgraph.EnvSet, thisLabel heapgraph.Label, runBody bodyFn) (heapgraph.EnvSet, []heapgraph.Label) {
+// inlineCall inlines one user-function call: recursion/depth cuts yield
+// an opaque symbolic result; otherwise each path gets a fresh scope with
+// parameters bound, the body runs, and return values (or implicit nulls)
+// are collected as the scope pops. Forks inside the callee propagate to
+// the caller naturally, because the callee's environments are the
+// callers' with one extra scope frame.
+func (in *Interp) inlineCall(fn *phpast.Func, argMatrix [][]heapgraph.Label, envs heapgraph.EnvSet, thisLabel heapgraph.Label, line int) (heapgraph.EnvSet, []heapgraph.Label) {
+	lname, decl := fn.Name, fn.Decl
 	// Recursion or depth cut: opaque symbolic result.
 	cut := len(in.callStack) >= in.opts.MaxCallDepth
 	for _, f := range in.callStack {
@@ -296,7 +298,7 @@ func (in *Interp) inlineFrame(lname string, params []phpast.Param, declLine, end
 	// inlines under merge metadata.
 	withMerge := false
 	if thisLabel == heapgraph.Null {
-		if sum := in.callSummary(lname); sum != nil {
+		if sum := in.opts.Summaries.Lookup(fn); sum != nil {
 			switch {
 			case sum.Escapes:
 				in.stats.SummaryEscapedCallees++
@@ -345,7 +347,7 @@ func (in *Interp) inlineFrame(lname string, params []phpast.Param, declLine, end
 		if thisLabel != heapgraph.Null {
 			e.Bind("this", thisLabel)
 		}
-		for j, p := range params {
+		for j, p := range decl.Params {
 			var l heapgraph.Label
 			if j < len(args) && args[j] != heapgraph.Null {
 				l = args[j]
@@ -355,7 +357,7 @@ func (in *Interp) inlineFrame(lname string, params []phpast.Param, declLine, end
 				_, ls := in.eval(p.Default, heapgraph.EnvSet{e})
 				l = ls[0]
 			} else {
-				l = in.g.NewSymbol("s_param_"+p.Name, sexpr.Unknown, declLine)
+				l = in.g.NewSymbol("s_param_"+p.Name, sexpr.Unknown, decl.P.Line)
 			}
 			e.Bind(p.Name, l)
 		}
@@ -364,9 +366,9 @@ func (in *Interp) inlineFrame(lname string, params []phpast.Param, declLine, end
 	if withMerge {
 		// Metadata is pushed after the scopes exist so the recorded
 		// depth is the depth the body's statements run at.
-		popMerge = in.pushMergeScope(lname, envs)
+		popMerge = in.pushMergeScope(fn, envs)
 	}
-	envs = runBody(envs)
+	envs = in.execStmts(decl.Body, envs)
 	if popMerge != nil {
 		popMerge()
 	}
@@ -375,7 +377,7 @@ func (in *Interp) inlineFrame(lname string, params []phpast.Param, declLine, end
 		if e.Returned != heapgraph.Null {
 			labels[i] = e.Returned
 		} else {
-			labels[i] = in.g.NewConcrete(sexpr.NullVal{}, endLine)
+			labels[i] = in.g.NewConcrete(sexpr.NullVal{}, decl.EndLine)
 		}
 		e.PopScope()
 	}

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 
+	"repro/internal/heapgraph"
 	"repro/internal/phpast"
 )
 
@@ -42,19 +43,27 @@ func ParseInterprocKind(s string) (InterprocKind, error) {
 	}
 }
 
-// EngineFactory builds per-root interpreters over a shared file set.
+// EngineFactory builds per-root interpreters over one scan's program
+// table, which it builds once: every root, retry rung and worker of the
+// scan shares it, and New walks no AST.
 type EngineFactory struct {
-	files []*phpast.File
+	prog *phpast.Program
 }
 
 // NewEngineFactory returns the factory for a scan's parsed files. The
 // kind is always EngineTree (see EngineKind).
 func NewEngineFactory(_ EngineKind, files []*phpast.File) *EngineFactory {
-	return &EngineFactory{files: files}
+	return &EngineFactory{prog: phpast.NewProgram(files)}
 }
 
 // New builds a fresh interpreter (fresh heap graph and statistics) for
 // one root execution.
 func (f *EngineFactory) New(opts Options) *Interp {
-	return New(f.files, opts)
+	return &Interp{
+		opts:        opts.withDefaults(),
+		g:           heapgraph.New(),
+		prog:        f.prog,
+		filesFields: map[string]heapgraph.Label{},
+		superGlobs:  map[string]heapgraph.Label{},
+	}
 }

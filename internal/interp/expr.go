@@ -68,8 +68,8 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 			labels[i] = obj
 		}
 		// Run the constructor when the class is known.
-		if decl, ok := in.funcs[strings.ToLower(x.Class+"::__construct")]; ok {
-			return in.inlineCallWithThis(decl, x.Args, envs, labels, x.P.Line)
+		if t, _ := in.prog.Target(x); t.Func != nil {
+			return in.inlineCallWithThis(t.Func, x.Args, envs, labels, x.P.Line)
 		}
 		return envs, labels
 	case *phpast.PropFetch:
@@ -646,7 +646,7 @@ func (in *Interp) evalPropFetch(x *phpast.PropFetch, envs heapgraph.EnvSet) (hea
 
 func (in *Interp) evalInclude(x *phpast.Include, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	envs, _ = in.eval(x.X, envs)
-	target := in.resolveIncludeFile(x)
+	target := in.prog.Include(in.curFile, x)
 	done := in.g.NewConcrete(sexpr.BoolVal(true), x.P.Line)
 	if target == nil {
 		return envs, sameLabel(envs, done)
@@ -659,49 +659,10 @@ func (in *Interp) evalInclude(x *phpast.Include, envs heapgraph.EnvSet) (heapgra
 	in.fileStack = append(in.fileStack, target.Name)
 	prev := in.curFile
 	in.curFile = target.Name
-	envs = in.execStmts(topLevel(target.Stmts), envs)
+	envs = in.execStmts(target.Top, envs)
 	in.curFile = prev
 	in.fileStack = in.fileStack[:len(in.fileStack)-1]
 	return envs, sameLabel(envs, done)
-}
-
-func (in *Interp) resolveIncludeFile(x *phpast.Include) *phpast.File {
-	lit := includeLit(x.X)
-	if lit == "" {
-		return nil
-	}
-	if f, ok := in.files[lit]; ok {
-		return f
-	}
-	rel := dirOf(in.curFile) + "/" + strings.TrimPrefix(lit, "/")
-	if f, ok := in.files[rel]; ok {
-		return f
-	}
-	base := baseOf(lit)
-	var match *phpast.File
-	for name, f := range in.files {
-		if baseOf(name) == base {
-			if match != nil {
-				return nil
-			}
-			match = f
-		}
-	}
-	return match
-}
-
-func includeLit(e phpast.Expr) string {
-	switch x := e.(type) {
-	case *phpast.StringLit:
-		return x.Value
-	case *phpast.Binary:
-		if x.Op == "." {
-			if lit := includeLit(x.R); lit != "" {
-				return strings.TrimPrefix(lit, "/")
-			}
-		}
-	}
-	return ""
 }
 
 func baseOf(p string) string {

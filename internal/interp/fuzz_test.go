@@ -126,7 +126,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 
 // FuzzSummaryEquivalence feeds arbitrary PHP sources through the inline
 // and summary interprocedural strategies and requires the invariants the
-// strategy is sold on: (a) summary building never panics, (b) when both
+// strategy is sold on: (a) computing summaries never panics, (b) when both
 // strategies complete within budget, the summary run explores no
 // more paths than inline, every summary sink hit's observable content
 // (sink, site, src/dst s-expressions) appears among inline's hits, and
@@ -182,22 +182,17 @@ handler();
 			}
 			return []*phpast.File{file}
 		}
-		files := parse()
-		if files == nil {
+		if parse() == nil {
 			t.Skip("parse errors")
 		}
-		set := summary.Build(files)
-		root := func(fs []*phpast.File) *callgraph.Node {
-			return &callgraph.Node{Kind: callgraph.FileNode, Name: "fuzz.php", File: "fuzz.php"}
-		}
+		root := &callgraph.Node{Kind: callgraph.FileNode, Name: "fuzz.php", File: "fuzz.php"}
 		runOne := func(sums *summary.Set) Result {
 			o := opts
 			o.Summaries = sums
-			fs := parse()
-			return New(fs, o).Run(context.Background(), root(fs))
+			return New(parse(), o).Run(context.Background(), root)
 		}
 
-		sum := runOne(set)
+		sum := runOne(new(summary.Set))
 		inline := runOne(nil)
 		if inline.Err != nil || sum.Err != nil {
 			return // a budget abort on either side voids the subset contract

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/callgraph"
 	"repro/internal/heapgraph"
@@ -152,10 +151,9 @@ type Result struct {
 
 // Interp is a single-use symbolic executor over one application.
 type Interp struct {
-	opts  Options
-	g     *heapgraph.Graph
-	funcs map[string]*phpast.FuncDecl
-	files map[string]*phpast.File
+	opts Options
+	g    *heapgraph.Graph
+	prog *phpast.Program
 
 	sinks     []SinkHit
 	callStack []string
@@ -192,46 +190,7 @@ const ctxCheckStride = 64
 // method declarations across the files are resolvable, mirroring PHP's
 // global function table.
 func New(files []*phpast.File, opts Options) *Interp {
-	in := &Interp{
-		opts:        opts.withDefaults(),
-		g:           heapgraph.New(),
-		funcs:       map[string]*phpast.FuncDecl{},
-		files:       map[string]*phpast.File{},
-		filesFields: map[string]heapgraph.Label{},
-		superGlobs:  map[string]heapgraph.Label{},
-	}
-	for _, f := range files {
-		in.files[f.Name] = f
-		in.declare(f.Stmts)
-	}
-	return in
-}
-
-func (in *Interp) declare(stmts []phpast.Stmt) {
-	for _, s := range stmts {
-		phpast.Walk(s, func(n phpast.Node) bool {
-			switch d := n.(type) {
-			case *phpast.FuncDecl:
-				name := strings.ToLower(d.Name)
-				if _, ok := in.funcs[name]; !ok {
-					in.funcs[name] = d
-				}
-			case *phpast.ClassDecl:
-				for _, m := range d.Methods {
-					decl := &phpast.FuncDecl{P: m.P, Name: d.Name + "::" + m.Name, Params: m.Params, Body: m.Body, EndLine: m.EndLine}
-					qual := strings.ToLower(d.Name + "::" + m.Name)
-					if _, ok := in.funcs[qual]; !ok {
-						in.funcs[qual] = decl
-					}
-					bare := strings.ToLower(m.Name)
-					if _, ok := in.funcs[bare]; !ok {
-						in.funcs[bare] = decl
-					}
-				}
-			}
-			return true
-		})
-	}
+	return NewEngineFactory(EngineTree, files).New(opts)
 }
 
 // Graph exposes the heap graph (for vulnerability modeling).
@@ -247,25 +206,24 @@ func (in *Interp) Run(ctx context.Context, root *callgraph.Node) Result {
 	in.curFile = root.File
 	switch root.Kind {
 	case callgraph.FileNode:
-		f := in.files[root.Name]
-		if f != nil {
-			in.curFile = f.Name
-			envs = in.execStmts(topLevel(f.Stmts), envs)
+		if u := in.prog.Unit(root.Name); u != nil {
+			in.curFile = u.Name
+			envs = in.execStmts(u.Top, envs)
 		}
 	case callgraph.FuncNode:
-		if root.Func != nil {
+		if fn := in.prog.Funcs[root.Name]; fn != nil {
 			// Execute the function body with parameters bound to fresh
 			// symbols (external inputs).
 			env := envs[0]
-			for _, p := range root.Func.Params {
+			for _, p := range fn.Decl.Params {
 				t := sexpr.Unknown
 				if p.Type == "array" {
 					t = sexpr.Array
 				}
-				env.Bind(p.Name, in.g.NewSymbol("s_param_"+p.Name, t, root.Func.P.Line))
+				env.Bind(p.Name, in.g.NewSymbol("s_param_"+p.Name, t, fn.Decl.P.Line))
 			}
-			pop := in.pushMergeScope(strings.ToLower(root.Func.Name), envs)
-			envs = in.execStmts(root.Func.Body, envs)
+			pop := in.pushMergeScope(fn, envs)
+			envs = in.execStmts(fn.Decl.Body, envs)
 			pop()
 		}
 	}
@@ -278,19 +236,6 @@ func (in *Interp) Run(ctx context.Context, root *callgraph.Node) Result {
 		Err:   in.budgetErr,
 	}
 	return res
-}
-
-// topLevel filters out declarations, which execute only when called.
-func topLevel(stmts []phpast.Stmt) []phpast.Stmt {
-	out := make([]phpast.Stmt, 0, len(stmts))
-	for _, s := range stmts {
-		switch s.(type) {
-		case *phpast.FuncDecl, *phpast.ClassDecl:
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // overBudget checks and records budget exhaustion and context

@@ -2,8 +2,8 @@ package interp
 
 import (
 	"repro/internal/heapgraph"
+	"repro/internal/phpast"
 	"repro/internal/sexpr"
-	"repro/internal/summary"
 )
 
 // Statement-boundary path merging: the summary engine's answer to the
@@ -48,14 +48,14 @@ type mergeFrame struct {
 	syms map[string]bool
 }
 
-// pushMergeScope enters a summarized scope for the named function if
-// summary mode is on and the function's summary permits merging. The
-// returned func pops whatever was pushed (a no-op when nothing was).
-func (in *Interp) pushMergeScope(lname string, envs heapgraph.EnvSet) func() {
+// pushMergeScope enters a summarized scope for the function if summary
+// mode is on and the function's summary permits merging. The returned
+// func pops whatever was pushed (a no-op when nothing was).
+func (in *Interp) pushMergeScope(fn *phpast.Func, envs heapgraph.EnvSet) func() {
 	if in.opts.Summaries == nil || len(envs) == 0 {
 		return func() {}
 	}
-	sum := in.opts.Summaries.Lookup(lname)
+	sum := in.opts.Summaries.Lookup(fn)
 	if sum == nil || sum.Escapes {
 		return func() {}
 	}
@@ -318,12 +318,4 @@ func sexprEqual(a, b sexpr.Expr) bool {
 		return false
 	}
 	return a == b
-}
-
-// callSummary resolves the summary for a callee, or nil in inline mode.
-func (in *Interp) callSummary(lname string) *summary.Summary {
-	if in.opts.Summaries == nil {
-		return nil
-	}
-	return in.opts.Summaries.Lookup(lname)
 }

@@ -4,22 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/heapgraph"
-	"repro/internal/phpast"
-	"repro/internal/phpparser"
 	"repro/internal/sexpr"
 	"repro/internal/summary"
 )
 
-// runSummary parses one file, builds its function summaries, and runs
-// the file root under the tree engine with the summary strategy on.
+// runSummary runs the file root of one file under the tree engine with
+// the summary strategy on.
 func runSummary(t *testing.T, src string) Result {
 	t.Helper()
-	f, errs := phpparser.Parse("test.php", src)
-	if len(errs) > 0 {
-		t.Fatalf("parse: %v", errs)
-	}
-	set := summary.Build([]*phpast.File{f})
-	return run(t, src, Options{Summaries: set})
+	return run(t, src, Options{Summaries: new(summary.Set)})
 }
 
 // TestMergeCollapsesDeadStoreBranch: a branch whose only effect is a

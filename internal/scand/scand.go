@@ -757,7 +757,7 @@ func (d *Daemon) runJob(job *Job) {
 				return
 			}
 		}
-		raw, err := canonicalReport(rep)
+		raw, err := uchecker.CanonicalReport(rep)
 		if err != nil {
 			d.finishJob(job, scanjournal.TypeJobFail, nil, "encode report: "+err.Error())
 			return
@@ -858,17 +858,6 @@ func (d *Daemon) finishJob(job *Job, typ string, report json.RawMessage, errText
 	d.mu.Unlock()
 	d.removeSpool(job.ID)
 	d.hub.publishState(job.ID, state, errText)
-}
-
-// canonicalReport serializes a report with its wall-clock fields
-// zeroed — the same canonical form the distributed merge uses, and the
-// reason a killed-and-restarted daemon's results are byte-identical to
-// an uninterrupted run's.
-func canonicalReport(rep *uchecker.AppReport) (json.RawMessage, error) {
-	c := *rep
-	c.Seconds = 0
-	c.MemoryMB = 0
-	return json.Marshal(&c)
 }
 
 // --- Drain / Close ---

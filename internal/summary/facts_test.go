@@ -31,18 +31,19 @@ const corpusFactsPath = "testdata/corpus_facts.golden"
 // FuzzSummaryEquivalence.
 const summarySeedDir = "../interp/testdata/fuzz/FuzzSummaryEquivalence"
 
-// factsFingerprint renders the engine-facing facts of every registered
-// function, sorted by name, reading each through Lookup as the
-// interpreter does.
-func factsFingerprint(set *Set) string {
-	names := make([]string, 0, len(set.funcs))
-	for n := range set.funcs {
+// factsFingerprint renders the engine-facing facts of every name the
+// program table registers, sorted, reading each through Lookup of the
+// declaration the name resolves to, as the interpreter does.
+func factsFingerprint(prog *phpast.Program) string {
+	names := make([]string, 0, len(prog.Funcs))
+	for n := range prog.Funcs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	set := new(Set)
 	var sb strings.Builder
 	for _, n := range names {
-		s := set.Lookup(n)
+		s := set.Lookup(prog.Funcs[n])
 		fmt.Fprintf(&sb, "%s escapes=%t reason=%q trivial=%t retFormal=%d retConst=%#v retLine=%d dead=%q merge=%q\n",
 			n, s.Escapes, s.EscapeReason, s.Trivial(), s.ReturnFormal, s.ReturnConst, s.ReturnLine, s.DeadVars, s.MergeVars)
 	}
@@ -63,7 +64,7 @@ func factsOf(sources map[string]string) string {
 			files = append(files, f)
 		}
 	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(factsFingerprint(Build(files)))))
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(factsFingerprint(phpast.NewProgram(files)))))
 }
 
 // readFuzzSeed decodes a one-string "go test fuzz v1" seed file.

@@ -22,22 +22,11 @@ type localScan struct {
 	declared map[string]bool // names in global/static declarations or params
 }
 
-// summarize walks one declaration's body (decl is a *phpast.FuncDecl
-// or *phpast.ClassMethod registered under name) and returns its facts.
-func summarize(name, file string, decl phpast.Node) *Summary {
-	var (
-		params   []phpast.Param
-		body     []phpast.Stmt
-		line     int
-		isMethod bool
-	)
-	switch d := decl.(type) {
-	case *phpast.FuncDecl:
-		params, body, line = d.Params, d.Body, d.P.Line
-	case *phpast.ClassMethod:
-		params, body, line, isMethod = d.Params, d.Body, d.P.Line, true
-	}
-	sum := &Summary{Name: name, File: file, Line: line, ReturnFormal: -1}
+// summarize walks one registered declaration's body and returns its
+// facts.
+func summarize(fn *phpast.Func) *Summary {
+	params, body := fn.Decl.Params, fn.Decl.Body
+	sum := &Summary{Name: fn.Name, File: fn.File, Line: fn.Decl.P.Line, ReturnFormal: -1}
 	sc := &localScan{
 		sum:      sum,
 		params:   map[string]int{},
@@ -57,7 +46,7 @@ func summarize(name, file string, decl phpast.Node) *Summary {
 			sc.escape("variadic param")
 		}
 	}
-	if isMethod {
+	if fn.Method {
 		sc.escape("class method")
 	}
 	if len(params) > 64 {

@@ -13,15 +13,15 @@
 //     merging.
 //
 // The facts come from one syntactic walk over a function's body
-// (local.go), a pure function of its declaration. A Set only indexes
-// the declarations up front; Lookup walks a body the first time a scan
-// asks for it, so a scan pays for the functions it reaches rather than
-// for every function the target declares.
+// (local.go), a pure function of its declaration. A Set holds no index
+// of its own: the interpreter passes the declaration it resolved in the
+// scan's phpast.Program, and Lookup walks its body the first time a
+// scan asks for it, so a scan pays for the functions it reaches rather
+// than for every function the target declares.
 package summary
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -78,95 +78,55 @@ func (s *Summary) Trivial() bool {
 }
 
 // Set is the summary table for one scan, shared by every root, retry
-// rung and worker. It is safe for concurrent Lookup.
+// rung and worker. The zero value is an empty table; it is safe for
+// concurrent Lookup.
 type Set struct {
-	funcs    map[string]*entry
+	funcs    sync.Map // registered name -> *entry
 	computed atomic.Int64
 }
 
-// entry is one registered name: the declaration that won it (a
-// *phpast.FuncDecl or *phpast.ClassMethod) and, once some Lookup asked
-// for it, its summary.
+// entry is one registered name's summary, computed by the first Lookup.
 type entry struct {
-	file *phpast.File
-	decl phpast.Node
 	once sync.Once
 	sum  *Summary
 }
 
-// Lookup returns the summary registered under the interpreter's
-// lowercase name for the callee, or nil. The first call for a name
-// computes its facts; every later call returns the same *Summary.
-func (s *Set) Lookup(lname string) *Summary {
-	if s == nil {
+// Lookup returns the summary of fn, the declaration the interpreter
+// resolved in the scan's program table for a call or a root; nil fn
+// (or a nil Set) yields nil. Facts are memoized per registered name:
+// the first Lookup of a name computes them, and every later one returns
+// the same *Summary.
+func (s *Set) Lookup(fn *phpast.Func) *Summary {
+	if s == nil || fn == nil {
 		return nil
 	}
-	e := s.funcs[lname]
-	if e == nil {
-		return nil
+	v, ok := s.funcs.Load(fn.Name)
+	if !ok {
+		v, _ = s.funcs.LoadOrStore(fn.Name, new(entry))
 	}
+	e := v.(*entry)
 	e.once.Do(func() {
-		e.sum = summarize(lname, e.file.Name, e.decl)
+		e.sum = summarize(fn)
 		s.computed.Add(1)
 	})
 	return e.sum
 }
 
-// Computed is the number of registered functions whose facts Lookup
-// has computed so far. It depends only on which names were looked up,
-// not on their order, so a scan's total is the same at every worker
-// count.
+// Computed is the number of registered names whose facts Lookup has
+// computed so far. It depends only on which names were looked up, not
+// on their order, so a scan's total is the same at every worker count.
 func (s *Set) Computed() int64 { return s.computed.Load() }
 
-// Build indexes the functions of a set of parsed files without walking
-// any body. Name registration mirrors the interpreter's declare():
-// FuncDecls under their lowercase name, class methods under both the
-// qualified "class::method" and the bare method name, and the first
-// declaration wins, so the file order must match the interpreter's.
-func Build(files []*phpast.File) *Set {
-	set := &Set{funcs: map[string]*entry{}}
-	for _, f := range files {
-		add := func(name string, decl phpast.Node) {
-			if _, ok := set.funcs[name]; !ok {
-				set.funcs[name] = &entry{file: f, decl: decl}
-			}
-		}
-		phpast.Walk(f, func(n phpast.Node) bool {
-			switch d := n.(type) {
-			case *phpast.FuncDecl:
-				add(lower(d.Name), d)
-			case *phpast.ClassDecl:
-				for _, m := range d.Methods {
-					add(lower(d.Name+"::"+m.Name), m)
-					add(lower(m.Name), m)
-				}
-				return false // methods handled; don't re-walk as nested decls
-			}
-			return true
-		})
-	}
-	return set
-}
+// FileLocal, LocalFile and Compose are what is left of an earlier
+// per-file index. They are kept, doing no work, only because the
+// benchmark module (bench/layers.go) calls and times them.
+type FileLocal struct{}
 
-// FileLocal is one parsed file as Compose takes it. LocalFile and
-// Compose split Build in two only because the benchmark module
-// (bench/layers.go) calls and times them separately.
-type FileLocal struct{ file *phpast.File }
+// LocalFile returns an empty FileLocal; its argument is unused.
+func LocalFile(*phpast.File) *FileLocal { return &FileLocal{} }
 
-// LocalFile wraps one parsed file for Compose.
-func LocalFile(f *phpast.File) *FileLocal { return &FileLocal{file: f} }
-
-// Compose is Build over the wrapped files, in order; nil entries are
-// skipped. The factory argument is unused.
-func Compose(locals []*FileLocal, _ *smt.Factory) *Set {
-	files := make([]*phpast.File, 0, len(locals))
-	for _, fl := range locals {
-		if fl != nil {
-			files = append(files, fl.file)
-		}
-	}
-	return Build(files)
-}
+// Compose returns an empty Set; its arguments are unused.
+func Compose(_ []*FileLocal, _ *smt.Factory) *Set { return new(Set) }
 
 // superglobals must never be treated as mergeable condition variables
 // or dead locals: their values are shared with the caller's world.
@@ -186,5 +146,3 @@ func sortedNames(m map[string]bool) []string {
 	sort.Strings(out)
 	return out
 }
-
-func lower(s string) string { return strings.ToLower(s) }

@@ -20,9 +20,18 @@ func parse(t *testing.T, src string) *phpast.File {
 	return f
 }
 
-func build(t *testing.T, src string) *Set {
+// table is a program table and a summary set, looked up by name the
+// way the interpreter resolves a call.
+type table struct {
+	prog *phpast.Program
+	set  *Set
+}
+
+func (tb table) Lookup(name string) *Summary { return tb.set.Lookup(tb.prog.Funcs[name]) }
+
+func build(t *testing.T, src string) table {
 	t.Helper()
-	return Build([]*phpast.File{parse(t, src)})
+	return table{phpast.NewProgram([]*phpast.File{parse(t, src)}), new(Set)}
 }
 
 func TestTrivialPassthrough(t *testing.T) {
@@ -162,7 +171,7 @@ function post($_POST) { return $_POST; }
 // wantInlined checks that each named function neither escapes nor
 // takes the trivial shape: the engine inlines it under merge metadata.
 // Calls, sinks and recursion all land here.
-func wantInlined(t *testing.T, set *Set, names ...string) {
+func wantInlined(t *testing.T, set table, names ...string) {
 	t.Helper()
 	for _, name := range names {
 		s := set.Lookup(name)
@@ -235,52 +244,28 @@ function odd($n, $x) { if ($n) { return even($n, $x); } return "done"; }
 	}
 }
 
-// TestFirstDeclarationWins pins duplicate-name resolution to the
-// interpreter's: across files in scan order, and between a method's
-// bare name and a later function of the same name, the first
-// declaration owns the name.
-func TestFirstDeclarationWins(t *testing.T) {
-	parseAs := func(name, src string) *phpast.File {
-		f, errs := phpparser.Parse(name, "<?php\n"+src)
-		if len(errs) > 0 {
-			t.Fatalf("%s: parse errors: %v", name, errs)
-		}
-		return f
-	}
-	set := Build([]*phpast.File{
-		parseAs("a.php", `function f($x) { return $x; } class C { function g() { return 1; } }`),
-		parseAs("b.php", `function f(&$x) { return $x; } function g() { return 1; }`),
-	})
-	if s := set.Lookup("f"); s.File != "a.php" || s.Escapes || !s.Trivial() {
-		t.Errorf("f: File=%s Escapes=%v Trivial=%v, want a.php's trivial passthrough", s.File, s.Escapes, s.Trivial())
-	}
-	if s := set.Lookup("g"); s.File != "a.php" || s.EscapeReason != "class method" {
-		t.Errorf("g: File=%s EscapeReason=%q, want a.php's method", s.File, s.EscapeReason)
-	}
-}
-
 // TestLookupComputesOnce has 8 goroutines look up every registered
 // name at once (run it under -race): each name must yield one *Summary
-// shared by every caller, computed exactly once, and unregistered names
-// must compute nothing.
+// shared by every caller, a method's bare name the same one as its
+// qualified name, and each declaration is computed exactly once.
 func TestLookupComputesOnce(t *testing.T) {
-	set := build(t, `
+	tb := build(t, `
 function ident($x) { return $x; }
 function konst() { return "up/"; }
 function save($tmp, $dst) { if ($c) { $d = 1; } move_uploaded_file($tmp, $dst); }
 function outer() { function inner() { return 1; } }
 class C { function m($x) { return $x; } }
 `)
-	names := make([]string, 0, len(set.funcs))
-	for n := range set.funcs {
+	names := make([]string, 0, len(tb.prog.Funcs))
+	for n := range tb.prog.Funcs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	if got := strings.Join(names, ","); got != "c::m,ident,inner,konst,m,outer,save" {
 		t.Fatalf("registered names = %s", got)
 	}
-	if set.Computed() != 0 {
-		t.Fatalf("Build computed %d summaries, want 0", set.Computed())
+	if tb.set.Computed() != 0 {
+		t.Fatalf("a new Set computed %d summaries, want 0", tb.set.Computed())
 	}
 	const goroutines = 8
 	got := make([][]*Summary, goroutines)
@@ -290,9 +275,9 @@ class C { function m($x) { return $x; } }
 		go func() {
 			defer wg.Done()
 			for _, n := range names {
-				got[g] = append(got[g], set.Lookup(n))
+				got[g] = append(got[g], tb.Lookup(n))
 			}
-			set.Lookup("undeclared")
+			tb.Lookup("undeclared")
 		}()
 	}
 	wg.Wait()
@@ -306,7 +291,10 @@ class C { function m($x) { return $x; } }
 			}
 		}
 	}
-	if c := set.Computed(); c != int64(len(names)) {
-		t.Errorf("Computed = %d, want %d (one per registered name)", c, len(names))
+	if m, cm := tb.Lookup("m"), tb.Lookup("c::m"); m != cm {
+		t.Errorf("bare name m and c::m resolve to different summaries")
+	}
+	if c := tb.set.Computed(); c != 6 {
+		t.Errorf("Computed = %d, want 6 (one per declaration)", c)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -417,35 +416,7 @@ func (s *Scanner) ScanBatchJournaled(ctx context.Context, targets []Target) ([]*
 		}
 	}
 
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers <= 1 {
-		for i := range targets {
-			runTarget(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runTarget(i)
-				}
-			}()
-		}
-		for i := range targets {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	fanOut(s.opts.Workers, len(targets), runTarget)
 
 	s.finishBatchStats(stats)
 	if err := aborted(); err != nil {

@@ -94,6 +94,34 @@ func NewScanner(opts Options) *Scanner {
 	return &Scanner{opts: opts}
 }
 
+// fanOut calls do(i) for every i in [0, n) on at most workers
+// goroutines, serially when one would do.
+func fanOut(workers, n int, do func(int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := range n {
+			do(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				do(i)
+			}
+		}()
+	}
+	for i := range n {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
 // scanTrace wires span recording for one scan: a Recorder (the
 // caller's, or a private one when only OnSpan is installed) plus the
 // serialized OnSpan delivery. A nil *scanTrace disables tracing with
@@ -240,18 +268,17 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 	}
 	tr.end(parseSpan, obs.A("files", strconv.Itoa(len(files))))
 
-	// The engine factory is built once per scan over the parsed files
-	// every root, worker and degradation-ladder rung shares.
+	// The engine factory builds the scan's program table once; every
+	// root, worker and degradation-ladder rung shares it.
 	engines := interp.NewEngineFactory(interp.EngineTree, files)
 
-	// Function summaries (the -interproc summary strategy) are indexed
-	// once per scan over the same parsed files every root shares; each
-	// function's facts are computed on its first lookup. Nil under inline
-	// mode, which keeps the engines (and their reports) bit-for-bit on
-	// the pre-summary path.
+	// Function summaries (the -interproc summary strategy): one table per
+	// scan that every root shares; each function's facts are computed on
+	// its first lookup. Nil under inline mode, which keeps the engines
+	// (and their reports) bit-for-bit on the pre-summary path.
 	var sums *summary.Set
 	if s.opts.Interproc == interp.InterprocSummary {
-		sums = summary.Build(files)
+		sums = new(summary.Set)
 	}
 
 	// --- Phase 2: locality analysis ---
@@ -316,35 +343,7 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 			failTally.Add(int64(n))
 		}
 	}
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(roots) {
-		workers = len(roots)
-	}
-	if workers <= 1 {
-		for i := range roots {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := range roots {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	fanOut(s.opts.Workers, len(roots), runIdx)
 
 	// --- Deterministic merge, in canonical root order ---
 	for i, root := range roots {

@@ -81,32 +81,27 @@ type WorkerStats struct {
 	Metrics obs.Metrics
 }
 
-// canonicalReportJSON strips the wall-clock fields (Seconds, MemoryMB)
-// from a serialized report — the canonical form under which a
-// distributed merge is byte-identical to a single-process sweep.
-func canonicalReportJSON(raw json.RawMessage) (json.RawMessage, error) {
-	rep, err := decodeReport(raw)
-	if err != nil {
-		return nil, err
-	}
-	rep.Seconds = 0
-	rep.MemoryMB = 0
-	return json.Marshal(rep)
+// CanonicalReport serializes a report with its wall-clock fields
+// (Seconds, MemoryMB) zeroed: the form under which a distributed merge
+// is byte-identical to a single-process sweep, and a restarted daemon's
+// results to an uninterrupted run's.
+func CanonicalReport(rep *AppReport) (json.RawMessage, error) {
+	c := *rep
+	c.Seconds = 0
+	c.MemoryMB = 0
+	return json.Marshal(&c)
 }
 
 // MergedBaseline encodes an in-order report slice exactly as the
 // distributed fold encodes merged.json: canonical per-target reports
-// (wall-clock fields zeroed) in one JSON array. The registry-sim
-// acceptance compares a fleet's merged report byte-for-byte against the
-// baseline of an uninterrupted single-process run.
+// in one JSON array. The registry-sim acceptance compares a fleet's
+// merged report byte-for-byte against the baseline of an uninterrupted
+// single-process run.
 func MergedBaseline(reports []*AppReport) ([]byte, error) {
 	raws := make([]json.RawMessage, len(reports))
 	for i, rep := range reports {
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			return nil, err
-		}
-		if raws[i], err = canonicalReportJSON(raw); err != nil {
+		var err error
+		if raws[i], err = CanonicalReport(rep); err != nil {
 			return nil, err
 		}
 	}
@@ -225,7 +220,11 @@ func (s *Scanner) RunWorker(ctx context.Context, targets []Target, wo WorkerOpti
 			}
 			if view.Done() {
 				path, err := coord.WriteMerged(func(i int, raw json.RawMessage) (json.RawMessage, error) {
-					return canonicalReportJSON(raw)
+					rep, err := decodeReport(raw)
+					if err != nil {
+						return nil, err
+					}
+					return CanonicalReport(rep)
 				})
 				if err != nil {
 					return stats, err
