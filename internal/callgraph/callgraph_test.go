@@ -183,6 +183,32 @@ $u->save("pic");`,
 	}
 }
 
+// TestBuildDispatchEdges pins the edges for call forms the interpreter
+// dispatches through the program table's call-target rule: a
+// constructor, call_user_func with a literal name (to a function and to
+// a sink), and a static call that falls back to a bare sink name.
+func TestBuildDispatchEdges(t *testing.T) {
+	files := parseFiles(t, map[string]string{
+		"a.php": `<?php
+class Up { function __construct($f) {} }
+function save($f) {}
+new Up($x);
+call_user_func('save', $y);
+call_user_func_array('file_put_contents', $z);
+Other::copy($a, $b);`,
+	})
+	g := Build(files)
+	succ := map[string]bool{}
+	for _, n := range g.Succ[g.File("a.php")] {
+		succ[n.String()] = true
+	}
+	for _, want := range []string{"up::__construct()", "save()", "file_put_contents()", "copy()"} {
+		if !succ[want] {
+			t.Errorf("a.php has no edge to %s; successors %v", want, succ)
+		}
+	}
+}
+
 func TestBuildCallbackRegistrar(t *testing.T) {
 	files := parseFiles(t, map[string]string{
 		"hook.php": `<?php
