@@ -7,7 +7,7 @@ GO ?= go
 # (e.g. make fuzz-smoke FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-interp bench-interp-diff bench-smoke bench-module
+.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-smt-diff bench-interp bench-interp-diff bench-smoke bench-module
 
 check: fmt vet build race fuzz-smoke bench-smoke bench-module
 
@@ -118,36 +118,51 @@ bench-scan:
 # Options.DisableIntern ablation, and the model search on
 # portfolio-showcase's budget-exhausting cube), archived as JSON for
 # cross-commit comparison.
+SMT_BENCH = 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch'
+HEAPGRAPH_BENCH = 'BenchmarkPathForkDeep|BenchmarkEnvGetForked'
 bench-smt:
-	@{ $(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch' -benchtime 2s -benchmem ./internal/smt; \
-	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
+	@{ $(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 2s -benchmem ./internal/smt; \
+	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
-# Parse and symbolic-execution benchmarks: the parser alone on the
-# largest corpus app, the interpreter alone on the most path-heavy
+# Constraint-engine allocation gate: re-runs bench-smt's suite and fails
+# when allocs/op or B/op regresses more than 15% against the committed
+# BENCH_smt.json. ns/op is not gated here: it follows the host's speed,
+# which drifts by 2x or more, while allocations do not depend on the
+# host. The fresh run lands in BENCH_smt.new.json.
+bench-smt-diff:
+	@{ $(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 2s -benchmem ./internal/smt; \
+	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | \
+	  $(GO) run ./cmd/benchjson -baseline BENCH_smt.json -max-regress 15 -metrics allocs/op,B/op -out BENCH_smt.new.json
+	@echo "wrote BENCH_smt.new.json (candidate baseline)"
+
+# Parse, call-graph and symbolic-execution benchmarks: the parser alone
+# on the largest corpus app, call-graph construction plus root selection
+# on the same app, the interpreter alone on the most path-heavy
 # completing app, a 32-root app end to end, and the serial full-corpus
 # sweep — archived as JSON for cross-commit comparison.
-INTERP_BENCH = ^Benchmark(PhaseParse|PhaseSymbolicExecution|ScanRoots|ScanSerial)$$
+INTERP_BENCH = ^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial)$$
 bench-interp:
 	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
 	@echo "wrote BENCH_interp.json"
 
-# Parse and symbolic-execution regression gate: re-runs bench-interp's
-# suite and fails when ns/op, allocs/op or B/op regresses more than 15%
-# against the committed BENCH_interp.json. The fresh run lands in
-# BENCH_interp.new.json — CI archives it as the candidate baseline, and
-# after an intentional perf change it replaces the committed file.
+# Parse, call-graph and symbolic-execution regression gate: re-runs
+# bench-interp's suite and fails when ns/op, allocs/op or B/op regresses
+# more than 15% against the committed BENCH_interp.json. The fresh run
+# lands in BENCH_interp.new.json — CI archives it as the candidate
+# baseline, and after an intentional perf change it replaces the
+# committed file.
 bench-interp-diff:
 	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | \
-	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseSymbolicExecution|ScanRoots|ScanSerial)' -out BENCH_interp.new.json
+	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial)' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
-# One-iteration smoke over the constraint-engine, parse and
+# One-iteration smoke over the constraint-engine, parse, call-graph and
 # symbolic-execution benchmarks: keeps the benchmark harnesses compiling
 # and running inside `make check` without paying for a real measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch' -benchtime 1x ./internal/smt
-	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep|BenchmarkEnvGetForked' -benchtime 1x ./internal/heapgraph
+	$(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 1x ./internal/smt
+	$(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 1x ./internal/heapgraph
 	$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 1x .
 
 # The repo benchmark (bench/, driven by bench/run.sh) is its own Go

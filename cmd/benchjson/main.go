@@ -10,13 +10,17 @@
 // pair (ns/op, B/op, allocs/op, custom ReportMetric units, …).
 //
 // With -baseline, benchjson additionally diffs the fresh run against a
-// previously archived JSON document and exits non-zero when ns/op,
-// allocs/op or B/op regresses by more than -max-regress percent on any
-// benchmark (optionally filtered by -match). This is the CI regression
-// gate for the parse and symbolic-execution benchmarks:
+// previously archived JSON document and exits non-zero when a gated
+// metric (-metrics; ns/op, allocs/op and B/op by default) regresses by
+// more than -max-regress percent on any benchmark (optionally filtered
+// by -match). This is the CI regression gate for the parse, call-graph
+// and symbolic-execution benchmarks, and, on allocations only, for the
+// constraint-engine benchmarks:
 //
 //	go test -run '^$' -bench '^Benchmark(PhaseParse|PhaseSymbolicExecution|ScanRoots|ScanSerial)$' -benchmem . |
 //	  go run ./cmd/benchjson -baseline BENCH_interp.json -out BENCH_interp.new.json
+//	go test -run '^$' -bench . -benchmem ./internal/smt |
+//	  go run ./cmd/benchjson -baseline BENCH_smt.json -metrics allocs/op,B/op
 package main
 
 import (
@@ -43,16 +47,19 @@ type doc struct {
 	Results []result          `json:"results"`
 }
 
-// gatedMetrics are the metrics the -baseline diff enforces. Allocation
-// count and allocated bytes move independently: a few large allocations
-// (a whole-input buffer grown by append) can change B/op severalfold
-// while allocs/op barely moves, so both are gated.
-var gatedMetrics = []string{"ns/op", "allocs/op", "B/op"}
+// defaultMetrics are the metrics the -baseline diff gates unless
+// -metrics names others. Allocation count and allocated bytes move
+// independently: a few large allocations (a whole-input buffer grown by
+// append) can change B/op severalfold while allocs/op barely moves, so
+// both are gated. ns/op follows the host's speed; -metrics
+// allocs/op,B/op leaves it out.
+const defaultMetrics = "ns/op,allocs/op,B/op"
 
 func main() {
 	baseline := flag.String("baseline", "", "archived benchjson JSON to diff the fresh run against; exit 1 on regression")
-	maxRegress := flag.Float64("max-regress", 15, "maximum allowed regression in percent for ns/op, allocs/op and B/op")
+	maxRegress := flag.Float64("max-regress", 15, "maximum allowed regression in percent of each gated metric")
 	match := flag.String("match", "", "regexp restricting which benchmarks the -baseline diff gates (default: all)")
+	metrics := flag.String("metrics", defaultMetrics, "comma-separated metrics the -baseline diff gates")
 	out := flag.String("out", "", "write the fresh JSON document to this file instead of stdout")
 	flag.Parse()
 
@@ -60,19 +67,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(fresh); err != nil {
+	if err := writeDoc(*out, fresh); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -91,10 +86,34 @@ func main() {
 	if err != nil {
 		fatalf("bad -match: %v", err)
 	}
-	regressions := diff(&base, fresh, re, *maxRegress, os.Stderr)
+	regressions := diff(&base, fresh, re, strings.Split(*metrics, ","), *maxRegress, os.Stderr)
 	if regressions > 0 {
 		fatalf("%d benchmark regression(s) beyond %.0f%% vs %s", regressions, *maxRegress, *baseline)
 	}
+}
+
+// writeDoc writes d as indented JSON to the file at path, or to stdout
+// when path is empty. A file is closed before writeDoc returns, and an
+// error from the close is returned: the caller may exit right after.
+func writeDoc(path string, d *doc) error {
+	if path == "" {
+		return encode(os.Stdout, d)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := encode(f, d); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func encode(w io.Writer, d *doc) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(d)
 }
 
 func fatalf(format string, args ...any) {
@@ -103,12 +122,13 @@ func fatalf(format string, args ...any) {
 }
 
 // diff compares every baseline benchmark whose name matches re against
-// the fresh run, writes a per-metric report to w, and returns the number
-// of gated metrics that regressed by more than maxRegress percent. A
+// the fresh run on each of metrics, writes a per-metric report to w, and
+// returns the number of metrics that regressed by more than maxRegress
+// percent. A
 // matching baseline benchmark missing from the fresh run counts as a
 // regression: the gate must not silently pass because a bench was
 // renamed or dropped.
-func diff(base, fresh *doc, re *regexp.Regexp, maxRegress float64, w io.Writer) int {
+func diff(base, fresh *doc, re *regexp.Regexp, metrics []string, maxRegress float64, w io.Writer) int {
 	byName := make(map[string]result, len(fresh.Results))
 	for _, r := range fresh.Results {
 		byName[r.Name] = r
@@ -124,7 +144,7 @@ func diff(base, fresh *doc, re *regexp.Regexp, maxRegress float64, w io.Writer) 
 			regressions++
 			continue
 		}
-		for _, m := range gatedMetrics {
+		for _, m := range metrics {
 			bv, bok := b.Metrics[m]
 			fv, fok := f.Metrics[m]
 			if !bok || !fok || bv == 0 {

@@ -120,72 +120,70 @@ func Analyze(g *callgraph.Graph, files []*phpast.File, sources map[string]string
 func lowestCommonAncestors(g *callgraph.Graph) []*callgraph.Node {
 	// Scope components: weakly-connected file/function nodes via
 	// call/include edges only. The shared $_FILES and sink nodes are
-	// excluded so that unrelated features do not merge.
-	comp := map[*callgraph.Node]int{}
-	var order []*callgraph.Node
-	for _, n := range g.Nodes {
-		if n.Kind == callgraph.FileNode || n.Kind == callgraph.FuncNode {
-			order = append(order, n)
-		}
+	// excluded so that unrelated features do not merge. A component
+	// without a $_FILES access can never yield a root, so only the
+	// components of accessors (direct predecessors of $_FILES) are
+	// collected, one traversal each.
+	isScope := func(n *callgraph.Node) bool {
+		return n.Kind == callgraph.FileNode || n.Kind == callgraph.FuncNode
 	}
+	var accessors []*callgraph.Node
 	adj := map[*callgraph.Node][]*callgraph.Node{}
-	for _, n := range order {
+	for _, n := range g.Nodes {
+		if !isScope(n) {
+			continue
+		}
 		for _, s := range g.Succ[n] {
-			if s.Kind == callgraph.FileNode || s.Kind == callgraph.FuncNode {
+			switch {
+			case s.Kind == callgraph.FilesNode:
+				accessors = append(accessors, n)
+			case isScope(s):
 				adj[n] = append(adj[n], s)
 				adj[s] = append(adj[s], n)
 			}
 		}
 	}
-	nextComp := 0
-	for _, n := range order {
-		if _, done := comp[n]; done {
+
+	// Per component: its members, accessors and sink callers.
+	type group struct {
+		accessors   []*callgraph.Node
+		sinkCallers []*callgraph.Node
+		members     []*callgraph.Node
+	}
+	var groups []*group
+	visited := map[*callgraph.Node]bool{}
+	for _, a := range accessors {
+		if visited[a] {
 			continue
 		}
-		nextComp++
-		stack := []*callgraph.Node{n}
-		comp[n] = nextComp
+		grp := &group{}
+		groups = append(groups, grp)
+		visited[a] = true
+		stack := []*callgraph.Node{a}
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			grp.members = append(grp.members, cur)
+			for _, s := range g.Succ[cur] {
+				switch s.Kind {
+				case callgraph.FilesNode:
+					grp.accessors = append(grp.accessors, cur)
+				case callgraph.SinkNode:
+					grp.sinkCallers = append(grp.sinkCallers, cur)
+				}
+			}
 			for _, m := range adj[cur] {
-				if _, done := comp[m]; !done {
-					comp[m] = nextComp
+				if !visited[m] {
+					visited[m] = true
 					stack = append(stack, m)
 				}
 			}
 		}
 	}
 
-	// Per component: accessors (direct predecessors of $_FILES) and sink
-	// callers.
-	type group struct {
-		accessors   []*callgraph.Node
-		sinkCallers []*callgraph.Node
-		members     []*callgraph.Node
-	}
-	groups := map[int]*group{}
-	for _, n := range order {
-		gid := comp[n]
-		grp := groups[gid]
-		if grp == nil {
-			grp = &group{}
-			groups[gid] = grp
-		}
-		grp.members = append(grp.members, n)
-		for _, s := range g.Succ[n] {
-			switch s.Kind {
-			case callgraph.FilesNode:
-				grp.accessors = append(grp.accessors, n)
-			case callgraph.SinkNode:
-				grp.sinkCallers = append(grp.sinkCallers, n)
-			}
-		}
-	}
-
 	var roots []*callgraph.Node
 	for _, grp := range groups {
-		if len(grp.accessors) == 0 || len(grp.sinkCallers) == 0 {
+		if len(grp.sinkCallers) == 0 {
 			continue
 		}
 		reachesScope := func(from, to *callgraph.Node) bool {
@@ -311,9 +309,8 @@ func nodeLines(n *callgraph.Node, files map[string]*phpast.File) int {
 		}
 		lines := 0
 		for _, s := range f.Stmts {
-			switch d := s.(type) {
+			switch s.(type) {
 			case *phpast.FuncDecl, *phpast.ClassDecl:
-				_ = d
 				continue
 			case *phpast.InlineHTML, *phpast.Nop:
 				continue

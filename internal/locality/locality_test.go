@@ -1,6 +1,7 @@
 package locality
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/callgraph"
@@ -273,5 +274,98 @@ up_b();
 				t.Fatalf("root order drift: %v vs %v", again.Roots, first.Roots)
 			}
 		}
+	}
+}
+
+// srcFile is one named source, for tests that fix the scan order.
+type srcFile struct{ name, src string }
+
+// analyzeInOrder is analyze with the files handed to the call graph in
+// the given order.
+func analyzeInOrder(t *testing.T, srcs ...srcFile) Result {
+	t.Helper()
+	files := make([]*phpast.File, 0, len(srcs))
+	sources := make(map[string]string, len(srcs))
+	for _, s := range srcs {
+		f, errs := phpparser.Parse(s.name, s.src)
+		if len(errs) > 0 {
+			t.Fatalf("%s: %v", s.name, errs)
+		}
+		files = append(files, f)
+		sources[s.name] = s.src
+	}
+	return Analyze(callgraph.Build(files), files, sources)
+}
+
+// rootList renders roots as "file node lines" in result order.
+func rootList(res Result) []string {
+	var out []string
+	for _, r := range res.Roots {
+		out = append(out, r.File+" "+r.Node.String()+" "+itoa(r.Lines))
+	}
+	return out
+}
+
+func wantRoots(t *testing.T, res Result, want ...string) {
+	t.Helper()
+	got := rootList(res)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("roots = %q, want %q", got, want)
+	}
+}
+
+// The only $_FILES access is in a function declared in a later file
+// than the file that calls it and the sink: the component is still
+// found from the accessor, and its root is the earlier file.
+func TestLocalityAccessorInLaterFile(t *testing.T) {
+	res := analyzeInOrder(t,
+		srcFile{"a.php", `<?php
+$tmp = up_tmp();
+move_uploaded_file($tmp, "/u/x");
+`},
+		srcFile{"b.php", `<?php
+function up_tmp() {
+	return $_FILES['f']['tmp_name'];
+}
+`})
+	wantRoots(t, res, "a.php a.php 5")
+}
+
+// Two accessors in one component are collected in one traversal: the
+// second, which is also the root, must not start a component of its
+// own and yield the root twice.
+func TestLocalityTwoAccessorsOneComponent(t *testing.T) {
+	res := analyzeInOrder(t, srcFile{"m.php", `<?php
+function up_name() { return $_FILES['f']['name']; }
+function up_save() {
+	move_uploaded_file($_FILES['f']['tmp_name'], "/u/" . up_name());
+}
+up_save();
+`})
+	wantRoots(t, res, "m.php up_save() 4")
+}
+
+// Uncalled functions form components with no $_FILES access; declaring
+// 500 of them, in a file scanned first, leaves the roots unchanged.
+func TestLocalityIgnoresUncalledFunctions(t *testing.T) {
+	upload := srcFile{"upload.php", `<?php
+function handle() {
+	move_uploaded_file($_FILES['f']['tmp_name'], "/u/" . $_FILES['f']['name']);
+}
+if (isset($_FILES['f'])) {
+	handle();
+}
+`}
+	var dead strings.Builder
+	dead.WriteString("<?php\n")
+	for i := 0; i < 500; i++ {
+		dead.WriteString("function unused_" + itoa(i) + "($x) { return $x . '" + itoa(i) + "'; }\n")
+	}
+	alone := analyzeInOrder(t, upload)
+	crowded := analyzeInOrder(t, srcFile{"dead.php", dead.String()}, upload)
+	wantRoots(t, alone, "upload.php upload.php 6")
+	wantRoots(t, crowded, rootList(alone)...)
+	if crowded.AnalyzedLoC != alone.AnalyzedLoC {
+		t.Errorf("analyzed LoC %d with uncalled functions, %d without", crowded.AnalyzedLoC, alone.AnalyzedLoC)
 	}
 }

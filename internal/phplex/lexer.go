@@ -40,7 +40,7 @@ func (l *Lexer) errorf(p phptoken.Pos, format string, args ...any) {
 }
 
 func (l *Lexer) pos() phptoken.Pos {
-	return phptoken.Pos{Offset: l.off, Line: l.line, Col: l.col}
+	return phptoken.Pos{Line: l.line, Col: l.col}
 }
 
 func (l *Lexer) eof() bool { return l.off >= len(l.src) }

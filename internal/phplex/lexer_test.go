@@ -423,20 +423,21 @@ func TestLexArbitraryInputTerminates(t *testing.T) {
 	}
 }
 
-// Property: positions are monotonically non-decreasing in offset.
+// Property: positions are non-decreasing in (Line, Col) order.
 func TestLexPositionsMonotonic(t *testing.T) {
 	f := func(s string) bool {
 		l := New("fuzz", s)
-		prev := -1
+		var prev phptoken.Pos
 		for {
 			tk := l.Next()
 			if tk.Kind == phptoken.EOF {
 				return true
 			}
-			if tk.Pos.Offset < prev {
+			p := tk.Pos
+			if p.Line < prev.Line || p.Line == prev.Line && p.Col < prev.Col {
 				return false
 			}
-			prev = tk.Pos.Offset
+			prev = p
 		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

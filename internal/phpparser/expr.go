@@ -259,16 +259,19 @@ func (p *Parser) parseUnary() phpast.Expr {
 
 func (p *Parser) parseArgs() []phpast.Expr {
 	p.expect(phptoken.LParen)
-	var args []phpast.Expr
+	mark := len(p.exprs)
 	for !p.at(phptoken.RParen) && !p.at(phptoken.EOF) {
 		p.accept(phptoken.Amp) // by-ref call-site (legacy)
-		args = append(args, p.parseExpr())
+		// Parse into a local first: the argument's own calls push and
+		// pop above mark, and append may read p.exprs before or after.
+		x := p.parseExpr()
+		p.exprs = append(p.exprs, x)
 		if !p.accept(phptoken.Comma) {
 			break
 		}
 	}
 	p.expect(phptoken.RParen)
-	return args
+	return pop(&p.exprs, mark)
 }
 
 func (p *Parser) parsePostfix() phpast.Expr {
@@ -549,7 +552,7 @@ func (p *Parser) parseClosure() phpast.Expr {
 		}
 		p.expect(phptoken.RParen)
 	}
-	node.Body = p.parseBlock().Stmts
+	node.Body = p.parseBraced()
 	return node
 }
 

@@ -22,10 +22,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/phpast"
-	"repro/internal/phptoken"
 )
-
-var posType = reflect.TypeOf(phptoken.Pos{})
 
 var updateAST = flag.Bool("update-ast", false, "rewrite "+astGoldenPath+" from the current code")
 
@@ -97,11 +94,6 @@ func (a *astHasher) value(v reflect.Value) {
 	case reflect.Struct:
 		a.buf = append(a.buf, '{')
 		for i := 0; i < v.NumField(); i++ {
-			// Pos.Offset is being deleted; hash positions as line and
-			// column only, which is all the field leaves behind.
-			if v.Type() == posType && v.Type().Field(i).Name == "Offset" {
-				continue
-			}
 			a.value(v.Field(i))
 		}
 		a.buf = append(a.buf, '}')

@@ -36,6 +36,33 @@ type Parser struct {
 	// first; declarations record it as their EndLine.
 	lastLine int
 	errs     []error
+	// stmts, exprs and params are scratch stacks. A list is gathered on
+	// top of its stack, above the lists that enclose it, and pop copies
+	// it out at its final length.
+	stmts  []phpast.Stmt
+	exprs  []phpast.Expr
+	params []phpast.Param
+}
+
+// pop returns the elements of *stack from mark on, in a new slice whose
+// capacity is its length (nil when there are none), and truncates the
+// stack back to mark.
+func pop[T any](stack *[]T, mark int) []T {
+	s := *stack
+	*stack = s[:mark]
+	if len(s) == mark {
+		return nil
+	}
+	out := make([]T, len(s)-mark)
+	copy(out, s[mark:])
+	return out
+}
+
+// pushStmt gathers s, unless it is nil, onto the statement stack.
+func (p *Parser) pushStmt(s phpast.Stmt) {
+	if s != nil {
+		p.stmts = append(p.stmts, s)
+	}
 }
 
 // newParser returns a parser over src with the first token buffered.
@@ -297,11 +324,11 @@ func (p *Parser) parseStmt() phpast.Stmt {
 		}
 		return p.parseExprStmt()
 	case phptoken.KwClass, phptoken.KwInterface:
-		return p.parseClassDecl(false)
+		return p.parseClassDecl()
 	case phptoken.KwAbstract, phptoken.KwFinal:
 		p.next()
 		if p.at(phptoken.KwClass) {
-			return p.parseClassDecl(true)
+			return p.parseClassDecl()
 		}
 		p.errorf("expected class after abstract/final")
 		p.sync()
@@ -376,16 +403,20 @@ func (p *Parser) parseExprStmt() phpast.Stmt {
 }
 
 func (p *Parser) parseBlock() *phpast.Block {
-	t := p.expect(phptoken.LBrace)
-	b := &phpast.Block{P: t.Pos}
+	pos := p.cur().Pos
+	return &phpast.Block{P: pos, Stmts: p.parseBraced()}
+}
+
+// parseBraced parses a braced statement list and returns the statements:
+// a function, method or closure body keeps no Block.
+func (p *Parser) parseBraced() []phpast.Stmt {
+	p.expect(phptoken.LBrace)
+	mark := len(p.stmts)
 	for !p.at(phptoken.RBrace) && !p.at(phptoken.EOF) {
-		s := p.parseStmt()
-		if s != nil {
-			b.Stmts = append(b.Stmts, s)
-		}
+		p.pushStmt(p.parseStmt())
 	}
 	p.expect(phptoken.RBrace)
-	return b
+	return pop(&p.stmts, mark)
 }
 
 // parseBody parses either a braced block or a single statement, returning a
@@ -408,21 +439,26 @@ func (p *Parser) parseBody() *phpast.Block {
 // colon syntax. The terminator is not consumed.
 func (p *Parser) parseAltBody(endIdents ...string) *phpast.Block {
 	b := &phpast.Block{P: p.cur().Pos}
-	for !p.at(phptoken.EOF) {
-		if p.at(phptoken.KwElse) || p.at(phptoken.KwElseif) {
-			return b
-		}
-		for _, id := range endIdents {
-			if p.atIdent(id) {
-				return b
-			}
-		}
-		s := p.parseStmt()
-		if s != nil {
-			b.Stmts = append(b.Stmts, s)
+	mark := len(p.stmts)
+	for !p.at(phptoken.EOF) && !p.atAltEnd(endIdents) {
+		p.pushStmt(p.parseStmt())
+	}
+	b.Stmts = pop(&p.stmts, mark)
+	return b
+}
+
+// atAltEnd reports whether an alternative-syntax body ends here: at
+// else, elseif or one of the given context keywords.
+func (p *Parser) atAltEnd(endIdents []string) bool {
+	if p.at(phptoken.KwElse) || p.at(phptoken.KwElseif) {
+		return true
+	}
+	for _, id := range endIdents {
+		if p.atIdent(id) {
+			return true
 		}
 	}
-	return b
+	return false
 }
 
 func (p *Parser) parseIf() phpast.Stmt {
@@ -591,6 +627,13 @@ func (p *Parser) parseSwitch() phpast.Stmt {
 		}
 		return p.at(phptoken.RBrace) || p.at(phptoken.EOF)
 	}
+	caseBody := func() []phpast.Stmt {
+		mark := len(p.stmts)
+		for !p.at(phptoken.KwCase) && !p.at(phptoken.KwDefault) && !done() {
+			p.pushStmt(p.parseStmt())
+		}
+		return pop(&p.stmts, mark)
+	}
 	for !done() {
 		switch {
 		case p.at(phptoken.KwCase):
@@ -600,12 +643,7 @@ func (p *Parser) parseSwitch() phpast.Stmt {
 				p.accept(phptoken.Semicolon)
 			}
 			c := phpast.SwitchCase{P: ct.Pos, Cond: cond}
-			for !p.at(phptoken.KwCase) && !p.at(phptoken.KwDefault) && !done() {
-				s := p.parseStmt()
-				if s != nil {
-					c.Stmts = append(c.Stmts, s)
-				}
-			}
+			c.Stmts = caseBody()
 			node.Cases = append(node.Cases, c)
 		case p.at(phptoken.KwDefault):
 			dt := p.next()
@@ -613,12 +651,7 @@ func (p *Parser) parseSwitch() phpast.Stmt {
 				p.accept(phptoken.Semicolon)
 			}
 			c := phpast.SwitchCase{P: dt.Pos}
-			for !p.at(phptoken.KwCase) && !p.at(phptoken.KwDefault) && !done() {
-				s := p.parseStmt()
-				if s != nil {
-					c.Stmts = append(c.Stmts, s)
-				}
-			}
+			c.Stmts = caseBody()
 			node.Cases = append(node.Cases, c)
 		default:
 			p.errorf("expected case or default in switch")
@@ -657,7 +690,7 @@ func (p *Parser) parseStaticVars() phpast.Stmt {
 
 func (p *Parser) parseParams() []phpast.Param {
 	p.expect(phptoken.LParen)
-	var params []phpast.Param
+	mark := len(p.params)
 	for !p.at(phptoken.RParen) && !p.at(phptoken.EOF) {
 		var prm phpast.Param
 		prm.P = p.cur().Pos
@@ -692,11 +725,12 @@ func (p *Parser) parseParams() []phpast.Param {
 		if p.accept(phptoken.Assign) {
 			prm.Default = p.parseExpr()
 		}
-		params = append(params, prm)
+		p.params = append(p.params, prm)
 		if !p.accept(phptoken.Comma) {
 			break
 		}
 	}
+	params := pop(&p.params, mark)
 	p.expect(phptoken.RParen)
 	// Optional return type ": ?Foo".
 	if p.accept(phptoken.Colon) {
@@ -713,14 +747,13 @@ func (p *Parser) parseFuncDecl() phpast.Stmt {
 	p.accept(phptoken.Amp) // return-by-reference
 	name := p.expect(phptoken.Ident).Value
 	params := p.parseParams()
-	body := p.parseBlock()
-	return &phpast.FuncDecl{P: t.Pos, Name: name, Params: params, Body: body.Stmts, EndLine: p.lastLine}
+	body := p.parseBraced()
+	return &phpast.FuncDecl{P: t.Pos, Name: name, Params: params, Body: body, EndLine: p.lastLine}
 }
 
-func (p *Parser) parseClassDecl(modified bool) phpast.Stmt {
+func (p *Parser) parseClassDecl() phpast.Stmt {
 	isInterface := p.at(phptoken.KwInterface)
 	t := p.next() // class or interface
-	_ = modified
 	name := p.expect(phptoken.Ident).Value
 	node := &phpast.ClassDecl{P: t.Pos, Name: name, Consts: map[string]phpast.Expr{}, IsInterface: isInterface}
 	if p.accept(phptoken.KwExtends) {
@@ -794,7 +827,7 @@ func (p *Parser) parseClassMember(cls *phpast.ClassDecl) {
 		params := p.parseParams()
 		m := &phpast.ClassMethod{P: t.Pos, Name: name, Params: params, Static: static, Visibility: visibility}
 		if p.at(phptoken.LBrace) {
-			m.Body = p.parseBlock().Stmts
+			m.Body = p.parseBraced()
 		} else {
 			p.stmtEnd() // abstract or interface method
 		}

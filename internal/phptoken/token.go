@@ -361,12 +361,10 @@ func Lookup(lower string) Kind {
 	return Ident
 }
 
-// Pos is a source position. Line and Col are 1-based; Offset is a 0-based
-// byte offset into the file.
+// Pos is a source position: a 1-based line and a 1-based byte column.
 type Pos struct {
-	Offset int
-	Line   int
-	Col    int
+	Line int
+	Col  int
 }
 
 // IsValid reports whether p refers to an actual source location.

@@ -83,7 +83,7 @@ func TestCompoundOp(t *testing.T) {
 }
 
 func TestPos(t *testing.T) {
-	p := Pos{Offset: 10, Line: 3, Col: 7}
+	p := Pos{Line: 3, Col: 7}
 	if !p.IsValid() || p.String() != "3:7" {
 		t.Errorf("pos = %v valid=%v", p, p.IsValid())
 	}
