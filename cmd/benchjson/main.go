@@ -17,7 +17,7 @@
 // and symbolic-execution benchmarks, and, on allocations only, for the
 // constraint-engine benchmarks:
 //
-//	go test -run '^$' -bench '^Benchmark(PhaseParse|PhaseSymbolicExecution|ScanRoots|ScanSerial)$' -benchmem . |
+//	go test -run '^$' -bench '^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial)$' -benchmem . |
 //	  go run ./cmd/benchjson -baseline BENCH_interp.json -out BENCH_interp.new.json
 //	go test -run '^$' -bench . -benchmem ./internal/smt |
 //	  go run ./cmd/benchjson -baseline BENCH_smt.json -metrics allocs/op,B/op
@@ -124,10 +124,9 @@ func fatalf(format string, args ...any) {
 // diff compares every baseline benchmark whose name matches re against
 // the fresh run on each of metrics, writes a per-metric report to w, and
 // returns the number of metrics that regressed by more than maxRegress
-// percent. A
-// matching baseline benchmark missing from the fresh run counts as a
-// regression: the gate must not silently pass because a bench was
-// renamed or dropped.
+// percent. A matching baseline benchmark missing from the fresh run
+// counts as a regression: the gate must not silently pass because a
+// bench was renamed or dropped.
 func diff(base, fresh *doc, re *regexp.Regexp, metrics []string, maxRegress float64, w io.Writer) int {
 	byName := make(map[string]result, len(fresh.Results))
 	for _, r := range fresh.Results {
