@@ -44,8 +44,8 @@ func factsFingerprint(prog *phpast.Program) string {
 	var sb strings.Builder
 	for _, n := range names {
 		s := set.Lookup(prog.Funcs[n])
-		fmt.Fprintf(&sb, "%s escapes=%t reason=%q trivial=%t retFormal=%d retConst=%#v retLine=%d dead=%q merge=%q\n",
-			n, s.Escapes, s.EscapeReason, s.Trivial(), s.ReturnFormal, s.ReturnConst, s.ReturnLine, s.DeadVars, s.MergeVars)
+		fmt.Fprintf(&sb, "%s escapes=%t reason=%q dead=%q merge=%q\n",
+			n, s.Escapes, s.EscapeReason, s.DeadVars, s.MergeVars)
 	}
 	return sb.String()
 }
@@ -88,10 +88,9 @@ func readFuzzSeed(t *testing.T, path string) string {
 }
 
 // TestCorpusFactsGolden freezes the facts the interpreter reads from
-// summaries (escape verdict and reason, Trivial, the trivial-return
-// shape, dead and merge variables) for every function in the corpus and
-// the summary fuzz seeds. Run with -update-facts to rewrite the file
-// after a deliberate change.
+// summaries (escape verdict and reason, dead and merge variables) for
+// every function in the corpus and the summary fuzz seeds. Run with
+// -update-facts to rewrite the file after a deliberate change.
 func TestCorpusFactsGolden(t *testing.T) {
 	var got []string
 	for _, app := range corpus.All() {
