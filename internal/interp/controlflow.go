@@ -293,45 +293,14 @@ func (in *Interp) inlineCall(fn *phpast.Func, argMatrix [][]heapgraph.Label, env
 	}
 
 	// Summary strategy (after the cut check, so cut paths stay
-	// byte-identical to inline mode): trivial callees instantiate
-	// without a frame; escaped callees inline plainly; everything else
-	// inlines under merge metadata.
+	// byte-identical to inline mode): escaped callees inline plainly;
+	// every other callee inlines under merge metadata.
 	withMerge := false
 	if thisLabel == heapgraph.Null {
 		if sum := in.opts.Summaries.Lookup(fn); sum != nil {
-			switch {
-			case sum.Escapes:
+			if sum.Escapes {
 				in.stats.SummaryEscapedCallees++
-			case sum.Trivial():
-				if sum.ReturnFormal >= 0 {
-					// return formal i: hand back the actuals directly —
-					// zero allocations, exactly like the inlined body.
-					i := sum.ReturnFormal
-					ok := true
-					for _, args := range argMatrix {
-						if i >= len(args) || args[i] == heapgraph.Null {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						in.stats.SummaryInstantiated++
-						labels := make([]heapgraph.Label, len(envs))
-						for r := range envs {
-							labels[r] = argMatrix[r][i]
-						}
-						return envs, labels
-					}
-					// A missing actual would take the default/symbol
-					// path inside the frame; fall through to inlining.
-				} else if sum.ReturnConst != nil {
-					// return <literal>: one shared concrete, matching
-					// the single evaluation the inlined body performs.
-					in.stats.SummaryInstantiated++
-					l := in.g.NewConcrete(sum.ReturnConst, sum.ReturnLine)
-					return envs, sameLabel(envs, l)
-				}
-			default:
+			} else {
 				in.stats.SummaryInstantiated++
 				withMerge = true
 			}

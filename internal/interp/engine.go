@@ -23,10 +23,10 @@ const (
 	// InterprocInline inlines every user-function call (the default,
 	// and the paper's behavior).
 	InterprocInline InterprocKind = "inline"
-	// InterprocSummary instantiates per-function symbolic summaries
-	// where possible (trivial returns without a frame; path merging at
-	// statement boundaries inside summarized scopes) and falls back to
-	// inlining for escaped callees.
+	// InterprocSummary inlines every call as InterprocInline does and
+	// merges observably equivalent paths at statement boundaries inside
+	// the frames of callees whose per-function summary does not escape;
+	// escaped callees inline plainly.
 	InterprocSummary InterprocKind = "summary"
 )
 

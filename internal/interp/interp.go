@@ -65,9 +65,9 @@ type Stats struct {
 	// forking is O(scope depth), and this counter grows with depth per
 	// fork rather than with total bindings.
 	PathCondSharedNodes int64
-	// SummaryInstantiated counts call sites answered by a function
-	// summary (trivial instantiation or merge-eligible inlining) under
-	// Options.Summaries. Zero in inline mode.
+	// SummaryInstantiated counts, under Options.Summaries, the call
+	// sites whose callee's summary does not escape, so that the callee
+	// inlines under merge metadata. Zero in inline mode.
 	SummaryInstantiated int64
 	// SummaryEscapedCallees counts call sites whose callee's summary
 	// escaped, forcing a plain inline. Zero in inline mode.
@@ -91,11 +91,12 @@ type Options struct {
 	// MaxCallDepth bounds user-function inlining depth. Default 24.
 	MaxCallDepth int
 	// Summaries switches the call path to the summary interprocedural
-	// strategy: trivial callees instantiate without a frame, and
-	// summarized frames merge observably equivalent paths at statement
-	// boundaries. The set computes a function's summary on its first
-	// lookup, so engines running one scan's roots concurrently may
-	// share it. nil (the default) keeps the inline-everything behavior.
+	// strategy: every callee still inlines, and the frames of callees
+	// whose summary does not escape merge observably equivalent paths
+	// at statement boundaries. The set computes a function's summary on
+	// its first lookup, so engines running one scan's roots concurrently
+	// may share it. nil (the default) keeps the inline-everything
+	// behavior.
 	Summaries *summary.Set
 }
 

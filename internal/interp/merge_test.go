@@ -144,47 +144,63 @@ handler();
 	}
 }
 
-// TestTrivialReturnFormalInstantiated: an identity-shaped helper is
-// answered from its summary — no frame push, the actual's label is the
-// return value — and the result is indistinguishable from inlining.
-func TestTrivialReturnFormalInstantiated(t *testing.T) {
-	src := `<?php
+// TestTrivialShapeMatchesInline: a callee whose body is a single
+// `return <formal>` or `return <literal>` runs through the same frame
+// as every other non-escaping callee, so summary mode allocates what
+// inline mode allocates even when a parameter is defaulted or missing,
+// and the call site counts once as summarized.
+func TestTrivialShapeMatchesInline(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"formal with defaulted other", `<?php
+function pick($a, $b = "x") { return $a; }
+move_uploaded_file($_FILES['f']['tmp_name'], "up/" . pick($_FILES['f']['name']));
+`},
+		{"literal with missing formal", `<?php
+function updir($p) { return "uploads/"; }
+move_uploaded_file($_FILES['f']['tmp_name'], updir() . $_FILES['f']['name']);
+`},
+		{"literal with defaulted formal", `<?php
+function updir($p = 7) { return "uploads/"; }
+move_uploaded_file($_FILES['f']['tmp_name'], updir() . $_FILES['f']['name']);
+`},
+		{"formal", `<?php
+function keep($x) { return $x; }
+move_uploaded_file($_FILES['f']['tmp_name'], "up/" . keep($_FILES['f']['name']));
+`},
+		{"second of two formals", `<?php
 function pick($x, $y) { return $y; }
 $v = pick("a", $_FILES['f']['name']);
 move_uploaded_file($_FILES['f']['tmp_name'], "up/" . $v);
-`
-	inline := run(t, src, Options{})
-	sum := runSummary(t, src)
-	if sum.Stats.SummaryInstantiated != 1 {
-		t.Errorf("SummaryInstantiated = %d, want 1", sum.Stats.SummaryInstantiated)
-	}
-	if len(inline.Sinks) != 1 || len(sum.Sinks) != 1 {
-		t.Fatalf("sinks inline=%d summary=%d, want 1/1", len(inline.Sinks), len(sum.Sinks))
-	}
-	is, ss := inline.Sinks[0], sum.Sinks[0]
-	a := sexprString(inline, is.Dst)
-	b := sexprString(sum, ss.Dst)
-	if a != b {
-		t.Errorf("dst differs: inline=%s summary=%s", a, b)
-	}
-}
-
-// TestTrivialReturnConstInstantiated: a constant-returning helper is
-// answered with one shared concrete allocation at the literal's line.
-func TestTrivialReturnConstInstantiated(t *testing.T) {
-	src := `<?php
+`},
+		{"literal", `<?php
 function updir() { return "uploads/"; }
 move_uploaded_file($_FILES['f']['tmp_name'], updir() . "x.php");
-`
-	inline := run(t, src, Options{})
-	sum := runSummary(t, src)
-	if sum.Stats.SummaryInstantiated != 1 {
-		t.Errorf("SummaryInstantiated = %d, want 1", sum.Stats.SummaryInstantiated)
+`},
 	}
-	a := sexprString(inline, inline.Sinks[0].Dst)
-	b := sexprString(sum, sum.Sinks[0].Dst)
-	if a != b {
-		t.Errorf("dst differs: inline=%s summary=%s", a, b)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			inline := run(t, c.src, Options{})
+			sum := runSummary(t, c.src)
+			if sum.Stats.SummaryInstantiated != 1 {
+				t.Errorf("SummaryInstantiated = %d, want 1", sum.Stats.SummaryInstantiated)
+			}
+			if a, b := inline.Graph.NumObjects(), sum.Graph.NumObjects(); a != b {
+				t.Errorf("objects: inline=%d summary=%d", a, b)
+			}
+			if inline.Paths != sum.Paths {
+				t.Errorf("paths: inline=%d summary=%d", inline.Paths, sum.Paths)
+			}
+			if len(inline.Sinks) != len(sum.Sinks) {
+				t.Fatalf("sinks: inline=%d summary=%d", len(inline.Sinks), len(sum.Sinks))
+			}
+			for i := range inline.Sinks {
+				a := sexprString(inline, inline.Sinks[i].Dst)
+				b := sexprString(sum, sum.Sinks[i].Dst)
+				if a != b {
+					t.Errorf("sink %d dst: inline=%s summary=%s", i, a, b)
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,6 @@
 package summary
 
-import (
-	"repro/internal/phpast"
-	"repro/internal/sexpr"
-)
+import "repro/internal/phpast"
 
 // The local layer: one syntactic walk over one function body.
 // Everything here is a function of the declaration alone (no other
@@ -12,9 +9,7 @@ import (
 
 // localScan carries the walker state for one function body.
 type localScan struct {
-	sum      *Summary
-	params   map[string]int  // formal name -> index
-	assigned map[string]bool // formals that are assignment targets
+	sum *Summary
 	// occurrence bookkeeping for DeadVars / MergeVars
 	occs     map[string]int  // total occurrences per var
 	deadOccs map[string]int  // occurrences that are plain-assign LHS
@@ -26,18 +21,15 @@ type localScan struct {
 // facts.
 func summarize(fn *phpast.Func) *Summary {
 	params, body := fn.Decl.Params, fn.Decl.Body
-	sum := &Summary{Name: fn.Name, File: fn.File, Line: fn.Decl.P.Line, ReturnFormal: -1}
+	sum := &Summary{}
 	sc := &localScan{
 		sum:      sum,
-		params:   map[string]int{},
-		assigned: map[string]bool{},
 		occs:     map[string]int{},
 		deadOccs: map[string]int{},
 		condOccs: map[string]int{},
 		declared: map[string]bool{},
 	}
-	for i, p := range params {
-		sc.params[p.Name] = i
+	for _, p := range params {
 		sc.declared[p.Name] = true
 		switch {
 		case p.ByRef:
@@ -55,8 +47,9 @@ func summarize(fn *phpast.Func) *Summary {
 		sc.escape("too many params")
 	}
 	sc.stmts(body)
-	sc.classifyTrivialReturn(body)
 	sc.finishVars()
+	// Returning sum rather than sc.sum keeps the scan's maps off the
+	// heap: escape analysis would let every field of sc escape with it.
 	return sum
 }
 
@@ -130,12 +123,8 @@ func (sc *localScan) stmt(s phpast.Stmt) {
 		}
 	case *phpast.Break, *phpast.Continue:
 	case *phpast.Return:
-		if n.X != nil {
-			sc.expr(n.X)
-			sc.sum.ReturnLine = n.P.Line
-		}
+		sc.expr(n.X)
 	case *phpast.Global:
-		sc.sum.TouchesGlobals = true
 		sc.escape("global statement")
 		for _, name := range n.Names {
 			sc.declared[name] = true
@@ -182,7 +171,7 @@ func (sc *localScan) expr(e phpast.Expr) {
 	case *phpast.InterpString:
 		sc.exprs(n.Parts)
 	case *phpast.Var:
-		sc.varRead(n)
+		sc.occs[n.Name]++
 	case *phpast.ArrayDim:
 		sc.expr(n.Arr)
 		sc.expr(n.Index)
@@ -209,12 +198,7 @@ func (sc *localScan) expr(e phpast.Expr) {
 		sc.assignTo(n.Target, n.Op == "" && !n.ByRef)
 	case *phpast.IncDec:
 		// Counts as a read-modify-write use of the variable.
-		if v, ok := n.X.(*phpast.Var); ok {
-			sc.varRead(v)
-			sc.markAssignedFormal(v.Name)
-		} else {
-			sc.expr(n.X)
-		}
+		sc.expr(n.X)
 	case *phpast.Ternary:
 		sc.expr(n.Cond)
 		sc.expr(n.Then)
@@ -266,17 +250,6 @@ func (sc *localScan) expr(e phpast.Expr) {
 	}
 }
 
-// varRead records a variable occurrence.
-func (sc *localScan) varRead(v *phpast.Var) {
-	sc.occs[v.Name]++
-	switch v.Name {
-	case "_FILES":
-		sc.sum.TouchesFiles = true
-	case "GLOBALS":
-		sc.sum.TouchesGlobals = true
-	}
-}
-
 // assignTo walks an assignment target and maintains the dead-variable
 // occurrence counts. plain is true for `=` without by-ref or a
 // compound operator.
@@ -286,10 +259,6 @@ func (sc *localScan) assignTo(target phpast.Expr, plain bool) {
 		sc.occs[t.Name]++
 		if plain {
 			sc.deadOccs[t.Name]++
-		}
-		sc.markAssignedFormal(t.Name)
-		if t.Name == "GLOBALS" {
-			sc.sum.TouchesGlobals = true
 		}
 	case *phpast.ArrayDim:
 		sc.expr(t.Index)
@@ -304,12 +273,6 @@ func (sc *localScan) assignTo(target phpast.Expr, plain bool) {
 	}
 }
 
-func (sc *localScan) markAssignedFormal(name string) {
-	if _, ok := sc.params[name]; ok {
-		sc.assigned[name] = true
-	}
-}
-
 // condOccurrence records that an expression position is an entire
 // if-condition or switch-subject — the eligibility anchor for merge
 // variables.
@@ -317,52 +280,6 @@ func (sc *localScan) condOccurrence(e phpast.Expr) {
 	if v, ok := e.(*phpast.Var); ok {
 		sc.condOccs[v.Name]++
 	}
-}
-
-// classifyTrivialReturn detects the trivially instantiable body shape:
-// declarations and no-ops followed by exactly one return of a
-// never-assigned formal or a scalar literal, with nothing after it.
-func (sc *localScan) classifyTrivialReturn(body []phpast.Stmt) {
-	var ret *phpast.Return
-	for _, s := range body {
-		switch n := s.(type) {
-		case *phpast.Nop, *phpast.InlineHTML, *phpast.FuncDecl, *phpast.ClassDecl:
-		case *phpast.Return:
-			if ret != nil {
-				return // two returns: not trivial
-			}
-			ret = n
-		default:
-			return
-		}
-	}
-	if ret == nil {
-		return
-	}
-	// ReturnLine for const returns is the LITERAL's line, because the
-	// engine's instantiation must allocate its concrete at the same
-	// line the inlined evaluation would.
-	switch x := ret.X.(type) {
-	case *phpast.Var:
-		if i, ok := sc.params[x.Name]; ok && !sc.assigned[x.Name] {
-			sc.sum.ReturnFormal = i
-		}
-	case *phpast.StringLit:
-		sc.returnConst(sexpr.StrVal(x.Value), x.P.Line)
-	case *phpast.IntLit:
-		sc.returnConst(sexpr.IntVal(x.Value), x.P.Line)
-	case *phpast.FloatLit:
-		sc.returnConst(sexpr.FloatVal(x.Value), x.P.Line)
-	case *phpast.BoolLit:
-		sc.returnConst(sexpr.BoolVal(x.Value), x.P.Line)
-	case *phpast.NullLit:
-		sc.returnConst(sexpr.NullVal{}, x.P.Line)
-	}
-}
-
-func (sc *localScan) returnConst(v sexpr.Expr, line int) {
-	sc.sum.ReturnConst = v
-	sc.sum.ReturnLine = line
 }
 
 // finishVars computes the sorted DeadVars and MergeVars lists.

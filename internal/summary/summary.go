@@ -6,11 +6,9 @@
 //     (by-ref params, dynamic calls, closures, includes, ...); the
 //     engine inlines escaped callees plainly, so findings never
 //     silently change;
-//   - the trivial-return shape (see Summary.Trivial), which lets a call
-//     site instantiate `return <formal>` and `return <literal>` bodies
-//     without pushing a frame;
 //   - the dead and merge variable sets behind statement-boundary path
-//     merging.
+//     merging, which the engine applies while it inlines every other
+//     callee.
 //
 // The facts come from one syntactic walk over a function's body
 // (local.go), a pure function of its declaration. A Set holds no index
@@ -26,34 +24,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/phpast"
-	"repro/internal/sexpr"
 	"repro/internal/smt"
 )
 
 // Summary is the engine-facing summary of one function.
 type Summary struct {
-	Name string // lowercase registered name
-	File string
-	Line int
-
 	// Escapes marks functions the summary strategy cannot describe;
 	// the engine must inline them. EscapeReason names the first
 	// escaping construct found (for tests and debugging).
 	Escapes      bool
 	EscapeReason string
-
-	// ReturnFormal / ReturnConst describe trivially instantiable
-	// bodies (see Trivial): ReturnFormal >= 0 means the body returns
-	// formal i unchanged; ReturnConst non-nil means it returns that
-	// scalar constant, allocated at ReturnLine (the literal's line).
-	// Otherwise ReturnLine is the line of the last value-returning
-	// statement, or 0.
-	ReturnFormal int
-	ReturnConst  sexpr.Expr
-	ReturnLine   int
-
-	TouchesFiles   bool // reads $_FILES
-	TouchesGlobals bool // global statement or $GLOBALS access
 
 	// DeadVars are locals whose every occurrence is a plain
 	// assignment target: their values are never observed, so two
@@ -64,17 +44,6 @@ type Summary struct {
 	// exact. Both are sorted.
 	DeadVars  []string
 	MergeVars []string
-}
-
-// Trivial reports whether a call site may instantiate this summary
-// without pushing a frame at all: the body is declarations and no-ops
-// plus a single `return <formal>` or `return <scalar literal>`.
-// Instantiation of such a body is byte-identical to inlining it. The
-// shape itself rules out calls, sinks and forks; the touch flags reject
-// a formal named $_FILES or $GLOBALS.
-func (s *Summary) Trivial() bool {
-	return !s.Escapes && !s.TouchesFiles && !s.TouchesGlobals &&
-		(s.ReturnFormal >= 0 || s.ReturnConst != nil)
 }
 
 // Set is the summary table for one scan, shared by every root, retry

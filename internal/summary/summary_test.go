@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/phpast"
 	"repro/internal/phpparser"
-	"repro/internal/sexpr"
 )
 
 func parse(t *testing.T, src string) *phpast.File {
@@ -32,32 +31,6 @@ func (tb table) Lookup(name string) *Summary { return tb.set.Lookup(tb.prog.Func
 func build(t *testing.T, src string) table {
 	t.Helper()
 	return table{phpast.NewProgram([]*phpast.File{parse(t, src)}), new(Set)}
-}
-
-func TestTrivialPassthrough(t *testing.T) {
-	set := build(t, `
-function ident($x) { return $x; }
-function konst() { return "up/"; }
-function knull() { return; }
-`)
-	id := set.Lookup("ident")
-	if id == nil || !id.Trivial() || id.ReturnFormal != 0 {
-		t.Fatalf("ident not a trivial passthrough: %+v", id)
-	}
-	k := set.Lookup("konst")
-	if k == nil || !k.Trivial() || k.ReturnConst != sexpr.Expr(sexpr.StrVal("up/")) {
-		t.Fatalf("konst not a trivial const return: %+v", k)
-	}
-	if kn := set.Lookup("knull"); kn.Trivial() {
-		t.Error("bare return classified as trivial")
-	}
-}
-
-func TestAssignedFormalNotTrivial(t *testing.T) {
-	set := build(t, `function f($x) { $x = 1; return $x; }`)
-	if s := set.Lookup("f"); s.ReturnFormal >= 0 {
-		t.Errorf("reassigned formal still classified as passthrough: %+v", s)
-	}
 }
 
 func TestEscapeTaxonomy(t *testing.T) {
@@ -148,35 +121,15 @@ function f($p) {
 	}
 }
 
-func TestSuperglobalFormalNotTrivial(t *testing.T) {
-	// A formal named like a superglobal keeps the passthrough shape,
-	// but only $_FILES and $GLOBALS set a touch flag, which makes the
-	// body non-trivial.
-	set := build(t, `
-function files($_FILES) { return $_FILES; }
-function globals($GLOBALS) { return $GLOBALS; }
-function post($_POST) { return $_POST; }
-`)
-	for name, trivial := range map[string]bool{"files": false, "globals": false, "post": true} {
-		s := set.Lookup(name)
-		if s.ReturnFormal != 0 || s.Trivial() != trivial {
-			t.Errorf("%s: ReturnFormal=%d Trivial=%v, want 0/%v", name, s.ReturnFormal, s.Trivial(), trivial)
-		}
-	}
-	if s := set.Lookup("files"); !s.TouchesFiles || s.TouchesGlobals {
-		t.Errorf("files: TouchesFiles=%v TouchesGlobals=%v, want true/false", s.TouchesFiles, s.TouchesGlobals)
-	}
-}
-
-// wantInlined checks that each named function neither escapes nor
-// takes the trivial shape: the engine inlines it under merge metadata.
-// Calls, sinks and recursion all land here.
+// wantInlined checks that each named function does not escape: the
+// engine inlines it under merge metadata. Calls, sinks and recursion all
+// land here.
 func wantInlined(t *testing.T, set table, names ...string) {
 	t.Helper()
 	for _, name := range names {
 		s := set.Lookup(name)
-		if s == nil || s.Escapes || s.Trivial() {
-			t.Errorf("%s: want a non-escaping, non-trivial summary: %+v", name, s)
+		if s == nil || s.Escapes {
+			t.Errorf("%s: want a non-escaping summary: %+v", name, s)
 		}
 	}
 }
@@ -186,21 +139,12 @@ func TestTaintThroughCalleeDropsUnusedArg(t *testing.T) {
 function first($a, $b) { return $a; }
 function f($x, $y) { return first($x, $y); }
 `)
-	wantInlined(t, set, "f")
-	if s := set.Lookup("first"); !s.Trivial() || s.ReturnFormal != 0 {
-		t.Errorf("first: Trivial=%v ReturnFormal=%d, want true/0", s.Trivial(), s.ReturnFormal)
-	}
-	if s := set.Lookup("f"); s.ReturnFormal != -1 || s.ReturnLine != 4 {
-		t.Errorf("f: ReturnFormal=%d ReturnLine=%d, want -1/4", s.ReturnFormal, s.ReturnLine)
-	}
+	wantInlined(t, set, "first", "f")
 }
 
 func TestBuiltinCallConservative(t *testing.T) {
 	set := build(t, `function f($a, $b) { return substr($a, 0, 3) . $b; }`)
 	wantInlined(t, set, "f")
-	if s := set.Lookup("f"); s.ReturnConst != nil || s.ReturnLine != 2 {
-		t.Errorf("f: ReturnConst=%v ReturnLine=%d, want nil/2", s.ReturnConst, s.ReturnLine)
-	}
 }
 
 func TestSinkEffects(t *testing.T) {
@@ -209,11 +153,6 @@ function save($tmp, $dst) { move_uploaded_file($tmp, $dst . "/f"); }
 function f($t, $d) { save($t, $d); }
 `)
 	wantInlined(t, set, "save", "f")
-	for _, name := range []string{"save", "f"} {
-		if s := set.Lookup(name); s.ReturnLine != 0 || s.TouchesFiles {
-			t.Errorf("%s: ReturnLine=%d TouchesFiles=%v, want 0/false", name, s.ReturnLine, s.TouchesFiles)
-		}
-	}
 }
 
 func TestRecursionFixpoint(t *testing.T) {
@@ -226,9 +165,6 @@ function walk($dir, $depth) {
 }
 `)
 	wantInlined(t, set, "walk")
-	if s := set.Lookup("walk"); s.ReturnLine != 7 {
-		t.Errorf("walk ReturnLine = %d, want 7 (the last return)", s.ReturnLine)
-	}
 }
 
 func TestMutualRecursionFixpoint(t *testing.T) {
@@ -237,11 +173,6 @@ function even($n, $x) { if ($n) { return odd($n, $x); } return $x; }
 function odd($n, $x) { if ($n) { return even($n, $x); } return "done"; }
 `)
 	wantInlined(t, set, "even", "odd")
-	// odd ends in a literal return, but the call before it rules out
-	// the trivial shape.
-	if s := set.Lookup("odd"); s.ReturnConst != nil || s.ReturnLine != 4 {
-		t.Errorf("odd: ReturnConst=%v ReturnLine=%d, want nil/4", s.ReturnConst, s.ReturnLine)
-	}
 }
 
 // TestLookupComputesOnce has 8 goroutines look up every registered

@@ -42,11 +42,11 @@ type Options struct {
 	// default — the empty string selects it too, reproducing the paper's
 	// behavior including the Cimy budget-exhaustion miss) or
 	// interp.InterprocSummary (compute a function's summary the first
-	// time the scan reaches it, at most once per scan, instantiate
-	// summaries at call sites, and merge observably equivalent paths at
-	// statement boundaries inside summarized scopes; escaped callees —
-	// by-ref params, dynamic calls, globals, methods, closures, … — fall
-	// back to inlining so findings never change).
+	// time the scan reaches it, at most once per scan, and merge
+	// observably equivalent paths at statement boundaries inside the
+	// inlined frames of callees whose summary does not escape; escaped
+	// callees — by-ref params, dynamic calls, globals, methods,
+	// closures, … — inline plainly so findings never change).
 	Interproc interp.InterprocKind
 	// DisableLocality skips the vulnerability-oriented locality analysis
 	// and symbolically executes every file and every function as a root —
