@@ -1,15 +1,15 @@
 // Per-job event streaming: the obs span/counter hooks surfaced as SSE.
 //
 // The hub is deliberately lossy for slow consumers: a subscriber that
-// cannot keep up has events dropped (and counted), never blocks a scan
-// worker — observability must not become backpressure on the pipeline
-// it observes.
+// cannot keep up has events dropped, never blocks a scan worker —
+// observability must not become backpressure on the pipeline it
+// observes. Each drop counts as events_dropped_total{scope="daemon"} in
+// the daemon's registry.
 package scand
 
 import (
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -36,13 +36,13 @@ type Event struct {
 const subBuffer = 256
 
 type eventHub struct {
-	mu      sync.Mutex
-	subs    map[string]map[chan Event]struct{} // jobID → subscribers
-	dropped atomic.Int64
+	mu   sync.Mutex
+	subs map[string]map[chan Event]struct{} // jobID → subscribers
+	reg  *obs.Registry                      // counts dropped events
 }
 
-func newEventHub() *eventHub {
-	return &eventHub{subs: map[string]map[chan Event]struct{}{}}
+func newEventHub(reg *obs.Registry) *eventHub {
+	return &eventHub{subs: map[string]map[chan Event]struct{}{}, reg: reg}
 }
 
 // subscribe registers a listener for one job's events. The returned
@@ -74,7 +74,7 @@ func (h *eventHub) publish(jobID string, ev Event) {
 		select {
 		case ch <- ev:
 		default:
-			h.dropped.Add(1)
+			h.reg.Add(daemonLabels, "events_dropped_total", 1)
 		}
 	}
 	h.mu.Unlock()
@@ -90,9 +90,6 @@ func (h *eventHub) publishSpan(jobID string, sp obs.Span) {
 		DurMicros: int64(sp.Dur() / time.Microsecond),
 	})
 }
-
-// Dropped reports how many events were dropped on slow subscribers.
-func (h *eventHub) Dropped() int64 { return h.dropped.Load() }
 
 // encode renders an Event as one SSE data payload.
 func (ev Event) encode() []byte {

@@ -171,7 +171,6 @@ func Open(cfg Config) (*Daemon, error) {
 		scanner:    uchecker.NewScanner(scanOpts),
 		retry:      cfg.RetryHint,
 		reg:        cfg.Registry,
-		hub:        newEventHub(),
 		now:        cfg.Clock,
 		jobs:       map[string]*Job{},
 		queue:      newFairQueue(),
@@ -187,6 +186,7 @@ func Open(cfg Config) (*Daemon, error) {
 	if d.reg == nil {
 		d.reg = obs.NewRegistry()
 	}
+	d.hub = newEventHub(d.reg)
 	if d.now == nil {
 		d.now = time.Now
 	}
