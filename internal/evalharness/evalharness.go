@@ -338,10 +338,6 @@ func Comparison(opts uchecker.Options) []ToolResult {
 	return tools
 }
 
-// timeNow/timeSince wrap time for the screening stopwatch.
-func timeNow() time.Time            { return time.Now() }
-func timeSince(t time.Time) float64 { return time.Since(t).Seconds() }
-
 // ScreeningResult summarizes a Section IV-B-style screening sweep over a
 // generated plugin population.
 type ScreeningResult struct {
@@ -371,7 +367,7 @@ func Screening(opts uchecker.Options, seed int64, n, plantEvery int) ScreeningRe
 	apps := corpus.RandomPlugins(seed, n, plantEvery)
 	var res ScreeningResult
 	res.Scanned = len(apps)
-	start := timeNow()
+	start := time.Now()
 	targets := make([]uchecker.Target, len(apps))
 	for i, app := range apps {
 		if app.Planted {
@@ -392,7 +388,7 @@ func Screening(opts uchecker.Options, seed int64, n, plantEvery int) ScreeningRe
 			}
 		}
 	}
-	res.Seconds = timeSince(start)
+	res.Seconds = time.Since(start).Seconds()
 	return res
 }
 

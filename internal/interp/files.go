@@ -90,10 +90,6 @@ func (in *Interp) filesField(key string, line int) heapgraph.Label {
 	return arr
 }
 
-// FilesLabel exposes the $_FILES object label for taint queries; Null when
-// the program never touched $_FILES.
-func (in *Interp) FilesLabel() heapgraph.Label { return in.filesArr }
-
 func sanitizeSym(s string) string {
 	out := make([]byte, 0, len(s))
 	for i := 0; i < len(s); i++ {

@@ -194,9 +194,6 @@ func New(files []*phpast.File, opts Options) *Interp {
 	return NewEngineFactory(EngineTree, files).New(opts)
 }
 
-// Graph exposes the heap graph (for vulnerability modeling).
-func (in *Interp) Graph() *heapgraph.Graph { return in.g }
-
 // Run symbolically executes a locality-analysis root and returns the
 // collected result. Path exploration polls ctx at statement and
 // loop-iteration boundaries and aborts with Result.Err set to ctx.Err()

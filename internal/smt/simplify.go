@@ -69,12 +69,6 @@ func (f *Factory) simplifyCounted(t *Term, st *Stats) *Term {
 	return cur
 }
 
-// simplifyCounted is the non-interned entry point kept for the solver's
-// nil-factory path and tests.
-func simplifyCounted(t *Term, st *Stats) *Term {
-	return (*Factory)(nil).simplifyCounted(t, st)
-}
-
 // simplify1 is one bottom-up rewriting pass, memoized per node when f is
 // non-nil. Results are structurally identical to the historical
 // non-factory pass; interning only canonicalizes the pointers.

@@ -121,11 +121,6 @@ func NewSolverWithFactory(opts Options, f *Factory) *Solver {
 	return &Solver{opts: opts.withDefaults(), f: f}
 }
 
-// SetFactory installs (or clears, with nil) the solver's hash-consing
-// factory. Formulas passed to Check are interned against it, so results
-// and Stats are unchanged; only shared work is skipped.
-func (s *Solver) SetFactory(f *Factory) { s.f = f }
-
 // Factory returns the solver's factory (possibly nil).
 func (s *Solver) Factory() *Factory { return s.f }
 
