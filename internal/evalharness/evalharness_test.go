@@ -72,6 +72,28 @@ func TestTableIIICimyBudget(t *testing.T) {
 	t.Fatal("Cimy row missing")
 }
 
+// TestCimyBeforeAfter covers the block `ucheck-bench -table -interproc
+// summary` prints: at a 20000-path budget the inline row blows its
+// budget and misses the upload, while the summary row completes in one
+// path with no retries and flags it.
+func TestCimyBeforeAfter(t *testing.T) {
+	before, after := CimyBeforeAfter(uchecker.Options{Budgets: uchecker.Budgets{MaxPaths: 20000}})
+	if !before.Report.BudgetExceeded || before.Report.Vulnerable {
+		t.Errorf("inline: budget blown=%v vulnerable=%v, want true/false",
+			before.Report.BudgetExceeded, before.Report.Vulnerable)
+	}
+	if after.Report.Paths != 1 || after.Report.Retries != 0 || !after.Report.Vulnerable {
+		t.Errorf("summary: paths=%d retries=%d vulnerable=%v, want 1/0/true",
+			after.Report.Paths, after.Report.Retries, after.Report.Vulnerable)
+	}
+	out := RenderCimyBeforeAfter(before, after)
+	for _, want := range []string{"inline (before)", "summary (after)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q row:\n%s", want, out)
+		}
+	}
+}
+
 // TestTableIIIPathCounts verifies the branch factorization reproduces the
 // paper's path counts exactly for the rows that complete.
 func TestTableIIIPathCounts(t *testing.T) {

@@ -34,6 +34,27 @@ func pathSexprs(res Result) []string {
 	return out
 }
 
+// TestParseInterprocKind covers the -interproc flag value every CLI
+// parses: the empty string and "inline" select inlining, and an unknown
+// value is an error that names it.
+func TestParseInterprocKind(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want InterprocKind
+	}{
+		{"", InterprocInline},
+		{"inline", InterprocInline},
+		{"summary", InterprocSummary},
+	} {
+		if got, err := ParseInterprocKind(c.in); err != nil || got != c.want {
+			t.Errorf("ParseInterprocKind(%q) = %q, %v; want %q", c.in, got, err, c.want)
+		}
+	}
+	if _, err := ParseInterprocKind("bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("ParseInterprocKind(\"bogus\") error = %v, want one naming \"bogus\"", err)
+	}
+}
+
 // Listing 2 of the paper: two paths with reachability (> (+ s 55) 10) and
 // its negation (Figure 4).
 func TestListing2Figure4(t *testing.T) {
