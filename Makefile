@@ -1,6 +1,6 @@
 # Repository check targets. `make check` is the CI gate: formatting,
 # vet, build, the full test suite under the race detector, a bounded
-# fuzz smoke over the PHP lexer and parser, and the benchmark module.
+# fuzz smoke over every fuzz target, and the benchmark module.
 
 GO ?= go
 # Per-target budget for the fuzz smoke; raise for a real fuzzing session
@@ -40,19 +40,24 @@ crash-matrix:
 	$(GO) test -race ./internal/scanjournal
 	$(GO) test -race -run 'TestLoadTargetUnreadable|TestWriteToAtomic' ./cmd/uchecker
 
-# Bounded coverage-guided fuzzing of the robustness frontier: the lexer
-# and parser must never panic on malformed PHP (the scanner's parse-stage
-# fault containment assumes it), the summary strategy must keep its
-# contract with inlining on arbitrary programs, and the solver's search
-# plan must prune exactly where Eval says a conjunct fails. Seed corpora
-# live under each package's testdata/fuzz/.
+# Bounded coverage-guided fuzzing of every fuzz target in the repo: the
+# lexer and parser must never panic on malformed PHP (the scanner's
+# parse-stage fault containment assumes it); an interpreter run must not
+# depend on earlier runs over the same files, and the summary strategy
+# must keep its contract with inlining, on arbitrary programs; the
+# journal and lease folds must survive arbitrary records; the interning
+# factory must agree with the direct constructors; and the solver's
+# search plan must prune exactly where Eval says a conjunct fails. Seed
+# corpora live under each package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime $(FUZZTIME) ./internal/phplex
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/phpparser
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime $(FUZZTIME) ./internal/phpparser
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineEquivalence$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^$$' -fuzz '^FuzzSummaryEquivalence$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalFold$$' -fuzztime $(FUZZTIME) ./internal/scanjournal
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordFold$$' -fuzztime $(FUZZTIME) ./internal/shardcoord
+	$(GO) test -run '^$$' -fuzz '^FuzzFactoryEquivalence$$' -fuzztime $(FUZZTIME) ./internal/smt
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchPlan$$' -fuzztime $(FUZZTIME) ./internal/smt
 
 # Registry-scale distributed-scanning acceptance suite under the race
