@@ -144,11 +144,39 @@ handler();
 	}
 }
 
+// TestTrivialReturnFormalInstantiated: an identity-shaped helper runs
+// through the same frame as every other non-escaping callee, so summary
+// mode matches inline mode and the call site counts once as summarized.
+func TestTrivialReturnFormalInstantiated(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"formal", `<?php
+function keep($x) { return $x; }
+move_uploaded_file($_FILES['f']['tmp_name'], "up/" . keep($_FILES['f']['name']));
+`},
+		{"second of two formals", `<?php
+function pick($x, $y) { return $y; }
+$v = pick("a", $_FILES['f']['name']);
+move_uploaded_file($_FILES['f']['tmp_name'], "up/" . $v);
+`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkSummaryMatchesInline(t, c.src) })
+	}
+}
+
+// TestTrivialReturnConstInstantiated: a constant-returning helper
+// inlines like any other non-escaping callee and matches inline mode.
+func TestTrivialReturnConstInstantiated(t *testing.T) {
+	checkSummaryMatchesInline(t, `<?php
+function updir() { return "uploads/"; }
+move_uploaded_file($_FILES['f']['tmp_name'], updir() . "x.php");
+`)
+}
+
 // TestTrivialShapeMatchesInline: a callee whose body is a single
-// `return <formal>` or `return <literal>` runs through the same frame
-// as every other non-escaping callee, so summary mode allocates what
-// inline mode allocates even when a parameter is defaulted or missing,
-// and the call site counts once as summarized.
+// `return <formal>` or `return <literal>` binds its parameters like
+// any other callee, so summary mode allocates what inline mode
+// allocates even when a parameter is defaulted or missing.
 func TestTrivialShapeMatchesInline(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"formal with defaulted other", `<?php
@@ -163,44 +191,37 @@ move_uploaded_file($_FILES['f']['tmp_name'], updir() . $_FILES['f']['name']);
 function updir($p = 7) { return "uploads/"; }
 move_uploaded_file($_FILES['f']['tmp_name'], updir() . $_FILES['f']['name']);
 `},
-		{"formal", `<?php
-function keep($x) { return $x; }
-move_uploaded_file($_FILES['f']['tmp_name'], "up/" . keep($_FILES['f']['name']));
-`},
-		{"second of two formals", `<?php
-function pick($x, $y) { return $y; }
-$v = pick("a", $_FILES['f']['name']);
-move_uploaded_file($_FILES['f']['tmp_name'], "up/" . $v);
-`},
-		{"literal", `<?php
-function updir() { return "uploads/"; }
-move_uploaded_file($_FILES['f']['tmp_name'], updir() . "x.php");
-`},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			inline := run(t, c.src, Options{})
-			sum := runSummary(t, c.src)
-			if sum.Stats.SummaryInstantiated != 1 {
-				t.Errorf("SummaryInstantiated = %d, want 1", sum.Stats.SummaryInstantiated)
-			}
-			if a, b := inline.Graph.NumObjects(), sum.Graph.NumObjects(); a != b {
-				t.Errorf("objects: inline=%d summary=%d", a, b)
-			}
-			if inline.Paths != sum.Paths {
-				t.Errorf("paths: inline=%d summary=%d", inline.Paths, sum.Paths)
-			}
-			if len(inline.Sinks) != len(sum.Sinks) {
-				t.Fatalf("sinks: inline=%d summary=%d", len(inline.Sinks), len(sum.Sinks))
-			}
-			for i := range inline.Sinks {
-				a := sexprString(inline, inline.Sinks[i].Dst)
-				b := sexprString(sum, sum.Sinks[i].Dst)
-				if a != b {
-					t.Errorf("sink %d dst: inline=%s summary=%s", i, a, b)
-				}
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { checkSummaryMatchesInline(t, c.src) })
+	}
+}
+
+// checkSummaryMatchesInline runs src in inline and summary mode and
+// requires equal objects, paths and sink destinations, with exactly one
+// call site taking the summary merge path.
+func checkSummaryMatchesInline(t *testing.T, src string) {
+	t.Helper()
+	inline := run(t, src, Options{})
+	sum := runSummary(t, src)
+	if sum.Stats.SummaryInstantiated != 1 {
+		t.Errorf("SummaryInstantiated = %d, want 1", sum.Stats.SummaryInstantiated)
+	}
+	if a, b := inline.Graph.NumObjects(), sum.Graph.NumObjects(); a != b {
+		t.Errorf("objects: inline=%d summary=%d", a, b)
+	}
+	if inline.Paths != sum.Paths {
+		t.Errorf("paths: inline=%d summary=%d", inline.Paths, sum.Paths)
+	}
+	if len(inline.Sinks) != len(sum.Sinks) {
+		t.Fatalf("sinks: inline=%d summary=%d", len(inline.Sinks), len(sum.Sinks))
+	}
+	for i := range inline.Sinks {
+		a := sexprString(inline, inline.Sinks[i].Dst)
+		b := sexprString(sum, sum.Sinks[i].Dst)
+		if a != b {
+			t.Errorf("sink %d dst: inline=%s summary=%s", i, a, b)
+		}
 	}
 }
 
