@@ -156,23 +156,22 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job)
 }
 
+// handleResult decides from Result's single read of the job: a job that
+// finishes while the request is in flight answers 409 or its report,
+// never 410.
 func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	raw, err := d.Result(id)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrUnknownJob):
-			writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-		default:
-			job, gerr := d.Get(id)
-			if gerr == nil && !job.State.Terminal() {
-				// Not done yet: 409 with the state, so pollers can
-				// distinguish "in progress" from "gone wrong".
-				writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
-				return
-			}
-			writeJSON(w, http.StatusGone, errorBody{Error: err.Error()})
-		}
+	raw, err := d.Result(r.PathValue("id"))
+	switch {
+	case errors.Is(err, ErrUnknownJob):
+		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		return
+	case errors.Is(err, ErrJobPending):
+		// Not done yet: 409 with the state, so pollers can distinguish
+		// "in progress" from "gone wrong".
+		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		return
+	case err != nil:
+		writeJSON(w, http.StatusGone, errorBody{Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

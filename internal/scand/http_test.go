@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/interp"
 	"repro/internal/uchecker"
 )
@@ -125,6 +126,88 @@ func TestHTTPSubmitStatusResultCancel(t *testing.T) {
 		t.Fatalf("bad JSON = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestHTTPResultPendingThenFinished pins GET /jobs/{id}/result to one
+// read of the job: 409 (Result wraps ErrJobPending) while the job is held
+// in Running at the JobCheckpoint seam, 200 with its report once released,
+// and 410 for a cancelled job.
+func TestHTTPResultPendingThenFinished(t *testing.T) {
+	apps := vulnApps(2)
+	held := make(chan struct{})
+	release := make(chan struct{})
+	var heldOnce, releaseOnce sync.Once
+	cfg := testConfig(t.TempDir(), 1)
+	cfg.FaultHook = func(p faultinject.Point, detail string) error {
+		if p == faultinject.JobCheckpoint {
+			heldOnce.Do(func() { close(held) })
+			<-release
+		}
+		return nil
+	}
+	d := mustOpen(t, cfg)
+	defer d.Close()
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // runs before Close, which waits for the held worker
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	getResult := func(id string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+
+	job, err := d.Submit("acme", apps[0].Name, apps[0].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never reached the checkpoint seam")
+	}
+	if j, _ := d.Get(job.ID); j.State != JobRunning {
+		t.Fatalf("held job state = %s, want running", j.State)
+	}
+	if code, body := getResult(job.ID); code != http.StatusConflict {
+		t.Fatalf("held job result = %d %s, want 409", code, body)
+	}
+	if _, err := d.Result(job.ID); !errors.Is(err, ErrJobPending) {
+		t.Fatalf("held job Result err = %v, want ErrJobPending", err)
+	}
+
+	// The single scan worker is held, so a second job waits in the queue
+	// and cancels at once.
+	queued, err := d.Submit("acme", apps[1].Name, apps[1].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := getResult(queued.ID); code != http.StatusGone {
+		t.Fatalf("cancelled job result = %d %s, want 410", code, body)
+	}
+
+	unblock()
+	waitTerminal(t, d, []string{job.ID}, 60*time.Second, false)
+	code, body := getResult(job.ID)
+	if code != http.StatusOK {
+		t.Fatalf("finished job result = %d %s, want 200", code, body)
+	}
+	var rep uchecker.AppReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("result does not parse: %v", err)
+	}
+	if rep.Name != apps[0].Name {
+		t.Fatalf("result name = %q, want %q", rep.Name, apps[0].Name)
+	}
 }
 
 func TestHTTPSubmitTarball(t *testing.T) {

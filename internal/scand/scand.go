@@ -50,7 +50,9 @@ type Config struct {
 	// Scan is the scan configuration. Workers bounds per-scan
 	// parallelism; persistence fields (Journal, ResumeFrom, CacheDir)
 	// are ignored — the daemon owns persistence, so a job's report
-	// depends only on its sources and this configuration.
+	// depends only on its sources and this configuration. Trace is
+	// ignored too: each job records its spans on a Recorder of its own,
+	// which streams them as the job's span events.
 	Scan uchecker.Options
 	// ScanWorkers is the number of concurrently running jobs. Zero or
 	// negative selects 1.
@@ -68,9 +70,6 @@ type Config struct {
 	Tenants map[string]TenantPolicy
 	// Default is the policy for tenants not in Tenants.
 	Default TenantPolicy
-	// RetryHint is the backoff schedule behind Retry-After hints on shed
-	// submits. The zero value selects scanjournal.DefaultRetry.
-	RetryHint scanjournal.RetryPolicy
 	// MaxJournalRecords / MaxJournalBytes opt into job-journal
 	// auto-compaction (see scanjournal.AutoCompact). Zero disables.
 	MaxJournalRecords int
@@ -85,8 +84,6 @@ type Config struct {
 	// Clock is the admission-control clock, swappable in tests. Nil
 	// selects time.Now.
 	Clock func() time.Time
-	// Registry receives the daemon's metrics. Nil allocates a fresh one.
-	Registry *obs.Registry
 }
 
 // DefaultWatchdogGrace is the wedge-detection window past JobTimeout.
@@ -104,6 +101,9 @@ var (
 	ErrUnknownJob = errors.New("scand: unknown job")
 	// ErrJobTerminal rejects cancelling an already-terminal job.
 	ErrJobTerminal = errors.New("scand: job already terminal")
+	// ErrJobPending is returned for the result of a job that is still
+	// submitted or running.
+	ErrJobPending = errors.New("scand: job not terminal")
 )
 
 // ShedError is a load-shed rejection: the submit was refused before any
@@ -126,15 +126,13 @@ func (e *ShedError) Error() string {
 // Daemon is the scan-as-a-service front end. Open one with Open; serve
 // its Handler; stop it with Drain (graceful) or Close (hard).
 type Daemon struct {
-	cfg     Config
-	scanner *uchecker.Scanner
-	fp      string
-	cache   *scanjournal.Cache
-	jw      *scanjournal.Writer
-	retry   scanjournal.RetryPolicy
-	reg     *obs.Registry
-	hub     *eventHub
-	now     func() time.Time
+	cfg   Config
+	fp    string
+	cache *scanjournal.Cache
+	jw    *scanjournal.Writer
+	reg   *obs.Registry
+	hub   *eventHub
+	now   func() time.Time
 
 	mu         sync.Mutex
 	jobs       map[string]*Job
@@ -164,13 +162,12 @@ func Open(cfg Config) (*Daemon, error) {
 			return nil, fmt.Errorf("scand: mkdir: %w", err)
 		}
 	}
-	scanOpts := cfg.Scan
-	scanOpts.Journal, scanOpts.ResumeFrom, scanOpts.CacheDir = "", "", ""
+	reg := obs.NewRegistry()
 	d := &Daemon{
 		cfg:        cfg,
-		scanner:    uchecker.NewScanner(scanOpts),
-		retry:      cfg.RetryHint,
-		reg:        cfg.Registry,
+		fp:         uchecker.NewScanner(cfg.Scan).OptionsFingerprint(),
+		reg:        reg,
+		hub:        newEventHub(reg),
 		now:        cfg.Clock,
 		jobs:       map[string]*Job{},
 		queue:      newFairQueue(),
@@ -180,17 +177,9 @@ func Open(cfg Config) (*Daemon, error) {
 		stop:       make(chan struct{}),
 		drainCh:    make(chan struct{}),
 	}
-	if d.retry == (scanjournal.RetryPolicy{}) {
-		d.retry = scanjournal.DefaultRetry
-	}
-	if d.reg == nil {
-		d.reg = obs.NewRegistry()
-	}
-	d.hub = newEventHub(d.reg)
 	if d.now == nil {
 		d.now = time.Now
 	}
-	d.fp = d.scanner.OptionsFingerprint()
 
 	cache, err := scanjournal.OpenCache(filepath.Join(cfg.Dir, "cache"), cfg.FaultHook)
 	if err != nil {
@@ -480,7 +469,7 @@ func (d *Daemon) Submit(tenant, name string, sources map[string]string) (Job, er
 		d.shedMetrics(tenant)
 		return Job{}, &ShedError{
 			Reason: "rate", Tenant: tenant,
-			RetryAfter: wait + d.retry.Backoff("rate:"+tenant, min(streak, 6)),
+			RetryAfter: wait + scanjournal.DefaultRetry.Backoff("rate:"+tenant, min(streak, 6)),
 		}
 	}
 	if d.queue.depth(tenant) >= pol.maxQueue() {
@@ -490,7 +479,7 @@ func (d *Daemon) Submit(tenant, name string, sources map[string]string) (Job, er
 		d.shedMetrics(tenant)
 		return Job{}, &ShedError{
 			Reason: "queue", Tenant: tenant,
-			RetryAfter: d.retry.Backoff("queue:"+tenant, min(streak, 6)),
+			RetryAfter: scanjournal.DefaultRetry.Backoff("queue:"+tenant, min(streak, 6)),
 		}
 	}
 	d.shedStreak[tenant] = 0
@@ -569,6 +558,9 @@ func (d *Daemon) Jobs() []Job {
 
 // Result returns a finished job's canonical report bytes. It prefers
 // the journaled report and falls back to the content-addressed cache.
+// The error wraps ErrUnknownJob for an unknown ID and ErrJobPending for
+// a job that is still submitted or running; any other error means the
+// job ended without a servable report.
 func (d *Daemon) Result(id string) (json.RawMessage, error) {
 	d.mu.Lock()
 	job, ok := d.jobs[id]
@@ -591,7 +583,7 @@ func (d *Daemon) Result(id string) (json.RawMessage, error) {
 	case JobFailed, JobCancelled:
 		return nil, fmt.Errorf("scand: job %s %s: %s", id, state, jerr)
 	default:
-		return nil, fmt.Errorf("scand: job %s not terminal (%s)", id, state)
+		return nil, fmt.Errorf("%w: job %s is %s", ErrJobPending, id, state)
 	}
 }
 
@@ -806,19 +798,15 @@ func (d *Daemon) executeScan(ctx context.Context, job *Job) (rep *uchecker.AppRe
 }
 
 // jobScanner builds this job's scanner: same options without their
-// persistence fields, plus a span hook feeding the job's SSE stream.
-// The scanner keeps no state between jobs, so a job re-run after a
-// crash reports exactly what its first run would have.
+// persistence fields, plus a Recorder of the job's own whose OnEnd
+// feeds the job's SSE stream. The scanner keeps no state between jobs,
+// so a job re-run after a crash reports exactly what its first run
+// would have.
 func (d *Daemon) jobScanner(jobID string) *uchecker.Scanner {
 	opts := d.cfg.Scan
 	opts.Journal, opts.ResumeFrom, opts.CacheDir = "", "", ""
-	parent := opts.OnSpan
-	opts.OnSpan = func(sp obs.Span) {
-		d.hub.publishSpan(jobID, sp)
-		if parent != nil {
-			parent(sp)
-		}
-	}
+	opts.Trace = obs.NewRecorder()
+	opts.Trace.OnEnd = func(sp obs.Span) { d.hub.publishSpan(jobID, sp) }
 	return uchecker.NewScanner(opts)
 }
 
