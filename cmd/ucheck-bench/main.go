@@ -14,20 +14,10 @@
 //	                          # statement-boundary path merging; prints a
 //	                          # Cimy before/after block under -table
 //	ucheck-bench -workers 8   # scanner worker pool (default GOMAXPROCS)
-//	ucheck-bench -journal F   # journal the Table III sweep to F (crash-safe)
-//	ucheck-bench -resume F    # resume a killed sweep from journal F
-//	ucheck-bench -cache DIR   # replay unchanged apps from a result cache
-//	ucheck-bench -coord DIR   # join a distributed Table III sweep as one
-//	                          # worker (launch N processes with the same
-//	                          # DIR; lease-based shards, crash reclaim,
-//	                          # deterministic merged table)
 //
-// With -journal/-resume/-cache the Table III sweep runs through the
-// crash-safe batch path: kill it at any point and re-run with
-// `-journal F -resume F` to continue where it stopped — completed apps
-// replay from the journal byte-identically instead of re-scanning. The
-// batch path does not sample per-app memory, so the Mem(MB) column
-// reads 0 there.
+// A crash-safe (journaled, resumable, cached) or distributed sweep is
+// uchecker's job: see its -journal/-resume/-cache and -worker -coord
+// flags.
 //
 // The -max-paths flag lowers the symbolic-execution budget (useful on
 // small machines: 20000 still reproduces every verdict including the Cimy
@@ -38,15 +28,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/evalharness"
 	"repro/internal/interp"
+	"repro/internal/obs"
 	"repro/internal/uchecker"
 )
 
@@ -65,12 +53,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "scanner worker pool size (0 = GOMAXPROCS)")
 		interproc = flag.String("interproc", "", "interprocedural strategy: inline (default) or summary")
 		maxPaths  = flag.Int("max-paths", 0, "path budget (0 = paper-scale default)")
-		journal   = flag.String("journal", "", "journal the Table III sweep to this file (crash-safe)")
-		resume    = flag.String("resume", "", "resume the Table III sweep from this journal")
-		cacheDir  = flag.String("cache", "", "content-addressed result cache directory")
-		coordDir  = flag.String("coord", "", "join a distributed Table III sweep as one worker over this coordination directory")
-		workerID  = flag.String("worker-id", "", "worker name in lease records (default: w<pid>)")
-		shardSize = flag.Int("shard-size", 0, "targets per lease shard in -coord mode (0 = default)")
 	)
 	flag.Parse()
 	if !*table && !*compare && !*all && *screen == 0 && !*failures && !*counters {
@@ -83,47 +65,19 @@ func main() {
 		os.Exit(2)
 	}
 	opts := uchecker.Options{
-		Budgets:    uchecker.Budgets{MaxPaths: *maxPaths},
-		Interproc:  interprocKind,
-		Workers:    *workers,
-		Journal:    *journal,
-		ResumeFrom: *resume,
-		CacheDir:   *cacheDir,
+		Budgets:   uchecker.Budgets{MaxPaths: *maxPaths},
+		Interproc: interprocKind,
+		Workers:   *workers,
 	}
-	crashSafe := *journal != "" || *resume != "" || *cacheDir != ""
 	var times *evalharness.PhaseTimes
 	if *phases {
 		times = evalharness.NewPhaseTimes()
-		opts.OnSpan = times.SpanHook()
-	}
-
-	if *coordDir != "" {
-		if crashSafe {
-			fmt.Fprintln(os.Stderr, "ucheck-bench: -coord manages its own shard journals and cache; drop -journal/-resume/-cache")
-			os.Exit(2)
-		}
-		os.Exit(runDistributed(opts, *coordDir, *workerID, *shardSize, *paper))
+		opts.Trace = obs.NewRecorder()
+		opts.Trace.OnEnd = times.SpanHook()
 	}
 
 	if *table || *all || *failures || *counters {
-		var rows []evalharness.Row
-		if crashSafe {
-			var stats *uchecker.BatchStats
-			var err error
-			rows, stats, err = evalharness.TableIIIBatch(opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ucheck-bench: sweep aborted: %v (re-run with -journal %s -resume %s to continue)\n",
-					err, *journal, *journal)
-				os.Exit(2)
-			}
-			fmt.Printf("sweep: %d targets, %d scanned, %d replayed from journal, %d cache hits, %d salvaged records\n\n",
-				stats.Targets, stats.Scanned, stats.Replayed, stats.CacheHits, stats.SalvagedRecords)
-			for _, fl := range stats.Failures {
-				fmt.Printf("sweep failure: %s\n", fl)
-			}
-		} else {
-			rows = evalharness.TableIII(opts)
-		}
+		rows := evalharness.TableIII(opts)
 		if *table || *all {
 			fmt.Print(evalharness.RenderTableIII(rows))
 			if *paper {
@@ -169,52 +123,6 @@ func main() {
 		fmt.Print(times.Render())
 	}
 	os.Exit(0)
-}
-
-// runDistributed joins a coordination directory as one worker of a
-// distributed Table III sweep. Launch the same command in N processes
-// (or machines sharing a filesystem): each claims leased shards, dead
-// workers are reclaimed via fencing tokens, and whichever worker folds
-// the merged report prints the table. SIGTERM drains gracefully
-// (finished apps stay journaled for the fleet; exit 2).
-func runDistributed(opts uchecker.Options, coordDir, workerID string, shardSize int, paper bool) int {
-	drain := make(chan struct{})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	go func() {
-		<-sigCh
-		close(drain)
-	}()
-
-	ws, rows, err := evalharness.TableIIIWorker(context.Background(), opts, uchecker.WorkerOptions{
-		CoordDir:  coordDir,
-		WorkerID:  workerID,
-		ShardSize: shardSize,
-		Drain:     drain,
-	})
-	if ws != nil {
-		fmt.Fprintf(os.Stderr, "ucheck-bench: worker %s: %d shards published (%d reclaimed), %d leases lost to reclaim\n",
-			ws.Worker, ws.ShardsScanned, ws.ShardsReclaimed, ws.Fenced)
-	}
-	switch {
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "ucheck-bench: worker aborted: %v (the fleet reclaims this worker's leases; re-run with the same -coord to continue)\n", err)
-		return 2
-	case ws.Drained:
-		fmt.Fprintln(os.Stderr, "ucheck-bench: worker drained: finished apps are journaled; run another worker with the same -coord to complete the sweep")
-		return 2
-	case rows == nil:
-		fmt.Fprintln(os.Stderr, "ucheck-bench: worker exited without a merged report")
-		return 2
-	}
-	fmt.Print(evalharness.RenderTableIII(rows))
-	if paper {
-		fmt.Println()
-		printPaperComparison(rows)
-	}
-	fmt.Println()
-	return 0
 }
 
 func printPaperComparison(rows []evalharness.Row) {

@@ -49,9 +49,9 @@ func corpusTarget(app corpus.App) uchecker.Target {
 
 // PhaseTimes aggregates the scanner's trace spans across one or more
 // scans into a per-app, per-phase timing table, keyed by (app,
-// span-name). Safe for concurrent use — install SpanHook() as
-// uchecker.Options.OnSpan before a scan or ScanBatch sweep and Render()
-// afterwards.
+// span-name). Safe for concurrent use — install SpanHook() as the OnEnd
+// of the obs.Recorder passed as uchecker.Options.Trace before a scan or
+// ScanBatch sweep, and Render() afterwards.
 type PhaseTimes struct {
 	mu    sync.Mutex
 	total map[string]map[string]time.Duration
@@ -63,7 +63,7 @@ func NewPhaseTimes() *PhaseTimes {
 	return &PhaseTimes{total: map[string]map[string]time.Duration{}}
 }
 
-// SpanHook returns a callback suitable for uchecker.Options.OnSpan. Every
+// SpanHook returns a callback suitable for obs.Recorder.OnEnd. Every
 // scanner span carries an "app" attribute, so per-root spans attribute
 // correctly even in a concurrent batch. Durations accumulate per (app,
 // span name); the taint-only "fallback" rung counts toward verify.
@@ -87,10 +87,12 @@ func (p *PhaseTimes) SpanHook() func(obs.Span) {
 }
 
 // phaseColumns is the rendering order for the per-phase breakdown: the
-// scanner's span names, pipeline order. "root" is phases 3–6 summed over
-// roots; "interp" and "verify" split it into symbolic execution and
-// modeling+translation+solving; "scan" is the whole-scan wall clock.
-var phaseColumns = []string{"parse", "locality", "root", "interp", "verify", "scan"}
+// scanner's span names, pipeline order. "program" is the interpreter's
+// program-table build and "callgraph" the call graph's (with its own
+// table); "root" is phases 3–6 summed over roots; "interp" and "verify"
+// split it into symbolic execution and modeling+translation+solving;
+// "scan" is the whole-scan wall clock.
+var phaseColumns = []string{"parse", "program", "callgraph", "locality", "root", "interp", "verify", "scan"}
 
 // Render formats the per-app, per-phase breakdown as a table (seconds).
 // A TOTAL row sums each column. root/interp/verify are summed per-root
@@ -146,59 +148,6 @@ func TableIII(opts uchecker.Options) []Row {
 		rows = append(rows, RunApp(app, opts))
 	}
 	return rows
-}
-
-// TableIIIBatch runs the Table III sweep through the crash-safe batch
-// path: with Options.Journal/ResumeFrom set, a killed sweep resumes
-// where it stopped (completed apps replay from the journal), and with
-// Options.CacheDir set, unchanged apps replay from the result cache.
-// Verdicts and work counters are identical to TableIII's; only the
-// MemoryMB column is unmeasured (0) on the batch path, because replayed
-// reports must be byte-identical across runs and a live RSS sample is
-// not. The returned error reports a journal/cache I/O abort — partial
-// rows are still valid.
-func TableIIIBatch(opts uchecker.Options) ([]Row, *uchecker.BatchStats, error) {
-	apps := TableIIIApps()
-	targets := make([]uchecker.Target, len(apps))
-	for i, app := range apps {
-		targets[i] = corpusTarget(app)
-	}
-	reps, stats, err := uchecker.NewScanner(opts).ScanBatchJournaled(context.Background(), targets)
-	rows := make([]Row, len(apps))
-	for i, app := range apps {
-		rows[i] = Row{App: app, Report: reps[i]}
-	}
-	return rows, stats, err
-}
-
-// TableIIIWorker joins a coordination directory as one worker of a
-// distributed Table III sweep (Scanner.RunWorker over the same app
-// list on every worker). When this worker is the one that folds the
-// merged report, the decoded rows are returned for rendering; a
-// drained or non-folding worker returns nil rows. Merged reports are
-// canonical — the Time(s)/Mem(MB) columns read zero, as in batch mode.
-func TableIIIWorker(ctx context.Context, opts uchecker.Options, wo uchecker.WorkerOptions) (*uchecker.WorkerStats, []Row, error) {
-	apps := TableIIIApps()
-	targets := make([]uchecker.Target, len(apps))
-	for i, app := range apps {
-		targets[i] = corpusTarget(app)
-	}
-	ws, err := uchecker.NewScanner(opts).RunWorker(ctx, targets, wo)
-	if err != nil || ws == nil || ws.MergedPath == "" {
-		return ws, nil, err
-	}
-	reps, err := uchecker.ReadMerged(ws.MergedPath)
-	if err != nil {
-		return ws, nil, err
-	}
-	if len(reps) != len(apps) {
-		return ws, nil, fmt.Errorf("evalharness: merged report has %d targets, want %d", len(reps), len(apps))
-	}
-	rows := make([]Row, len(apps))
-	for i, app := range apps {
-		rows[i] = Row{App: app, Report: reps[i]}
-	}
-	return ws, rows, nil
 }
 
 func mustApp(name string) corpus.App {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/obs"
 	"repro/internal/uchecker"
 )
 
@@ -175,9 +176,11 @@ func TestPhaseTimesSpanHook(t *testing.T) {
 		targets = append(targets, corpusTarget(app))
 	}
 	times := NewPhaseTimes()
+	rec := obs.NewRecorder()
+	rec.OnEnd = times.SpanHook()
 	reps := uchecker.NewScanner(uchecker.Options{
 		Workers: 4,
-		OnSpan:  times.SpanHook(),
+		Trace:   rec,
 	}).ScanBatch(context.Background(), targets)
 	for i, rep := range reps {
 		if rep == nil {
@@ -185,7 +188,7 @@ func TestPhaseTimesSpanHook(t *testing.T) {
 		}
 	}
 	out := times.Render()
-	for _, want := range append([]string{"parse", "locality", "root", "interp", "verify", "scan", "TOTAL"}, names...) {
+	for _, want := range append([]string{"parse", "program", "callgraph", "locality", "root", "interp", "verify", "scan", "TOTAL"}, names...) {
 		if !strings.Contains(out, want) {
 			t.Errorf("phase table missing %q:\n%s", want, out)
 		}
@@ -420,8 +423,7 @@ func TestTableIIIFailureTally(t *testing.T) {
 
 // TestTableIIIApps pins the sweep's row order: 13 known-vulnerable apps,
 // the 2 admin-gated false positives, then the 3 newly found ones — the
-// order TableIII and TableIIIBatch both scan, which is what makes a
-// journaled sweep resumable across bench invocations.
+// order TableIII scans and renders.
 func TestTableIIIApps(t *testing.T) {
 	apps := TableIIIApps()
 	if len(apps) != 18 {

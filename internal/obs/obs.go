@@ -136,9 +136,12 @@ type Recorder struct {
 	mu     sync.Mutex
 	nextID SpanID
 	spans  []Span
-	// OnEnd, when non-nil, receives every finished span. It is invoked
-	// synchronously under the Recorder's lock, so implementations must
-	// be fast and must not call back into the Recorder.
+	// OnEnd, when non-nil, receives every finished span, in the order
+	// the spans are recorded. It is invoked synchronously under the
+	// Recorder's lock, so it is never invoked concurrently and may touch
+	// unsynchronized state, even while many goroutines end spans. It
+	// must be fast and must not call back into the Recorder. Set it
+	// before the first span starts.
 	OnEnd func(Span)
 	// now is the clock, swappable in tests.
 	now func() time.Time

@@ -560,7 +560,8 @@ func TestScanBatchCancelledTargets(t *testing.T) {
 	defer cancel()
 	opts := batchOpts(1)
 	first := targets[0].Name
-	opts.OnSpan = func(sp obs.Span) {
+	opts.Trace = obs.NewRecorder()
+	opts.Trace.OnEnd = func(sp obs.Span) {
 		if sp.Name == "scan" && sp.Attr("app") == first {
 			cancel()
 		}
@@ -586,7 +587,8 @@ func TestScanBatchCancelledTargets(t *testing.T) {
 	// typed) but must still hold.
 	ctx4, cancel4 := context.WithCancel(context.Background())
 	opts4 := batchOpts(4)
-	opts4.OnSpan = func(sp obs.Span) {
+	opts4.Trace = obs.NewRecorder()
+	opts4.Trace.OnEnd = func(sp obs.Span) {
 		if sp.Name == "parse" {
 			cancel4() // die while scans are mid-flight
 		}

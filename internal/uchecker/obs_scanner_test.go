@@ -12,11 +12,11 @@ import (
 )
 
 // TestHookSerialization is the hook-safety regression test: it installs a
-// deliberately non-thread-safe OnSpan callback (unsynchronized counter
-// increments and slice appends) and scans a 16-root app with Workers=8.
-// Before hook serialization, worker goroutines invoked the hook
-// concurrently and this test failed under -race; the per-Scanner hookMu
-// now guarantees the callback never observes concurrency.
+// deliberately non-thread-safe Trace.OnEnd callback (unsynchronized
+// counter increments and slice appends) and scans a 16-root app with
+// Workers=8. Worker goroutines end spans concurrently; the Recorder
+// calls OnEnd under its lock, so the callback never observes
+// concurrency and -race stays quiet.
 func TestHookSerialization(t *testing.T) {
 	target := multiRootTarget("hook-race", 16)
 
@@ -26,14 +26,11 @@ func TestHookSerialization(t *testing.T) {
 	var spanNames []string
 
 	rec := obs.NewRecorder()
-	opts := Options{
-		Workers: 8,
-		Trace:   rec,
-		OnSpan: func(sp obs.Span) {
-			spanCalls++
-			spanNames = append(spanNames, sp.Name)
-		},
+	rec.OnEnd = func(sp obs.Span) {
+		spanCalls++
+		spanNames = append(spanNames, sp.Name)
 	}
+	opts := Options{Workers: 8, Trace: rec}
 	rep, err := NewScanner(opts).Scan(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
@@ -42,11 +39,11 @@ func TestHookSerialization(t *testing.T) {
 		t.Fatal("expected vulnerable verdict")
 	}
 	if spanCalls == 0 || len(spanNames) != spanCalls {
-		t.Errorf("OnSpan calls = %d, recorded = %d", spanCalls, len(spanNames))
+		t.Errorf("OnEnd calls = %d, recorded = %d", spanCalls, len(spanNames))
 	}
-	// Every finished span must have been delivered to OnSpan too.
+	// Every finished span must have been delivered to OnEnd too.
 	if rec.Len() != spanCalls {
-		t.Errorf("recorder has %d spans, OnSpan saw %d", rec.Len(), spanCalls)
+		t.Errorf("recorder has %d spans, OnEnd saw %d", rec.Len(), spanCalls)
 	}
 }
 
@@ -59,10 +56,9 @@ func TestScanBatchHookSerialization(t *testing.T) {
 		multiRootTarget("batch-c", 6),
 	}
 	calls := 0 // unsynchronized on purpose; -race is the assertion
-	opts := Options{
-		Workers: 8,
-		OnSpan:  func(sp obs.Span) { calls++ },
-	}
+	rec := obs.NewRecorder()
+	rec.OnEnd = func(sp obs.Span) { calls++ }
+	opts := Options{Workers: 8, Trace: rec}
 	reports := NewScanner(opts).ScanBatch(context.Background(), targets)
 	for i, rep := range reports {
 		if rep == nil || !rep.Vulnerable {
@@ -104,8 +100,8 @@ func TestScanMetricsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestInstrumentationDoesNotChangeFindings asserts a fully instrumented
-// scan (Trace + OnSpan) produces a byte-identical report to an
-// uninstrumented one: observability must be a read-only side channel.
+// scan (Trace with an OnEnd callback) produces a byte-identical report to
+// an uninstrumented one: observability must be a read-only side channel.
 func TestInstrumentationDoesNotChangeFindings(t *testing.T) {
 	target := multiRootTarget("instrument", 5)
 
@@ -113,10 +109,11 @@ func TestInstrumentationDoesNotChangeFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.NewRecorder()
+	rec.OnEnd = func(obs.Span) {}
 	instrumented, err := NewScanner(Options{
 		Workers: 4,
-		Trace:   obs.NewRecorder(),
-		OnSpan:  func(obs.Span) {},
+		Trace:   rec,
 	}).Scan(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +124,9 @@ func TestInstrumentationDoesNotChangeFindings(t *testing.T) {
 }
 
 // TestScanSpanTree checks the recorded span hierarchy: one "scan" span
-// per app with "parse" and "locality" children, one "root" span per
-// locality root, each with at least one "attempt" rung containing
-// "interp" (and "verify" when sinks were recorded).
+// per app with "parse", "program", "callgraph" and "locality" children,
+// one "root" span per locality root, each with at least one "attempt"
+// rung containing "interp" (and "verify" when sinks were recorded).
 func TestScanSpanTree(t *testing.T) {
 	const nRoots = 4
 	rec := obs.NewRecorder()
@@ -155,8 +152,9 @@ func TestScanSpanTree(t *testing.T) {
 	if count["scan"] != 1 {
 		t.Fatalf("scan spans = %d, want 1", count["scan"])
 	}
-	if count["parse"] != 1 || count["locality"] != 1 {
-		t.Errorf("parse=%d locality=%d, want 1 each", count["parse"], count["locality"])
+	if count["parse"] != 1 || count["program"] != 1 || count["callgraph"] != 1 || count["locality"] != 1 {
+		t.Errorf("parse=%d program=%d callgraph=%d locality=%d, want 1 each",
+			count["parse"], count["program"], count["callgraph"], count["locality"])
 	}
 	if count["root"] != nRoots {
 		t.Errorf("root spans = %d, want %d", count["root"], nRoots)
@@ -170,10 +168,12 @@ func TestScanSpanTree(t *testing.T) {
 	if count["solve"] == 0 {
 		t.Error("no solve spans for a vulnerable app")
 	}
-	// Parent links: parse/locality/root under scan; attempt under root;
-	// interp/verify under attempt; model/solve under verify.
+	// Parent links: parse/program/callgraph/locality/root under scan;
+	// attempt under root; interp/verify under attempt; model/solve under
+	// verify.
 	wantParent := map[string]string{
-		"parse": "scan", "locality": "scan", "root": "scan",
+		"parse": "scan", "program": "scan", "callgraph": "scan",
+		"locality": "scan", "root": "scan",
 		"attempt": "root", "fallback": "root",
 		"interp": "attempt", "verify": "attempt",
 		"model": "verify", "solve": "verify",

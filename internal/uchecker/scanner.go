@@ -68,11 +68,6 @@ type Target struct {
 // concurrent use: all mutable state lives in the per-call Scan frame.
 type Scanner struct {
 	opts Options
-	// hookMu serializes the user-facing OnSpan callback: workers and
-	// concurrent batch scans invoke it from many goroutines, and the
-	// documented contract is that the callback itself never observes
-	// concurrency.
-	hookMu sync.Mutex
 }
 
 // NewScanner returns a Scanner with normalized options (default
@@ -122,52 +117,32 @@ func fanOut(workers, n int, do func(int)) {
 	wg.Wait()
 }
 
-// scanTrace wires span recording for one scan: a Recorder (the
-// caller's, or a private one when only OnSpan is installed) plus the
-// serialized OnSpan delivery. A nil *scanTrace disables tracing with
-// zero overhead beyond a nil check.
+// scanTrace stamps one scan's spans with its app name and records them
+// on Options.Trace. A nil *scanTrace disables tracing with zero overhead
+// beyond a nil check.
 type scanTrace struct {
-	s   *Scanner
 	rec *obs.Recorder
 	app string
 }
 
-// newScanTrace returns the scan's trace sink, or nil when neither
-// Options.Trace nor Options.OnSpan is installed.
+// newScanTrace returns the scan's trace sink, or nil when Options.Trace
+// is nil.
 func (s *Scanner) newScanTrace(app string) *scanTrace {
-	if s.opts.Trace == nil && s.opts.OnSpan == nil {
+	if s.opts.Trace == nil {
 		return nil
 	}
-	rec := s.opts.Trace
-	if rec == nil {
-		rec = obs.NewRecorder()
-	}
-	return &scanTrace{s: s, rec: rec, app: app}
+	return &scanTrace{rec: s.opts.Trace, app: app}
 }
 
 // start opens a span; nil-safe. Every span carries an "app" attribute,
 // so span consumers (evalharness.PhaseTimes, trace exports) can attribute
 // per-root and per-attempt spans without reconstructing the parent chain
-// — span IDs are only unique per Recorder, and OnSpan-only batch scans
-// use one private Recorder per app.
+// when one Recorder is shared by a concurrent batch.
 func (t *scanTrace) start(parent obs.SpanID, name string, attrs ...obs.Attr) *obs.ActiveSpan {
 	if t == nil {
 		return nil
 	}
 	return t.rec.Start(parent, name, append([]obs.Attr{obs.A("app", t.app)}, attrs...)...)
-}
-
-// end closes a span and delivers it to OnSpan (serialized); nil-safe.
-func (t *scanTrace) end(sp *obs.ActiveSpan, attrs ...obs.Attr) {
-	if t == nil || sp == nil {
-		return
-	}
-	sp.End(attrs...)
-	if t.s.opts.OnSpan != nil {
-		t.s.hookMu.Lock()
-		t.s.opts.OnSpan(sp.Span())
-		t.s.hookMu.Unlock()
-	}
 }
 
 // rootResult is the outcome of phases 3–6 for a single locality root
@@ -184,9 +159,6 @@ type rootResult struct {
 	failures  []Failure // typed failures, in occurrence order
 	retries   int       // ladder retry attempts spent
 	skipped   bool      // never ran: the MaxRootFailures limit tripped
-
-	symExec time.Duration // interpreter time (summed over attempts)
-	verify  time.Duration // modeling + translation + solving time
 
 	// metrics is the root's deterministic work-counter set (summed over
 	// attempts; "_peak" keys by max). Nil when no attempt ran.
@@ -244,7 +216,7 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 
 	tr := s.newScanTrace(t.Name)
 	scanSpan := tr.start(0, "scan")
-	defer tr.end(scanSpan)
+	defer scanSpan.End()
 
 	// --- Phase 1: parsing (panic-isolated per file) ---
 	parseSpan := tr.start(scanSpan.ID(), "parse")
@@ -266,11 +238,13 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 		}
 		files = append(files, f)
 	}
-	tr.end(parseSpan, obs.A("files", strconv.Itoa(len(files))))
+	parseSpan.End(obs.A("files", strconv.Itoa(len(files))))
 
 	// The engine factory builds the scan's program table once; every
 	// root, worker and degradation-ladder rung shares it.
+	progSpan := tr.start(scanSpan.ID(), "program")
 	engines := interp.NewEngineFactory(interp.EngineTree, files)
+	progSpan.End()
 
 	// Function summaries (the -interproc summary strategy): one table per
 	// scan that every root shares; each function's facts are computed on
@@ -282,8 +256,10 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 	}
 
 	// --- Phase 2: locality analysis ---
-	locSpan := tr.start(scanSpan.ID(), "locality")
+	cgSpan := tr.start(scanSpan.ID(), "callgraph")
 	g := callgraph.Build(files)
+	cgSpan.End()
+	locSpan := tr.start(scanSpan.ID(), "locality")
 	loc := locality.Analyze(g, files, t.Sources)
 	rep.TotalLoC = loc.TotalLoC
 	rep.AnalyzedLoC = loc.AnalyzedLoC
@@ -309,7 +285,7 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 	rep.Metrics.Add("locality_roots_found", int64(len(roots)))
 	rep.Metrics.Add("locality_files_total", int64(loc.FilesTotal))
 	rep.Metrics.Add("locality_files_pruned", int64(loc.FilesPruned))
-	tr.end(locSpan, obs.A("roots", strconv.Itoa(len(roots))))
+	locSpan.End(obs.A("roots", strconv.Itoa(len(roots))))
 
 	// --- Phases 3–6 per root, fanned out to the worker pool ---
 	results := make([]rootResult, len(roots))
@@ -336,7 +312,7 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 		pprof.Do(ctx, pprof.Labels("uchecker_app", t.Name, "uchecker_root", rootName), func(ctx context.Context) {
 			results[i] = s.scanRoot(ctx, engines, sums, files, roots[i].Node, adminCallbacks, g, tr, rootSpan.ID())
 		})
-		tr.end(rootSpan,
+		rootSpan.End(
 			obs.A("findings", strconv.Itoa(len(results[i].findings))),
 			obs.A("failures", strconv.Itoa(len(results[i].failures))))
 		if n := results[i].countable(); n > 0 {
@@ -419,16 +395,14 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 // is non-nil even under cancellation: targets that never started because
 // the context died (or the journal crashed) carry a FailCancelled
 // schedule failure instead of being silently dropped or half-scanned.
-// The OnSpan hook fires for every app in the batch; the Scanner
-// serializes it behind an internal mutex, so the callback itself never
-// observes concurrency.
+// Every app in the batch records its spans on Options.Trace.
 //
 // When Options.Journal / ResumeFrom / CacheDir are set, the batch runs
 // through the crash-safety layer (see ScanBatchJournaled, which this
 // method delegates to): completed reports are journaled durably,
 // resumed sweeps replay them, and unchanged targets are served from the
 // content-addressed cache. ScanBatch discards the layer's summary and
-// error; callers that need them — the CLI, ucheck-bench — use
+// error; callers that need them — the CLI, the worker fleet — use
 // ScanBatchJournaled directly.
 //
 // Batched reports leave MemoryMB at zero: per-app heap deltas are
@@ -499,9 +473,7 @@ func (s *Scanner) scanRoot(ctx context.Context, engines *interp.EngineFactory, s
 	for attempt := 0; ; attempt++ {
 		attemptSpan := tr.start(rootSpan, "attempt", obs.A("rung", strconv.Itoa(attempt)))
 		ar := s.runRootAttempt(ctx, engines, sums, files, root, adminCallbacks, g, budgets, attempt, tr, attemptSpan.ID())
-		tr.end(attemptSpan, obs.A("findings", strconv.Itoa(len(ar.findings))))
-		rr.symExec += ar.symExec
-		rr.verify += ar.verify
+		attemptSpan.End(obs.A("findings", strconv.Itoa(len(ar.findings))))
 		rr.addMetrics(ar.metrics)
 		// Report the deepest exploration's measurements (attempt 0 unless a
 		// retry went further), keeping Table III's paths/objects columns
@@ -538,7 +510,7 @@ func (s *Scanner) scanRoot(ctx context.Context, engines *interp.EngineFactory, s
 		if !s.opts.DisableDegraded {
 			fbSpan := tr.start(rootSpan, "fallback", obs.A("root", root.String()))
 			s.fallbackRoot(&rr, root, files)
-			tr.end(fbSpan, obs.A("findings", strconv.Itoa(len(rr.findings))))
+			fbSpan.End(obs.A("findings", strconv.Itoa(len(rr.findings))))
 		}
 		return rr
 	}
@@ -582,7 +554,6 @@ func (s *Scanner) runRootAttempt(ctx context.Context, engines *interp.EngineFact
 	}
 
 	degraded := attempt > 0
-	symStart := time.Now()
 	interpSpan := tr.start(attemptSpan, "interp", obs.A("root", rootName))
 	iop := budgets.interpOptions()
 	// Summaries ride outside the budget projection: they are injected at
@@ -590,8 +561,7 @@ func (s *Scanner) runRootAttempt(ctx context.Context, engines *interp.EngineFact
 	// slice) stay strategy-agnostic. Nil under inline mode.
 	iop.Summaries = sums
 	res := engines.New(iop).Run(rctx, root)
-	tr.end(interpSpan, obs.A("paths", strconv.Itoa(res.Paths)))
-	ar.symExec = time.Since(symStart)
+	interpSpan.End(obs.A("paths", strconv.Itoa(res.Paths)))
 	ar.paths = res.Paths
 	ar.objects = res.Graph.NumObjects()
 	ar.metrics = obs.NewMetrics()
@@ -634,11 +604,9 @@ func (s *Scanner) runRootAttempt(ctx context.Context, engines *interp.EngineFact
 	if degraded {
 		vctx = ctx
 	}
-	verifyStart := time.Now()
 	verifySpan := tr.start(attemptSpan, "verify", obs.A("root", rootName))
 	s.verifySinks(ctx, vctx, &ar, root, res, adminCallbacks, g, budgets.solverOptions(), degraded, attempt, tr, verifySpan.ID())
-	tr.end(verifySpan, obs.A("sinks", strconv.Itoa(ar.sinkCount)))
-	ar.verify = time.Since(verifyStart)
+	verifySpan.End(obs.A("sinks", strconv.Itoa(ar.sinkCount)))
 	return ar
 }
 
@@ -649,9 +617,7 @@ func (s *Scanner) runRootAttempt(ctx context.Context, engines *interp.EngineFact
 // panic-isolated.
 func (s *Scanner) fallbackRoot(rr *rootResult, root *callgraph.Node, files []*phpast.File) {
 	rootName := root.String()
-	start := time.Now()
 	defer func() {
-		rr.verify += time.Since(start)
 		if r := recover(); r != nil {
 			rr.failures = append(rr.failures, Failure{
 				Root:  rootName,
@@ -739,7 +705,7 @@ func (s *Scanner) verifySinks(parent, vctx context.Context, ar *rootResult, root
 			Dst:  hit.Dst,
 			Cur:  hit.Env.Cur,
 		}, s.opts.Extensions)
-		strace.end(modelSpan, obs.A("tainted", strconv.FormatBool(cand.Tainted)))
+		modelSpan.End(obs.A("tainted", strconv.FormatBool(cand.Tainted)))
 		if !cand.Tainted {
 			continue // Constraint-1 failed
 		}
@@ -783,7 +749,7 @@ func (s *Scanner) verifySinks(parent, vctx context.Context, ar *rootResult, root
 			sstats.Accum(cst)
 		}
 		sess.Pop()
-		strace.end(solveSpan, obs.A("status", status.String()))
+		solveSpan.End(obs.A("status", status.String()))
 		ar.metrics.Add("smt_checks", 1)
 		ar.metrics.Add("smt_cubes_examined", int64(sstats.Cubes))
 		ar.metrics.Add("smt_models_tried", int64(sstats.Assignments))

@@ -288,21 +288,21 @@ func TestScanDeadline(t *testing.T) {
 	}
 }
 
-// TestSpanAppAttribution asserts every span delivered to OnSpan carries
-// the scanned app's name as the "app" attribute — including per-root and
-// per-attempt spans, which is what lets span consumers attribute work in
-// a concurrent batch without reconstructing the parent chain.
+// TestSpanAppAttribution asserts every span delivered to Trace.OnEnd
+// carries the scanned app's name as the "app" attribute — including
+// per-root and per-attempt spans, which is what lets span consumers
+// attribute work in a concurrent batch without reconstructing the parent
+// chain.
 func TestSpanAppAttribution(t *testing.T) {
 	seen := map[string]int{}
-	opts := Options{
-		Workers: 2,
-		OnSpan: func(sp obs.Span) {
-			if sp.Attr("app") != "phased" {
-				t.Errorf("span %q app attr = %q, want %q", sp.Name, sp.Attr("app"), "phased")
-			}
-			seen[sp.Name]++
-		},
+	rec := obs.NewRecorder()
+	rec.OnEnd = func(sp obs.Span) {
+		if sp.Attr("app") != "phased" {
+			t.Errorf("span %q app attr = %q, want %q", sp.Name, sp.Attr("app"), "phased")
+		}
+		seen[sp.Name]++
 	}
+	opts := Options{Workers: 2, Trace: rec}
 	target := multiRootTarget("phased", 4)
 	if _, err := NewScanner(opts).Scan(context.Background(), target); err != nil {
 		t.Fatal(err)

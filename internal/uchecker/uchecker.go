@@ -65,22 +65,16 @@ type Options struct {
 	// scans serially; results are byte-identical for every value.
 	Workers int
 	// Trace, when non-nil, records the scan's span tree: a "scan" span
-	// per app with "parse" / "locality" children, a "root" span per
-	// locality root with one "attempt" child per degradation-ladder
-	// rung (plus "fallback"), and "interp" / "model" / "solve" spans
-	// inside each attempt. Export the snapshot with
+	// per app with "parse" / "program" / "callgraph" / "locality"
+	// children, a "root" span per locality root with one "attempt" child
+	// per degradation-ladder rung (plus "fallback"), and "interp" /
+	// "model" / "solve" spans inside each attempt. Every span carries the
+	// app's name as its "app" attribute. Export the snapshot with
 	// obs.WriteChromeTrace. The Recorder is safe to share across scans
-	// and batches.
+	// and batches. A consumer that wants each span as it ends sets the
+	// Recorder's OnEnd: the Recorder calls it under its lock, so it never
+	// observes concurrency, even under Workers>1 or ScanBatch.
 	Trace *obs.Recorder
-	// OnSpan, when non-nil, receives every finished span.
-	//
-	// Thread-safety contract: the scanner serializes every OnSpan
-	// invocation behind one per-Scanner mutex, so the callback may touch
-	// unsynchronized state even under Workers>1 or ScanBatch. It must
-	// not call back into the Scanner (deadlock) and should be fast — it
-	// runs on the scanning goroutines' critical path. When Trace is nil
-	// the scanner still times spans internally to feed OnSpan.
-	OnSpan func(obs.Span)
 	// RootTimeout bounds the wall clock of each per-root attempt. A root
 	// that exceeds it fails with a FailRootTimeout failure (and enters the
 	// degradation ladder) instead of stalling the whole scan. Zero
