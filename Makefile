@@ -1,15 +1,16 @@
 # Repository check targets. `make check` is the CI gate: formatting,
 # vet, build, the full test suite under the race detector, a bounded
-# fuzz smoke over every fuzz target, and the benchmark module.
+# fuzz smoke over every fuzz target, the benchmark module, and one
+# end-to-end ucheck-bench run.
 
 GO ?= go
 # Per-target budget for the fuzz smoke; raise for a real fuzzing session
 # (e.g. make fuzz-smoke FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-smt-diff bench-interp bench-interp-diff bench-smoke bench-module
+.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-smt-diff bench-interp bench-interp-diff bench-smoke bench-module ucheck-bench-smoke
 
-check: fmt vet build race fuzz-smoke bench-smoke bench-module
+check: fmt vet build race fuzz-smoke bench-smoke bench-module ucheck-bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -175,3 +176,12 @@ bench-smoke:
 # it here so an internal API change that breaks it fails CI.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# cmd/ucheck-bench has no test of its own: run it once over Table III
+# and the Section IV-C comparison with the failure, counter and
+# per-phase timing tables (the last fed by Options.Trace), and require
+# the phase table's TOTAL row in the output.
+ucheck-bench-smoke:
+	@out="$$($(GO) run ./cmd/ucheck-bench -all -phases -counters -failures -max-paths 20000)" || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^TOTAL ' || { echo "ucheck-bench: the phase table has no TOTAL row"; exit 1; }
