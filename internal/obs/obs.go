@@ -189,15 +189,6 @@ func (a *ActiveSpan) SetAttr(key, value string) {
 	a.span.Attrs = append(a.span.Attrs, Attr{Key: key, Value: value})
 }
 
-// Span returns a copy of the span record. The End field is set only
-// once End was called; the copy is safe to retain.
-func (a *ActiveSpan) Span() Span {
-	if a == nil {
-		return Span{}
-	}
-	return a.span
-}
-
 // End closes the span and hands it to the Recorder.
 func (a *ActiveSpan) End(attrs ...Attr) {
 	if a == nil {
