@@ -112,7 +112,7 @@ func (a *astHasher) value(v reflect.Value) {
 		}
 	case reflect.String:
 		a.buf = strconv.AppendQuote(a.buf, v.String())
-	case reflect.Int, reflect.Int64:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		a.buf = strconv.AppendInt(append(a.buf, ' '), v.Int(), 10)
 	case reflect.Float64:
 		a.buf = strconv.AppendUint(append(a.buf, 'f'), math.Float64bits(v.Float()), 16)
