@@ -268,7 +268,7 @@ func (s *scanner) propagateCall(x *phpast.Call, sc *scope, record bool) bool {
 			if tainted {
 				s.hits = append(s.hits, Hit{
 					File:       sc.file,
-					Line:       x.P.Line,
+					Line:       int(x.P.Line),
 					Sink:       name,
 					Suppressed: s.cfg.suppress && sc.symptoms,
 				})

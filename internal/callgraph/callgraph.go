@@ -126,7 +126,7 @@ func Build(files []*phpast.File) *Graph {
 		g.files[u.Name] = fn
 		for _, d := range u.Decls {
 			n := &g.funcs[d.ID]
-			*n = Node{Kind: FuncNode, Name: d.Name, File: u.Name, Func: d.Decl, Line: d.Decl.P.Line}
+			*n = Node{Kind: FuncNode, Name: d.Name, File: u.Name, Func: d.Decl, Line: int(d.Decl.P.Line)}
 			g.Nodes = append(g.Nodes, n)
 		}
 	}

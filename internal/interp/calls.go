@@ -13,13 +13,13 @@ import (
 // becomes a FUNC node with a typed symbolic result.
 func (in *Interp) evalCall(x *phpast.Call, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	if t, ok := in.prog.Target(x); ok {
-		return in.dispatch(t, x.P.Line, envs)
+		return in.dispatch(t, int(x.P.Line), envs)
 	}
 	// Variable function: opaque symbolic result.
 	envs = in.pushArgs(x.Args, envs)
 	labels := make([]heapgraph.Label, len(envs))
 	for i, e := range envs {
-		fn := in.g.NewFunc("call_dynamic", sexpr.Unknown, x.P.Line)
+		fn := in.g.NewFunc("call_dynamic", sexpr.Unknown, int(x.P.Line))
 		for _, a := range popArgs(e, len(x.Args)) {
 			in.g.AddEdge(fn, a)
 		}
@@ -154,7 +154,7 @@ func (in *Interp) evalMethodCall(x *phpast.MethodCall, envs heapgraph.EnvSet) (h
 		var out heapgraph.EnvSet
 		var outLabels []heapgraph.Label
 		for i, e := range envs {
-			sub, ls := in.inlineCall(t.Func, [][]heapgraph.Label{argMatrix[i]}, heapgraph.EnvSet{e}, this[i], x.P.Line)
+			sub, ls := in.inlineCall(t.Func, [][]heapgraph.Label{argMatrix[i]}, heapgraph.EnvSet{e}, this[i], int(x.P.Line))
 			out = append(out, sub...)
 			outLabels = append(outLabels, ls...)
 		}
@@ -162,7 +162,7 @@ func (in *Interp) evalMethodCall(x *phpast.MethodCall, envs heapgraph.EnvSet) (h
 	}
 	labels := make([]heapgraph.Label, len(envs))
 	for i := range envs {
-		fn := in.g.NewFunc("method_"+t.Name, sexpr.Unknown, x.P.Line)
+		fn := in.g.NewFunc("method_"+t.Name, sexpr.Unknown, int(x.P.Line))
 		in.g.AddEdge(fn, this[i])
 		for _, a := range argMatrix[i] {
 			in.g.AddEdge(fn, a)
@@ -174,5 +174,5 @@ func (in *Interp) evalMethodCall(x *phpast.MethodCall, envs heapgraph.EnvSet) (h
 
 func (in *Interp) evalStaticCall(x *phpast.StaticCall, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	t, _ := in.prog.Target(x)
-	return in.dispatch(t, x.P.Line, envs)
+	return in.dispatch(t, int(x.P.Line), envs)
 }

@@ -326,7 +326,7 @@ func (in *Interp) inlineCall(fn *phpast.Func, argMatrix [][]heapgraph.Label, env
 				_, ls := in.eval(p.Default, heapgraph.EnvSet{e})
 				l = ls[0]
 			} else {
-				l = in.g.NewSymbol("s_param_"+p.Name, sexpr.Unknown, decl.P.Line)
+				l = in.g.NewSymbol("s_param_"+p.Name, sexpr.Unknown, int(decl.P.Line))
 			}
 			e.Bind(p.Name, l)
 		}

@@ -19,19 +19,19 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 	}
 	switch x := e.(type) {
 	case *phpast.IntLit:
-		l := in.g.NewConcrete(sexpr.IntVal(x.Value), x.P.Line)
+		l := in.g.NewConcrete(sexpr.IntVal(x.Value), int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.FloatLit:
-		l := in.g.NewConcrete(sexpr.FloatVal(x.Value), x.P.Line)
+		l := in.g.NewConcrete(sexpr.FloatVal(x.Value), int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.StringLit:
-		l := in.g.NewConcrete(sexpr.StrVal(x.Value), x.P.Line)
+		l := in.g.NewConcrete(sexpr.StrVal(x.Value), int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.BoolLit:
-		l := in.g.NewConcrete(sexpr.BoolVal(x.Value), x.P.Line)
+		l := in.g.NewConcrete(sexpr.BoolVal(x.Value), int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.NullLit:
-		l := in.g.NewConcrete(sexpr.NullVal{}, x.P.Line)
+		l := in.g.NewConcrete(sexpr.NullVal{}, int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.Var:
 		return envs, in.evalVar(x, envs)
@@ -64,24 +64,24 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 	case *phpast.New:
 		labels := make([]heapgraph.Label, len(envs))
 		for i := range envs {
-			obj := in.g.NewArray(x.P.Line)
+			obj := in.g.NewArray(int(x.P.Line))
 			labels[i] = obj
 		}
 		// Run the constructor when the class is known.
 		if t, _ := in.prog.Target(x); t.Func != nil {
-			return in.inlineCallWithThis(t.Func, x.Args, envs, labels, x.P.Line)
+			return in.inlineCallWithThis(t.Func, x.Args, envs, labels, int(x.P.Line))
 		}
 		return envs, labels
 	case *phpast.PropFetch:
 		return in.evalPropFetch(x, envs)
 	case *phpast.StaticPropFetch:
-		l := in.symbolShared("s_sprop_"+x.Class+"_"+x.Prop, sexpr.Unknown, x.P.Line)
+		l := in.symbolShared("s_sprop_"+x.Class+"_"+x.Prop, sexpr.Unknown, int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.ClassConstFetch:
-		l := in.symbolShared("s_cconst_"+x.Class+"_"+x.Const, sexpr.Unknown, x.P.Line)
+		l := in.symbolShared("s_cconst_"+x.Class+"_"+x.Const, sexpr.Unknown, int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.ConstFetch:
-		return envs, sameLabel(envs, in.constLabel(x.Name, x.P.Line))
+		return envs, sameLabel(envs, in.constLabel(x.Name, int(x.P.Line)))
 	case *phpast.Isset:
 		var args []heapgraph.Label
 		for _, v := range x.Vars {
@@ -92,7 +92,7 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 		}
 		labels := make([]heapgraph.Label, len(envs))
 		for i, e := range envs {
-			op := in.g.NewOp("isset", sexpr.Bool, x.P.Line)
+			op := in.g.NewOp("isset", sexpr.Bool, int(x.P.Line))
 			// Pop in reverse; attach all parked operands.
 			var ops []heapgraph.Label
 			for range x.Vars {
@@ -110,7 +110,7 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 		envs, ls = in.eval(x.X, envs)
 		labels := make([]heapgraph.Label, len(envs))
 		for i := range envs {
-			op := in.g.NewOp("empty", sexpr.Bool, x.P.Line)
+			op := in.g.NewOp("empty", sexpr.Bool, int(x.P.Line))
 			in.g.AddEdge(op, ls[i])
 			labels[i] = op
 		}
@@ -122,25 +122,25 @@ func (in *Interp) eval(e phpast.Expr, envs heapgraph.EnvSet) (heapgraph.EnvSet, 
 		for _, e := range envs {
 			e.Terminated = true
 		}
-		l := in.g.NewConcrete(sexpr.NullVal{}, x.P.Line)
+		l := in.g.NewConcrete(sexpr.NullVal{}, int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.Print:
 		envs, _ = in.eval(x.X, envs)
-		l := in.g.NewConcrete(sexpr.IntVal(1), x.P.Line)
+		l := in.g.NewConcrete(sexpr.IntVal(1), int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.Include:
 		return in.evalInclude(x, envs)
 	case *phpast.Closure:
-		l := in.g.NewSymbol("s_closure", sexpr.Unknown, x.P.Line)
+		l := in.g.NewSymbol("s_closure", sexpr.Unknown, int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.ListExpr:
-		l := in.g.NewSymbol("", sexpr.Array, x.P.Line)
+		l := in.g.NewSymbol("", sexpr.Array, int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	case *phpast.Name:
-		l := in.symbolShared("s_name_"+x.Value, sexpr.String, x.P.Line)
+		l := in.symbolShared("s_name_"+x.Value, sexpr.String, int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	default:
-		l := in.g.NewSymbol("", sexpr.Unknown, e.Pos().Line)
+		l := in.g.NewSymbol("", sexpr.Unknown, int(e.Pos().Line))
 		return envs, sameLabel(envs, l)
 	}
 }
@@ -185,7 +185,7 @@ func (in *Interp) symbolShared(name string, t sexpr.Type, line int) heapgraph.La
 func (in *Interp) evalVar(x *phpast.Var, envs heapgraph.EnvSet) []heapgraph.Label {
 	labels := make([]heapgraph.Label, len(envs))
 	for i, e := range envs {
-		labels[i] = in.varLabel(e, x.Name, x.P.Line)
+		labels[i] = in.varLabel(e, x.Name, int(x.P.Line))
 	}
 	return labels
 }
@@ -212,7 +212,7 @@ func (in *Interp) varLabel(e *heapgraph.Env, name string, line int) heapgraph.La
 
 func (in *Interp) evalInterpString(x *phpast.InterpString, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	if len(x.Parts) == 0 {
-		l := in.g.NewConcrete(sexpr.StrVal(""), x.P.Line)
+		l := in.g.NewConcrete(sexpr.StrVal(""), int(x.P.Line))
 		return envs, sameLabel(envs, l)
 	}
 	for _, p := range x.Parts {
@@ -228,7 +228,7 @@ func (in *Interp) evalInterpString(x *phpast.InterpString, envs heapgraph.EnvSet
 		}
 		cur := parts[0]
 		for j := 1; j < len(parts); j++ {
-			op := in.g.NewOp(".", sexpr.String, x.P.Line)
+			op := in.g.NewOp(".", sexpr.String, int(x.P.Line))
 			in.g.AddEdge(op, cur)
 			in.g.AddEdge(op, parts[j])
 			cur = op
@@ -251,14 +251,14 @@ func (in *Interp) evalArrayDim(x *phpast.ArrayDim, envs heapgraph.EnvSet) (heapg
 	if x.Index != nil {
 		envs, idxLabels = in.eval(x.Index, envs)
 	} else {
-		l := in.g.NewSymbol("", sexpr.Unknown, x.P.Line)
+		l := in.g.NewSymbol("", sexpr.Unknown, int(x.P.Line))
 		idxLabels = sameLabel(envs, l)
 	}
 	arrLabels = popTmp(envs)
 
 	labels := make([]heapgraph.Label, len(envs))
 	for i := range envs {
-		labels[i] = in.readElem(arrLabels[i], idxLabels[i], x.P.Line)
+		labels[i] = in.readElem(arrLabels[i], idxLabels[i], int(x.P.Line))
 	}
 	return envs, labels
 }
@@ -355,7 +355,7 @@ func (in *Interp) evalArrayLit(x *phpast.ArrayLit, envs heapgraph.EnvSet) (heapg
 				items[j].hasKey = true
 			}
 		}
-		arr := in.g.NewArray(x.P.Line)
+		arr := in.g.NewArray(int(x.P.Line))
 		for _, it := range items {
 			if it.hasKey {
 				if k, ok := in.concreteKey(it.key); ok {
@@ -376,7 +376,7 @@ func (in *Interp) evalUnary(x *phpast.Unary, envs heapgraph.EnvSet) (heapgraph.E
 	shared := map[heapgraph.Label]heapgraph.Label{}
 	labels := make([]heapgraph.Label, len(envs))
 	for i := range envs {
-		if folded, ok := in.foldUnary(x.Op, ls[i], x.P.Line); ok {
+		if folded, ok := in.foldUnary(x.Op, ls[i], int(x.P.Line)); ok {
 			labels[i] = folded
 			continue
 		}
@@ -388,7 +388,7 @@ func (in *Interp) evalUnary(x *phpast.Unary, envs heapgraph.EnvSet) (heapgraph.E
 		if x.Op == "-" || x.Op == "+" || x.Op == "~" {
 			t = sexpr.Int
 		}
-		op := in.g.NewOp(x.Op, t, x.P.Line)
+		op := in.g.NewOp(x.Op, t, int(x.P.Line))
 		in.g.AddEdge(op, ls[i])
 		shared[ls[i]] = op
 		labels[i] = op
@@ -434,12 +434,12 @@ func (in *Interp) evalBinary(x *phpast.Binary, envs heapgraph.EnvSet) (heapgraph
 			labels[i] = l
 			continue
 		}
-		if folded, ok := in.foldBinary(x.Op, lls[i], rls[i], x.P.Line); ok {
+		if folded, ok := in.foldBinary(x.Op, lls[i], rls[i], int(x.P.Line)); ok {
 			shared[key] = folded
 			labels[i] = folded
 			continue
 		}
-		op := in.g.NewOp(x.Op, binaryResultType(x.Op), x.P.Line)
+		op := in.g.NewOp(x.Op, binaryResultType(x.Op), int(x.P.Line))
 		in.g.AddEdge(op, lls[i])
 		in.g.AddEdge(op, rls[i])
 		shared[key] = op
@@ -486,18 +486,18 @@ func (in *Interp) foldBinary(op string, l, r heapgraph.Label, line int) (heapgra
 func (in *Interp) evalIncDec(x *phpast.IncDec, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	var olds []heapgraph.Label
 	envs, olds = in.eval(x.X, envs)
-	one := in.g.NewConcrete(sexpr.IntVal(1), x.P.Line)
+	one := in.g.NewConcrete(sexpr.IntVal(1), int(x.P.Line))
 	news := make([]heapgraph.Label, len(envs))
 	for i := range envs {
 		opName := "+"
 		if x.Op == "--" {
 			opName = "-"
 		}
-		if folded, ok := in.foldBinary(opName, olds[i], one, x.P.Line); ok {
+		if folded, ok := in.foldBinary(opName, olds[i], one, int(x.P.Line)); ok {
 			news[i] = folded
 			continue
 		}
-		op := in.g.NewOp(opName, sexpr.Int, x.P.Line)
+		op := in.g.NewOp(opName, sexpr.Int, int(x.P.Line))
 		in.g.AddEdge(op, olds[i])
 		in.g.AddEdge(op, one)
 		news[i] = op
@@ -544,7 +544,7 @@ func (in *Interp) evalTernary(x *phpast.Ternary, envs heapgraph.EnvSet) (heapgra
 		if to != nil {
 			t = to.Type
 		}
-		op := in.g.NewOp("ite", t, x.P.Line)
+		op := in.g.NewOp("ite", t, int(x.P.Line))
 		in.g.AddEdge(op, cls[i])
 		in.g.AddEdge(op, tls[i])
 		in.g.AddEdge(op, els[i])
@@ -561,7 +561,7 @@ func (in *Interp) evalCast(x *phpast.Cast, envs heapgraph.EnvSet) (heapgraph.Env
 		o := in.g.Find(ls[i])
 		if o != nil && o.Kind == heapgraph.KindConcrete {
 			if v, ok := foldCastValue(x.Type, o.Val); ok {
-				labels[i] = in.g.NewConcrete(v, x.P.Line)
+				labels[i] = in.g.NewConcrete(v, int(x.P.Line))
 				continue
 			}
 		}
@@ -569,7 +569,7 @@ func (in *Interp) evalCast(x *phpast.Cast, envs heapgraph.EnvSet) (heapgraph.Env
 			"int": sexpr.Int, "float": sexpr.Float, "string": sexpr.String,
 			"bool": sexpr.Bool, "array": sexpr.Array,
 		}[x.Type]
-		op := in.g.NewOp("cast_"+x.Type, t, x.P.Line)
+		op := in.g.NewOp("cast_"+x.Type, t, int(x.P.Line))
 		in.g.AddEdge(op, ls[i])
 		labels[i] = op
 	}
@@ -630,13 +630,13 @@ func (in *Interp) evalPropFetch(x *phpast.PropFetch, envs heapgraph.EnvSet) (hea
 				labels[i] = l
 				continue
 			}
-			l := in.g.NewSymbol("", sexpr.Unknown, x.P.Line)
+			l := in.g.NewSymbol("", sexpr.Unknown, int(x.P.Line))
 			in.g.SetElem(ols[i], x.Prop, l)
 			labels[i] = l
 			continue
 		}
-		op := in.g.NewOp("prop_fetch", sexpr.Unknown, x.P.Line)
-		key := in.g.NewConcrete(sexpr.StrVal(x.Prop), x.P.Line)
+		op := in.g.NewOp("prop_fetch", sexpr.Unknown, int(x.P.Line))
+		key := in.g.NewConcrete(sexpr.StrVal(x.Prop), int(x.P.Line))
 		in.g.AddEdge(op, ols[i])
 		in.g.AddEdge(op, key)
 		labels[i] = op
@@ -647,7 +647,7 @@ func (in *Interp) evalPropFetch(x *phpast.PropFetch, envs heapgraph.EnvSet) (hea
 func (in *Interp) evalInclude(x *phpast.Include, envs heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label) {
 	envs, _ = in.eval(x.X, envs)
 	target := in.prog.Include(in.curFile, x)
-	done := in.g.NewConcrete(sexpr.BoolVal(true), x.P.Line)
+	done := in.g.NewConcrete(sexpr.BoolVal(true), int(x.P.Line))
 	if target == nil {
 		return envs, sameLabel(envs, done)
 	}
@@ -700,7 +700,7 @@ func (in *Interp) assignTo(target phpast.Expr, envs heapgraph.EnvSet, vals []hea
 			}
 			sub := make([]heapgraph.Label, len(envs))
 			for i := range envs {
-				sub[i] = in.readElem(vals[i], in.g.NewConcrete(sexpr.IntVal(int64(j)), t.P.Line), t.P.Line)
+				sub[i] = in.readElem(vals[i], in.g.NewConcrete(sexpr.IntVal(int64(j)), int(t.P.Line)), int(t.P.Line))
 			}
 			envs = in.assignTo(item, envs, sub)
 		}
@@ -733,7 +733,7 @@ func (in *Interp) assignToDim(t *phpast.ArrayDim, envs heapgraph.EnvSet, vals []
 	for i := range envs {
 		// Copy-on-write clone of the base array (or a fresh array when the
 		// base is not a known array object).
-		na := in.g.NewArray(t.P.Line)
+		na := in.g.NewArray(int(t.P.Line))
 		if info := in.g.Array(arrs[i]); info != nil {
 			for _, k := range info.Keys {
 				in.g.SetElem(na, k, info.Elems[k])

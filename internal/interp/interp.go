@@ -218,7 +218,7 @@ func (in *Interp) Run(ctx context.Context, root *callgraph.Node) Result {
 				if p.Type == "array" {
 					t = sexpr.Array
 				}
-				env.Bind(p.Name, in.g.NewSymbol("s_param_"+p.Name, t, fn.Decl.P.Line))
+				env.Bind(p.Name, in.g.NewSymbol("s_param_"+p.Name, t, int(fn.Decl.P.Line)))
 			}
 			pop := in.pushMergeScope(fn, envs)
 			envs = in.execStmts(fn.Decl.Body, envs)
@@ -325,7 +325,7 @@ func (in *Interp) execStmt(s phpast.Stmt, envs heapgraph.EnvSet) heapgraph.EnvSe
 			if labels != nil {
 				e.Returned = labels[i]
 			} else {
-				e.Returned = in.g.NewConcrete(sexpr.NullVal{}, x.P.Line)
+				e.Returned = in.g.NewConcrete(sexpr.NullVal{}, int(x.P.Line))
 			}
 			e.Terminated = true
 		}
@@ -353,7 +353,7 @@ func (in *Interp) execStmt(s phpast.Stmt, envs heapgraph.EnvSet) heapgraph.EnvSe
 			for _, name := range x.Names {
 				n := name
 				e.ImportGlobal(n, func() heapgraph.Label {
-					return in.g.NewSymbol("s_global_"+n, sexpr.Unknown, x.P.Line)
+					return in.g.NewSymbol("s_global_"+n, sexpr.Unknown, int(x.P.Line))
 				})
 			}
 		}
@@ -368,7 +368,7 @@ func (in *Interp) execStmt(s phpast.Stmt, envs heapgraph.EnvSet) heapgraph.EnvSe
 				}
 			} else {
 				for _, e := range envs {
-					e.Bind(name, in.g.NewSymbol("s_static_"+name, sexpr.Unknown, x.P.Line))
+					e.Bind(name, in.g.NewSymbol("s_static_"+name, sexpr.Unknown, int(x.P.Line)))
 				}
 			}
 		}
@@ -386,7 +386,7 @@ func (in *Interp) execStmt(s phpast.Stmt, envs heapgraph.EnvSet) heapgraph.EnvSe
 		catches := make([]catchClause, len(x.Catches))
 		for i, c := range x.Catches {
 			body := c.Body.Stmts
-			catches[i] = catchClause{varName: c.Var, line: c.P.Line, run: func(es heapgraph.EnvSet) heapgraph.EnvSet {
+			catches[i] = catchClause{varName: c.Var, line: int(c.P.Line), run: func(es heapgraph.EnvSet) heapgraph.EnvSet {
 				return in.execStmts(body, es)
 			}}
 		}
@@ -418,7 +418,7 @@ func (in *Interp) execIf(x *phpast.If, envs heapgraph.EnvSet) heapgraph.EnvSet {
 	if x.Else != nil {
 		runElse = func(es heapgraph.EnvSet) heapgraph.EnvSet { return in.execStmt(x.Else, es) }
 	}
-	return in.branch(envs, condLabels, x.P.Line, func(es heapgraph.EnvSet) heapgraph.EnvSet {
+	return in.branch(envs, condLabels, int(x.P.Line), func(es heapgraph.EnvSet) heapgraph.EnvSet {
 		return in.execStmts(x.Then.Stmts, es)
 	}, runElse)
 }
@@ -493,11 +493,11 @@ func clearContinues(envs heapgraph.EnvSet) {
 }
 
 func (in *Interp) execWhile(x *phpast.While, envs heapgraph.EnvSet) heapgraph.EnvSet {
-	return in.execCondLoop(x.Cond, x.Body.Stmts, nil, x.P.Line, envs, false)
+	return in.execCondLoop(x.Cond, x.Body.Stmts, nil, int(x.P.Line), envs, false)
 }
 
 func (in *Interp) execDoWhile(x *phpast.DoWhile, envs heapgraph.EnvSet) heapgraph.EnvSet {
-	return in.execCondLoop(x.Cond, x.Body.Stmts, nil, x.P.Line, envs, true)
+	return in.execCondLoop(x.Cond, x.Body.Stmts, nil, int(x.P.Line), envs, true)
 }
 
 func (in *Interp) execFor(x *phpast.For, envs heapgraph.EnvSet) heapgraph.EnvSet {
@@ -509,7 +509,7 @@ func (in *Interp) execFor(x *phpast.For, envs heapgraph.EnvSet) heapgraph.EnvSet
 	if x.Body != nil {
 		body = x.Body.Stmts
 	}
-	return in.execCondLoop(cond, body, x.Post, x.P.Line, envs, false)
+	return in.execCondLoop(cond, body, x.Post, int(x.P.Line), envs, false)
 }
 
 // execCondLoop adapts the AST loop shape to the shared condLoop core
@@ -544,7 +544,7 @@ func (in *Interp) execForeach(x *phpast.Foreach, envs heapgraph.EnvSet) heapgrap
 			keyName, hasKey = kv.Name, true
 		}
 	}
-	return in.foreachLoop(envs, arrLabels, x.P.Line, keyName, hasKey,
+	return in.foreachLoop(envs, arrLabels, int(x.P.Line), keyName, hasKey,
 		func(e *heapgraph.Env, val heapgraph.Label) heapgraph.EnvSet {
 			return in.assignTo(x.Val, heapgraph.EnvSet{e}, []heapgraph.Label{val})
 		},

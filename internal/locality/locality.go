@@ -301,7 +301,7 @@ func nodeLines(n *callgraph.Node, files map[string]*phpast.File) int {
 		if n.Func == nil {
 			return 0
 		}
-		return span(n.Func.P.Line, n.Func.EndLine)
+		return span(int(n.Func.P.Line), n.Func.EndLine)
 	case callgraph.FileNode:
 		f, ok := files[n.Name]
 		if !ok {
@@ -340,11 +340,12 @@ func stmtSpan(s phpast.Stmt) int {
 		if !p.IsValid() {
 			return true
 		}
-		if min == 0 || p.Line < min {
-			min = p.Line
+		line := int(p.Line)
+		if min == 0 || line < min {
+			min = line
 		}
-		if p.Line > max {
-			max = p.Line
+		if line > max {
+			max = line
 		}
 		return true
 	})

@@ -7,7 +7,7 @@ import (
 	"repro/internal/phptoken"
 )
 
-func pos(line int) phptoken.Pos { return phptoken.Pos{Line: line, Col: 1} }
+func pos(line int32) phptoken.Pos { return phptoken.Pos{Line: line, Col: 1} }
 
 // sample builds a small synthetic tree covering many node kinds:
 //

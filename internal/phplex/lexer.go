@@ -6,6 +6,7 @@ package phplex
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/phptoken"
@@ -39,8 +40,18 @@ func (l *Lexer) errorf(p phptoken.Pos, format string, args ...any) {
 	l.errs = append(l.errs, fmt.Errorf("%s:%s: %s", l.file, p, fmt.Sprintf(format, args...)))
 }
 
+// pos narrows the int counters to a phptoken.Pos, saturating at
+// math.MaxInt32 so a source of 2 GiB or more never yields a negative
+// position.
 func (l *Lexer) pos() phptoken.Pos {
-	return phptoken.Pos{Line: l.line, Col: l.col}
+	return phptoken.Pos{Line: sat32(l.line), Col: sat32(l.col)}
+}
+
+func sat32(n int) int32 {
+	if n > math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int32(n)
 }
 
 func (l *Lexer) eof() bool { return l.off >= len(l.src) }

@@ -1,6 +1,7 @@
 package phplex
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -456,7 +457,7 @@ func TestLexCRLFLineEndings(t *testing.T) {
 	var bLine int
 	for _, tk := range toks {
 		if tk.Kind == phptoken.Variable && tk.Value == "b" {
-			bLine = tk.Pos.Line
+			bLine = int(tk.Pos.Line)
 		}
 	}
 	if bLine != 3 {
@@ -575,5 +576,47 @@ func TestScanOperatorLongestMatch(t *testing.T) {
 			}
 		}
 		strs = longer
+	}
+}
+
+// TestPosSaturates: positions narrow to int32 by saturating at
+// math.MaxInt32, never wrapping negative, so FuzzLex's non-negative
+// position invariant holds for a source of any size. The counters are
+// set directly; no test builds a 2 GiB source.
+func TestPosSaturates(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits: the counters cannot pass MaxInt32")
+	}
+	l := New("t", "")
+	for _, c := range []struct {
+		line, col int
+		want      phptoken.Pos
+	}{
+		{1, 1, phptoken.Pos{Line: 1, Col: 1}},
+		{math.MaxInt32, math.MaxInt32, phptoken.Pos{Line: math.MaxInt32, Col: math.MaxInt32}},
+		{math.MaxInt, 7, phptoken.Pos{Line: math.MaxInt32, Col: 7}},
+		{7, math.MaxInt, phptoken.Pos{Line: 7, Col: math.MaxInt32}},
+	} {
+		l.line, l.col = c.line, c.col
+		if got := l.pos(); got != c.want {
+			t.Errorf("pos() at line %d col %d = %+v, want %+v", c.line, c.col, got, c.want)
+		}
+	}
+
+	// Lexing on from the limit: every later token is past MaxInt32 on
+	// one counter or both, and must read as MaxInt32.
+	l = New("t", "<?php $a\n$b = 1;")
+	l.line, l.col = math.MaxInt32, math.MaxInt32
+	toks := tokens(l)
+	for _, tk := range toks {
+		if tk.Pos.Line != math.MaxInt32 || tk.Pos.Col < 1 {
+			t.Errorf("%v: want line MaxInt32 and a positive column", tk)
+		}
+	}
+	if a := toks[1]; a.Value != "a" || a.Pos.Col != math.MaxInt32 {
+		t.Errorf("$a = %v, want its column saturated at MaxInt32", a)
+	}
+	if b := toks[2]; b.Value != "b" || b.Pos.Col != 1 {
+		t.Errorf("$b = %v, want column 1 on the saturated next line", b)
 	}
 }

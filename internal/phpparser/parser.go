@@ -136,7 +136,7 @@ func (p *Parser) next() phptoken.Token {
 		return t
 	}
 	p.pos++
-	p.lastLine = t.Pos.Line
+	p.lastLine = int(t.Pos.Line)
 	if p.n == 1 {
 		p.win[0] = p.lex.Next()
 	} else {

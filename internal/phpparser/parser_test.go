@@ -831,7 +831,7 @@ func TestParsePositionsInRange(t *testing.T) {
 		f := mustParse(t, src)
 		maxLine := strings.Count(src, "\n") + 1
 		phpast.Walk(f, func(n phpast.Node) bool {
-			if p := n.Pos(); p.IsValid() && (p.Line < 1 || p.Line > maxLine) {
+			if p := n.Pos(); p.IsValid() && (p.Line < 1 || int(p.Line) > maxLine) {
 				t.Errorf("node %T at line %d outside [1,%d]", n, p.Line, maxLine)
 			}
 			return true

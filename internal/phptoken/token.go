@@ -362,9 +362,11 @@ func Lookup(lower string) Kind {
 }
 
 // Pos is a source position: a 1-based line and a 1-based byte column.
+// Both are int32, so a Pos is 8 bytes; the lexer saturates them at
+// math.MaxInt32 rather than wrap on a source of 2 GiB or more.
 type Pos struct {
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 // IsValid reports whether p refers to an actual source location.
