@@ -104,11 +104,19 @@ type Graph struct {
 	sinks       map[string]*Node // sink name -> node
 }
 
-// Build constructs the extended call graph for the given parsed files.
-// Functions, includes and call targets resolve through the same
-// phpast.Program table the interpreter dispatches through.
+// Build builds the program table of the given parsed files and returns
+// BuildProgram over it. It remains for the separately built benchmark
+// module, cmd/phpparse and the tests; the scanner builds its table once
+// and calls BuildProgram.
 func Build(files []*phpast.File) *Graph {
-	prog := phpast.NewProgram(files)
+	return BuildProgram(phpast.NewProgram(files))
+}
+
+// BuildProgram constructs the extended call graph over a scan's program
+// table. Functions, includes and call targets resolve through the same
+// table the interpreter dispatches through, and only the graph's nodes
+// and edges are built here.
+func BuildProgram(prog *phpast.Program) *Graph {
 	g := &Graph{
 		// Files, functions, the $_FILES node and at most one node per sink.
 		Nodes: make([]*Node, 0, len(prog.Units)+len(prog.Decls)+1+len(Sinks)),

@@ -87,9 +87,9 @@ func (p *PhaseTimes) SpanHook() func(obs.Span) {
 }
 
 // phaseColumns is the rendering order for the per-phase breakdown: the
-// scanner's span names, pipeline order. "program" is the interpreter's
-// program-table build and "callgraph" the call graph's (with its own
-// table); "root" is phases 3–6 summed over roots; "interp" and "verify"
+// scanner's span names, pipeline order. "program" is the build of the
+// scan's one program table and "callgraph" the call graph's nodes and
+// edges over it; "root" is phases 3–6 summed over roots; "interp" and "verify"
 // split it into symbolic execution and modeling+translation+solving;
 // "scan" is the whole-scan wall clock.
 var phaseColumns = []string{"parse", "program", "callgraph", "locality", "root", "interp", "verify", "scan"}

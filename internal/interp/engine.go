@@ -10,7 +10,7 @@ import (
 // EngineKind names a symbolic-execution engine. The recursive AST walker
 // is the only one; the type and its single value remain because the
 // separately built benchmark module constructs engines through
-// NewEngineFactory(EngineTree, files).
+// NewEngineFactory(EngineTree, files). The scanner calls NewEngines.
 type EngineKind string
 
 // EngineTree is the recursive AST walker.
@@ -44,16 +44,24 @@ func ParseInterprocKind(s string) (InterprocKind, error) {
 }
 
 // EngineFactory builds per-root interpreters over one scan's program
-// table, which it builds once: every root, retry rung and worker of the
-// scan shares it, and New walks no AST.
+// table: every root, retry rung and worker of the scan shares it, and
+// New walks no AST.
 type EngineFactory struct {
 	prog *phpast.Program
 }
 
-// NewEngineFactory returns the factory for a scan's parsed files. The
-// kind is always EngineTree (see EngineKind).
+// NewEngines returns the factory over a scan's program table, the same
+// table the scan's call graph is built from.
+func NewEngines(prog *phpast.Program) *EngineFactory {
+	return &EngineFactory{prog: prog}
+}
+
+// NewEngineFactory builds the program table of a scan's parsed files
+// and returns NewEngines over it. The kind is always EngineTree (see
+// EngineKind). It remains for the separately built benchmark module
+// and the tests; the scanner builds its table once and calls NewEngines.
 func NewEngineFactory(_ EngineKind, files []*phpast.File) *EngineFactory {
-	return &EngineFactory{prog: phpast.NewProgram(files)}
+	return NewEngines(phpast.NewProgram(files))
 }
 
 // New builds a fresh interpreter (fresh heap graph and statistics) for

@@ -240,10 +240,11 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 	}
 	parseSpan.End(obs.A("files", strconv.Itoa(len(files))))
 
-	// The engine factory builds the scan's program table once; every
-	// root, worker and degradation-ladder rung shares it.
+	// The scan's one program table: the call graph and every root,
+	// worker and degradation-ladder rung share it.
 	progSpan := tr.start(scanSpan.ID(), "program")
-	engines := interp.NewEngineFactory(interp.EngineTree, files)
+	prog := phpast.NewProgram(files)
+	engines := interp.NewEngines(prog)
 	progSpan.End()
 
 	// Function summaries (the -interproc summary strategy): one table per
@@ -257,7 +258,7 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 
 	// --- Phase 2: locality analysis ---
 	cgSpan := tr.start(scanSpan.ID(), "callgraph")
-	g := callgraph.Build(files)
+	g := callgraph.BuildProgram(prog)
 	cgSpan.End()
 	locSpan := tr.start(scanSpan.ID(), "locality")
 	loc := locality.Analyze(g, files, t.Sources)
