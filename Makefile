@@ -98,10 +98,11 @@ daemon-chaos:
 # path-explosion case completing cleanly under default budgets with zero
 # retries, summary-mode reports byte-identical at Workers=1/2/8 on the
 # determinism suite's apps, reports that do not depend on what the
-# scanner or the daemon scanned before, the four shapes on which the
-# call graph, the interpreter and the summary table once disagreed
+# scanner or the daemon scanned before, the shapes on which the call
+# graph, the interpreter and the summary table once disagreed
 # (TestProgramTableAgreement: a function nested in a method body, "./"
-# and "../" includes, constructor-only and call_user_func-only sinks),
+# and "../" includes, constructor-only and call_user_func-only sinks,
+# and a callee's sink, include and __DIR__ in its declaring file),
 # every FuzzSummaryEquivalence seed (seed_nested_method_func among
 # them), and the unit-level merge/summary suites (including concurrent
 # first lookups).

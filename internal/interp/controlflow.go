@@ -307,8 +307,15 @@ func (in *Interp) inlineCall(fn *phpast.Func, argMatrix [][]heapgraph.Label, env
 		}
 	}
 
+	// The callee runs in its declaring file: its sink labels, includes,
+	// __FILE__ and __DIR__ resolve there, not in the caller's file.
 	in.callStack = append(in.callStack, lname)
-	defer func() { in.callStack = in.callStack[:len(in.callStack)-1] }()
+	callerFile := in.curFile
+	in.curFile = fn.File
+	defer func() {
+		in.callStack = in.callStack[:len(in.callStack)-1]
+		in.curFile = callerFile
+	}()
 
 	for i, e := range envs {
 		args := argMatrix[i]
