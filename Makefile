@@ -146,9 +146,11 @@ bench-smt-diff:
 # Parse, call-graph and symbolic-execution benchmarks: the parser alone
 # on the largest corpus app, call-graph construction plus root selection
 # on the same app, the interpreter alone on the most path-heavy
-# completing app, a 32-root app end to end, and the serial full-corpus
-# sweep — archived as JSON for cross-commit comparison.
-INTERP_BENCH = ^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial)$$
+# completing app, a 32-root app end to end, the serial full-corpus
+# sweep, and 200 generated plugins scanned one at a time as the
+# screening workload scans them — archived as JSON for cross-commit
+# comparison.
+INTERP_BENCH = ^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial|ScanScreening)$$
 bench-interp:
 	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
 	@echo "wrote BENCH_interp.json"
@@ -161,7 +163,7 @@ bench-interp:
 # committed file.
 bench-interp-diff:
 	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | \
-	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial)' -out BENCH_interp.new.json
+	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial|ScanScreening)' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
 # One-iteration smoke over the constraint-engine, parse, call-graph and

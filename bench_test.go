@@ -382,6 +382,28 @@ func BenchmarkScanRoots(b *testing.B) {
 	}
 }
 
+// BenchmarkScanScreening scans 200 generated plugins (1 in 20 planted)
+// the way the screening workload does: one ScanBatch per plugin at
+// Workers=1. Locality keeps little of each plugin, so parsing and the
+// program table take most of what it allocates.
+func BenchmarkScanScreening(b *testing.B) {
+	apps := corpus.RandomPlugins(1, 200, 20)
+	targets := make([]uchecker.Target, len(apps))
+	for i, a := range apps {
+		targets[i] = uchecker.Target{Name: a.Name, Sources: a.Sources}
+	}
+	scanner := uchecker.NewScanner(uchecker.Options{Workers: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range targets {
+			rep := scanner.ScanBatch(context.Background(), targets[j:j+1])[0]
+			if rep.Vulnerable != apps[j].Planted {
+				b.Fatalf("%s: verdict %v, want %v", apps[j].Name, rep.Vulnerable, apps[j].Planted)
+			}
+		}
+	}
+}
+
 // BenchmarkScreening measures the Section IV-B screening workflow: one
 // iteration scans 100 generated plugins (5 seeded vulnerabilities).
 func BenchmarkScreening(b *testing.B) {
