@@ -123,13 +123,18 @@ bench-scan:
 
 # Shared-structure constraint-engine micro-benchmarks (interned vs the
 # Options.DisableIntern ablation, and the model search on
-# portfolio-showcase's budget-exhausting cube), archived as JSON for
-# cross-commit comparison.
+# portfolio-showcase's budget-exhausting cube), the heap graph's fork
+# and lookup costs, and one interpreter run of Cimy up to its path-budget
+# abort, archived as JSON for cross-commit comparison. The recipes tee
+# with -a: when make's output is redirected to a file, a truncating
+# reopen of /dev/stderr would erase what earlier targets logged.
 SMT_BENCH = 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch'
 HEAPGRAPH_BENCH = 'BenchmarkPathForkDeep|BenchmarkEnvGetForked'
+CIMY_BENCH = '^BenchmarkRunCimyAbort$$'
 bench-smt:
 	@{ $(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 2s -benchmem ./internal/smt; \
-	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
+	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; \
+	   $(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 2s -benchmem ./internal/interp; } | tee -a /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
 # Constraint-engine allocation gate: re-runs bench-smt's suite and fails
@@ -139,7 +144,8 @@ bench-smt:
 # host. The fresh run lands in BENCH_smt.new.json.
 bench-smt-diff:
 	@{ $(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 2s -benchmem ./internal/smt; \
-	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | \
+	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; \
+	   $(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 2s -benchmem ./internal/interp; } | tee -a /dev/stderr | \
 	  $(GO) run ./cmd/benchjson -baseline BENCH_smt.json -max-regress 15 -metrics allocs/op,B/op -out BENCH_smt.new.json
 	@echo "wrote BENCH_smt.new.json (candidate baseline)"
 
@@ -152,7 +158,7 @@ bench-smt-diff:
 # comparison.
 INTERP_BENCH = ^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial|ScanScreening)$$
 bench-interp:
-	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
+	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee -a /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
 	@echo "wrote BENCH_interp.json"
 
 # Parse, call-graph and symbolic-execution regression gate: re-runs
@@ -162,7 +168,7 @@ bench-interp:
 # baseline, and after an intentional perf change it replaces the
 # committed file.
 bench-interp-diff:
-	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee /dev/stderr | \
+	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee -a /dev/stderr | \
 	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial|ScanScreening)' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
@@ -172,6 +178,7 @@ bench-interp-diff:
 bench-smoke:
 	$(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 1x ./internal/heapgraph
+	$(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 1x ./internal/interp
 	$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 1x .
 
 # The repo benchmark (bench/, driven by bench/run.sh) is its own Go
