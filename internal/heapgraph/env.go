@@ -9,7 +9,8 @@ import (
 
 // maxLayers bounds the chain of frozen layers under a frame. Clone
 // flattens a chain that grows past it into a single layer, so a lookup
-// probes at most maxLayers+1 maps: the frame's delta, then each layer.
+// probes at most maxLayers+1 layers: the frame's delta, then each frozen
+// one.
 const maxLayers = 8
 
 // deleted is what Unbind writes into a frame's delta when the name is
@@ -17,15 +18,33 @@ const maxLayers = 8
 // positive and Null is 0, so it is never a valid label.
 const deleted Label = -1
 
-// layer is a frozen set of bindings, shared by every environment forked
-// after it was frozen and never written again. A binding to deleted
-// hides the name's binding in the layers below.
+// binding is one name bound in a layer.
+type binding struct {
+	name  string
+	label Label
+}
+
+// layer is a set of bindings over an older layer. A frame's newest layer
+// (its delta) is private and written in place; Clone freezes it, after
+// which every environment forked from it shares it and it is never
+// written again. A binding to deleted hides the name's binding in the
+// layers below. A layer holds each name at most once, and is searched
+// linearly: a delta holds the few names a path wrote since its last
+// fork.
 type layer struct {
-	vars   map[string]Label
+	vars   []binding
 	parent *layer
 	// depth counts the layers from this one down to the bottom of the
 	// chain, this one included.
 	depth int
+}
+
+// deltaLayer is a frame's newest layer allocated together with room for
+// its first two bindings, so the first write after a fork costs one
+// allocation.
+type deltaLayer struct {
+	layer
+	buf [2]binding
 }
 
 // height is the layer's depth, 0 for the empty chain.
@@ -36,11 +55,21 @@ func (ly *layer) height() int {
 	return ly.depth
 }
 
+// index returns the position of the layer's own binding of a name, or -1.
+func (ly *layer) index(name string) int {
+	for i := range ly.vars {
+		if ly.vars[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // lookup resolves a name through the chain, newest layer first.
 func (ly *layer) lookup(name string) (Label, bool) {
 	for ; ly != nil; ly = ly.parent {
-		if l, ok := ly.vars[name]; ok {
-			return visible(l)
+		if i := ly.index(name); i >= 0 {
+			return visible(ly.vars[i].label)
 		}
 	}
 	return Null, false
@@ -55,20 +84,41 @@ func visible(l Label) (Label, bool) {
 	return l, true
 }
 
-// flatVars returns a fresh map holding the chain's visible bindings.
-func (ly *layer) flatVars() map[string]Label {
-	if ly.parent == nil {
-		return maps.Clone(ly.vars)
+// shows reports whether b, a binding of layer owner in ly's chain, is
+// what ly resolves its name to: it is not the deletion marker, and no
+// layer above owner binds the name.
+func (ly *layer) shows(owner *layer, b binding) bool {
+	if b.label == deleted {
+		return false
 	}
-	vars := ly.parent.flatVars()
-	for name, l := range ly.vars {
-		if l == deleted {
-			delete(vars, name)
-		} else {
-			vars[name] = l
+	for ; ly != owner; ly = ly.parent {
+		if ly.index(b.name) >= 0 {
+			return false
 		}
 	}
-	return vars
+	return true
+}
+
+// flatten returns one bottom layer holding the chain's visible bindings,
+// in a slice counted before it is filled.
+func (ly *layer) flatten() *layer {
+	n := 0
+	for l := ly; l != nil; l = l.parent {
+		for _, b := range l.vars {
+			if ly.shows(l, b) {
+				n++
+			}
+		}
+	}
+	vars := make([]binding, 0, n)
+	for l := ly; l != nil; l = l.parent {
+		for _, b := range l.vars {
+			if ly.shows(l, b) {
+				vars = append(vars, b)
+			}
+		}
+	}
+	return &layer{vars: vars, depth: 1}
 }
 
 // commonLayer returns the newest layer both chains share, or nil.
@@ -89,16 +139,16 @@ func commonLayer(a, b *layer) *layer {
 // frame is one variable scope. The bottom frame is the file-level (global)
 // scope; each inlined function call pushes a frame.
 //
-// A frame is a private delta map on top of a chain of frozen layers.
-// Clone freezes each frame's delta into a new layer that both sides then
+// A frame is a private delta layer on top of a chain of frozen layers.
+// Clone freezes each frame's delta onto its chain, which both sides then
 // share, and every later write goes to the writer's own (fresh, small)
 // delta. Forking a path therefore costs O(scope depth), and the state a
 // path adds afterwards grows with what it writes, not with how many
 // bindings it can see.
 type frame struct {
 	// delta holds the bindings written since the last fork; nil until the
-	// first write.
-	delta map[string]Label
+	// first write. Its parent is base.
+	delta *layer
 	// base is the chain of frozen layers under delta.
 	base *layer
 	// globalImports records names aliased into this frame via PHP's
@@ -111,36 +161,61 @@ type frame struct {
 	shared bool
 }
 
+// newest returns the frame's newest layer: its delta, or else its base.
+func (f *frame) newest() *layer {
+	if f.delta != nil {
+		return f.delta
+	}
+	return f.base
+}
+
 // lookup resolves a name in the frame: the delta first, then the layers.
 func (f *frame) lookup(name string) (Label, bool) {
-	if l, ok := f.delta[name]; ok {
-		return visible(l)
-	}
-	return f.base.lookup(name)
+	return f.newest().lookup(name)
 }
 
-// set writes a binding into the frame's delta.
+// set writes a binding into the frame's delta, allocating the delta with
+// room for two bindings on the first write since the last fork.
 func (f *frame) set(name string, l Label) {
-	if f.delta == nil {
-		f.delta = map[string]Label{}
-	}
-	f.delta[name] = l
 	f.shared = false
-}
-
-// freeze moves the frame's delta into a new layer on top of its chain,
-// flattening the chain once it grows past maxLayers, and marks the frame
-// shared.
-func (f *frame) freeze() {
-	f.shared = true
-	if len(f.delta) == 0 {
-		f.delta = nil
+	if f.delta == nil {
+		d := &deltaLayer{layer: layer{parent: f.base, depth: f.base.height() + 1}}
+		d.vars = d.buf[:0]
+		f.delta = &d.layer
+	} else if i := f.delta.index(name); i >= 0 {
+		f.delta.vars[i].label = l
 		return
 	}
-	f.base = &layer{vars: f.delta, parent: f.base, depth: f.base.height() + 1}
+	f.delta.vars = append(f.delta.vars, binding{name, l})
+}
+
+// unset removes the delta's own binding of a name, if it has one.
+func (f *frame) unset(name string) {
+	f.shared = false
+	if f.delta == nil {
+		return
+	}
+	vars := f.delta.vars
+	if i := f.delta.index(name); i >= 0 {
+		last := len(vars) - 1
+		vars[i] = vars[last]
+		vars[last] = binding{}
+		f.delta.vars = vars[:last]
+	}
+}
+
+// freeze links the frame's delta onto its chain, flattening the chain
+// once it grows past maxLayers, and marks the frame shared.
+func (f *frame) freeze() {
+	f.shared = true
+	d := f.delta
 	f.delta = nil
-	if f.base.depth > maxLayers {
-		f.base = &layer{vars: f.base.flatVars(), depth: 1}
+	if d == nil || len(d.vars) == 0 {
+		return
+	}
+	f.base = d
+	if d.depth > maxLayers {
+		f.base = d.flatten()
 	}
 }
 
@@ -148,28 +223,16 @@ func (f *frame) freeze() {
 // from those in skip, resolves to the same binding (or the same absence)
 // in o.
 func (f *frame) sameAbove(o *frame, stop *layer, skip map[string]bool) bool {
-	if !f.sameFor(o, f.delta, skip) {
-		return false
-	}
-	for ly := f.base; ly != stop; ly = ly.parent {
-		if !f.sameFor(o, ly.vars, skip) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameFor reports whether f and o resolve every name of vars outside
-// skip alike.
-func (f *frame) sameFor(o *frame, vars map[string]Label, skip map[string]bool) bool {
-	for name := range vars {
-		if skip[name] {
-			continue
-		}
-		l, ok := f.lookup(name)
-		ol, ook := o.lookup(name)
-		if ok != ook || l != ol {
-			return false
+	for ly := f.newest(); ly != stop; ly = ly.parent {
+		for _, b := range ly.vars {
+			if skip[b.name] {
+				continue
+			}
+			l, ok := f.lookup(b.name)
+			ol, ook := o.lookup(b.name)
+			if ok != ook || l != ol {
+				return false
+			}
 		}
 	}
 	return true
@@ -177,7 +240,7 @@ func (f *frame) sameFor(o *frame, vars map[string]Label, skip map[string]bool) b
 
 // equivalent reports whether two frames bind the same names (those in
 // skip excluded) to the same labels and import the same globals. Below
-// their newest common layer both frames read the same maps, so only the
+// their newest common layer both frames read the same layers, so only the
 // names either side wrote above it are compared.
 func (f *frame) equivalent(o *frame, skip map[string]bool) bool {
 	if len(f.globalImports) != len(o.globalImports) {
@@ -260,28 +323,19 @@ func (e *Env) Unbind(name string) {
 		f.set(name, deleted)
 		return
 	}
-	delete(f.delta, name)
-	f.shared = false
+	f.unset(name)
 }
 
 // VarNames returns the bound variable names of the current scope, sorted.
 func (e *Env) VarNames() []string {
-	f := e.top()
-	seen := map[string]bool{}
-	out := make([]string, 0, len(f.delta))
-	visit := func(vars map[string]Label) {
-		for name, l := range vars {
-			if !seen[name] {
-				seen[name] = true
-				if l != deleted {
-					out = append(out, name)
-				}
+	top := e.top().newest()
+	var out []string
+	for ly := top; ly != nil; ly = ly.parent {
+		for _, b := range ly.vars {
+			if top.shows(ly, b) {
+				out = append(out, b.name)
 			}
 		}
-	}
-	visit(f.delta)
-	for ly := f.base; ly != nil; ly = ly.parent {
-		visit(ly.vars)
 	}
 	sort.Strings(out)
 	return out
@@ -304,7 +358,7 @@ func (e *Env) PopScope() {
 		}
 	}
 	// Clear the slot so the backing array does not keep the popped
-	// frame's maps alive.
+	// frame's layers alive.
 	*top = frame{}
 	e.frames = e.frames[:len(e.frames)-1]
 	e.Returned = Null
@@ -339,8 +393,9 @@ func (e *Env) ImportGlobal(name string, mk func() Label) {
 // the memory-sharing design the paper credits for the small per-path
 // object counts.
 //
-// Each scope frame's delta is frozen into a layer that both sides then
-// share, and each side's later writes go to a fresh delta of its own. The
+// Each scope frame's delta is frozen onto its chain, which both sides
+// then share, and each side's later writes go to a fresh delta of its
+// own. The
 // path condition (Cur) is a heap-graph label, so the condition prefix is
 // a shared tail by construction. Forking is therefore O(scope depth), not
 // O(bindings), and a forked path's private state grows with what it

@@ -33,20 +33,11 @@ func deepCloneEnv(e *Env) *Env {
 // flatCopy returns a frame with no layers whose delta holds a private
 // copy of every binding f can see.
 func flatCopy(f *frame) frame {
-	var vars map[string]Label
-	if f.base != nil {
-		vars = f.base.flatVars()
-	} else {
-		vars = make(map[string]Label, len(f.delta))
+	var delta *layer
+	if top := f.newest(); top != nil {
+		delta = top.flatten()
 	}
-	for name, l := range f.delta {
-		if l == deleted {
-			delete(vars, name)
-		} else {
-			vars[name] = l
-		}
-	}
-	return frame{delta: vars, globalImports: maps.Clone(f.globalImports)}
+	return frame{delta: delta, globalImports: maps.Clone(f.globalImports)}
 }
 
 // benchEnv builds an environment with the given scope depth and bindings
@@ -102,7 +93,7 @@ var sinkLabel Label
 // BenchmarkEnvGetForked measures one Get of a name bound before the first
 // fork, after 1, maxLayers and 4×maxLayers fork-then-write rounds. The
 // name lives in the oldest layer, so the lookup walks the whole chain;
-// Clone's flattening keeps that walk at most maxLayers+1 maps however
+// Clone's flattening keeps that walk at most maxLayers+1 layers however
 // many rounds ran.
 func BenchmarkEnvGetForked(b *testing.B) {
 	for _, rounds := range []int{1, maxLayers, 4 * maxLayers} {

@@ -167,7 +167,7 @@ func TestEnvMatchesEagerModel(t *testing.T) {
 			case op < 60:
 				top := &p.env.frames[len(p.env.frames)-1]
 				h := top.base.height()
-				if len(top.delta) > 0 {
+				if top.delta != nil && len(top.delta.vars) > 0 {
 					h++
 				}
 				if h > maxLayers {
@@ -309,7 +309,7 @@ func TestArenaFindBounds(t *testing.T) {
 	}
 	for l := Label(2); l <= Label(n); l++ {
 		o := g.Find(l)
-		if o == nil || o.Label != l || o.Line != int(l) {
+		if o == nil || o.Label != l || int(o.Line) != int(l) {
 			t.Fatalf("Find(%d) = %+v", l, o)
 		}
 	}

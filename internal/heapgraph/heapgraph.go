@@ -14,6 +14,7 @@ package heapgraph
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/sexpr"
@@ -27,7 +28,7 @@ type Label int
 const Null Label = 0
 
 // ObjKind classifies an object.
-type ObjKind int
+type ObjKind uint8
 
 // Object kinds, mirroring the paper's O_C, O_S, O_FUNC, O_OP partitions,
 // plus an explicit array kind for PHP array values (the paper folds arrays
@@ -56,20 +57,25 @@ func (k ObjKind) String() string {
 	}
 }
 
-// Object is one heap-graph node.
+// Object is one heap-graph node. Kind, Type, the node's operand count
+// and Line share one 8-byte word, so an Object is 48 bytes.
 type Object struct {
 	Label Label
 	Kind  ObjKind
 	Type  sexpr.Type
+	// nops is the number of operands held inline in the node, or spilled
+	// once the list has moved to the graph's overflow table.
+	nops uint8
+	// Line is the source line whose evaluation created the object,
+	// preserving the paper's AST-node-to-source mapping. Like
+	// phptoken.Pos it is an int32 that saturates at math.MaxInt32.
+	Line int32
 
 	// Val holds the concrete value for KindConcrete.
 	Val sexpr.Expr
 	// Name is the symbol name (KindSymbol), built-in function name
 	// (KindFunc), or operator spelling (KindOp).
 	Name string
-	// Line is the source line whose evaluation created the object,
-	// preserving the paper's AST-node-to-source mapping.
-	Line int
 }
 
 // ArrayInfo is the element table of a KindArray object.
@@ -83,7 +89,7 @@ type ArrayInfo struct {
 	NextIndex int64
 }
 
-// chunkBits sizes the arena's chunks at 64 objects (7 KB): the graph of
+// chunkBits sizes the arena's chunks at 64 objects (4 KiB): the graph of
 // a small root does not pay for a mostly empty chunk, and a large graph
 // still allocates one chunk per 64 objects instead of one per object.
 const (
@@ -91,14 +97,17 @@ const (
 	chunkSize = 1 << chunkBits
 )
 
-// node is one arena slot: an object and its ordered operand list. The
-// first two operands live inline in ops (nops of them); a third moves
-// the whole list to more.
+// spilled is the operand count of a node whose list lives in the
+// graph's overflow table.
+const spilled = uint8(len(node{}.ops) + 1)
+
+// node is one 64-byte arena slot: an object and its ordered operand
+// list. The first two operands live inline in ops (obj.nops of them); a
+// third moves the whole list to the graph's overflow table, and ops[0]
+// then holds the list's index there.
 type node struct {
-	obj  Object
-	nops int
-	ops  [2]Label
-	more []Label
+	obj Object
+	ops [2]Label
 }
 
 // Graph is the heap graph. Objects live in an arena of fixed-size chunks
@@ -106,6 +115,8 @@ type node struct {
 // valid as the graph grows.
 type Graph struct {
 	chunks []*[chunkSize]node
+	// spill holds the operand lists of nodes with three or more operands.
+	spill  [][]Label
 	arrays map[Label]*ArrayInfo
 	next   Label
 	symSeq int
@@ -150,10 +161,16 @@ func (g *Graph) add(o Object) Label {
 	return o.Label
 }
 
+// line32 narrows a source line to Object.Line, saturating instead of
+// wrapping.
+func line32(line int) int32 {
+	return int32(max(math.MinInt32, min(line, math.MaxInt32)))
+}
+
 // NewConcrete creates and adds an object for a concrete value (the paper's
 // Create_Concrete_Obj + Add_Concrete_Obj). The value's own type is used.
 func (g *Graph) NewConcrete(v sexpr.Expr, line int) Label {
-	return g.add(Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line})
+	return g.add(Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line32(line)})
 }
 
 // NewSymbol creates a symbolic-value object. An empty name generates a
@@ -163,23 +180,23 @@ func (g *Graph) NewSymbol(name string, t sexpr.Type, line int) Label {
 		g.symSeq++
 		name = "s_" + strconv.Itoa(g.symSeq)
 	}
-	return g.add(Object{Kind: KindSymbol, Type: t, Name: name, Line: line})
+	return g.add(Object{Kind: KindSymbol, Type: t, Name: name, Line: line32(line)})
 }
 
 // NewFunc creates an object for a built-in function invocation whose result
 // type is t.
 func (g *Graph) NewFunc(name string, t sexpr.Type, line int) Label {
-	return g.add(Object{Kind: KindFunc, Type: t, Name: name, Line: line})
+	return g.add(Object{Kind: KindFunc, Type: t, Name: name, Line: line32(line)})
 }
 
 // NewOp creates an operation object (the paper's Create_OP_Obj).
 func (g *Graph) NewOp(op string, t sexpr.Type, line int) Label {
-	return g.add(Object{Kind: KindOp, Type: t, Name: op, Line: line})
+	return g.add(Object{Kind: KindOp, Type: t, Name: op, Line: line32(line)})
 }
 
 // NewArray creates an empty array object.
 func (g *Graph) NewArray(line int) Label {
-	l := g.add(Object{Kind: KindArray, Type: sexpr.Array, Line: line})
+	l := g.add(Object{Kind: KindArray, Type: sexpr.Array, Line: line32(line)})
 	g.arrays[l] = &ArrayInfo{Elems: map[string]Label{}}
 	return l
 }
@@ -232,13 +249,15 @@ func (g *Graph) AddEdge(from, to Label) {
 	n := g.slot(from)
 	switch {
 	case n == nil:
-	case n.more != nil:
-		n.more = append(n.more, to)
-	case n.nops < len(n.ops):
-		n.ops[n.nops] = to
-		n.nops++
+	case n.obj.nops == spilled:
+		g.spill[n.ops[0]] = append(g.spill[n.ops[0]], to)
+	case int(n.obj.nops) < len(n.ops):
+		n.ops[n.obj.nops] = to
+		n.obj.nops++
 	default:
-		n.more = []Label{n.ops[0], n.ops[1], to}
+		g.spill = append(g.spill, []Label{n.ops[0], n.ops[1], to})
+		n.ops = [2]Label{Label(len(g.spill) - 1)}
+		n.obj.nops = spilled
 	}
 }
 
@@ -248,12 +267,13 @@ func (g *Graph) AddEdge(from, to Label) {
 func (g *Graph) Edges(l Label) []Label {
 	n := g.slot(l)
 	switch {
-	case n == nil || n.nops == 0:
+	case n == nil || n.obj.nops == 0:
 		return nil
-	case n.more != nil:
-		return n.more[:len(n.more):len(n.more)]
+	case n.obj.nops == spilled:
+		ops := g.spill[n.ops[0]]
+		return ops[:len(ops):len(ops)]
 	default:
-		return n.ops[:n.nops:n.nops]
+		return n.ops[:n.obj.nops:n.obj.nops]
 	}
 }
 
@@ -384,7 +404,7 @@ func (g *Graph) Lines(l Label) []int {
 			return
 		}
 		if o.Line > 0 {
-			lineSet[o.Line] = true
+			lineSet[int(o.Line)] = true
 		}
 		for _, e := range g.Edges(x) {
 			dfs(e)

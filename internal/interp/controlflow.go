@@ -24,11 +24,22 @@ type condFn func(heapgraph.EnvSet) (heapgraph.EnvSet, []heapgraph.Label)
 // both, and join. Conditions that evaluate to concrete booleans do not
 // fork. A nil runElse appends the false-branch environments unchanged.
 func (in *Interp) branch(envs heapgraph.EnvSet, condLabels []heapgraph.Label, line int, runThen, runElse bodyFn) heapgraph.EnvSet {
-	var out heapgraph.EnvSet
-	var forkT heapgraph.EnvSet
-	var forkTLabels []heapgraph.Label
-	var forkF heapgraph.EnvSet
-	var forkFLabels []heapgraph.Label
+	// Count each side first, so every fork slice is allocated once at its
+	// final size.
+	nT, nF := 0, 0
+	for i := range envs {
+		c, ok := in.concreteBool(condLabels[i])
+		if !ok || c {
+			nT++
+		}
+		if !ok || !c {
+			nF++
+		}
+	}
+	forkT := make(heapgraph.EnvSet, 0, nT)
+	forkTLabels := make([]heapgraph.Label, 0, nT)
+	forkF := make(heapgraph.EnvSet, 0, nF)
+	forkFLabels := make([]heapgraph.Label, 0, nF)
 
 	for i, e := range envs {
 		// Concrete condition: single branch, no fork.
@@ -53,11 +64,12 @@ func (in *Interp) branch(envs heapgraph.EnvSet, condLabels []heapgraph.Label, li
 		forkFLabels = append(forkFLabels, condLabels[i])
 	}
 
+	var outT, outF heapgraph.EnvSet
 	if len(forkT) > 0 {
 		for i, e := range forkT {
 			e.ER(in.g, forkTLabels[i], line)
 		}
-		out = append(out, runThen(forkT)...)
+		outT = runThen(forkT)
 	}
 	if len(forkF) > 0 {
 		notShared := map[heapgraph.Label]heapgraph.Label{}
@@ -72,13 +84,19 @@ func (in *Interp) branch(envs heapgraph.EnvSet, condLabels []heapgraph.Label, li
 				e.ER(in.g, not, line)
 			}
 		}
+		outF = forkF
 		if runElse != nil {
-			out = append(out, runElse(forkF)...)
-		} else {
-			out = append(out, forkF...)
+			outF = runElse(forkF)
 		}
 	}
-	return out
+	if len(outF) == 0 {
+		return outT
+	}
+	if len(outT) == 0 {
+		return outF
+	}
+	out := make(heapgraph.EnvSet, 0, len(outT)+len(outF))
+	return append(append(out, outT...), outF...)
 }
 
 // condLoop unrolls a condition-guarded loop. Paths that take the

@@ -275,17 +275,28 @@ func (in *Interp) execStmts(stmts []phpast.Stmt, envs heapgraph.EnvSet) heapgrap
 		if in.overBudget(envs) {
 			return envs
 		}
-		var live, held heapgraph.EnvSet
+		nHeld := 0
+		for _, e := range envs {
+			if e.Suspended() {
+				nHeld++
+			}
+		}
+		in.stats.PathsHeld += int64(nHeld)
+		switch nHeld {
+		case len(envs):
+			return envs
+		case 0:
+			envs = in.execStmt(s, envs)
+			continue
+		}
+		live := make(heapgraph.EnvSet, 0, len(envs)-nHeld)
+		held := make(heapgraph.EnvSet, 0, nHeld)
 		for _, e := range envs {
 			if e.Suspended() {
 				held = append(held, e)
 			} else {
 				live = append(live, e)
 			}
-		}
-		in.stats.PathsHeld += int64(len(held))
-		if len(live) == 0 {
-			return envs
 		}
 		envs = append(in.execStmt(s, live), held...)
 	}

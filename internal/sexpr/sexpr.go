@@ -22,7 +22,7 @@ import (
 // Type is the light type attached to symbolic values and operation results.
 // The paper's T set contains primitive types, the array type, and the
 // unknown type ⊥.
-type Type int
+type Type uint8
 
 // Types.
 const (
