@@ -698,14 +698,15 @@ func (s *Scanner) verifySinks(parent, vctx context.Context, ar *rootResult, root
 			return
 		}
 		modelSpan := strace.start(verifySpan, "model", obs.A("sink", fmt.Sprintf("%s:%d", hit.File, hit.Line)))
-		cand := vulnmodel.Model(res.Graph, tr, vulnmodel.Sink{
+		sink := vulnmodel.Sink{
 			Name: hit.Sink,
 			File: hit.File,
 			Line: hit.Line,
 			Src:  hit.Src,
 			Dst:  hit.Dst,
 			Cur:  hit.Env.Cur,
-		}, s.opts.Extensions)
+		}
+		cand := vulnmodel.Model(res.Graph, tr, sink, s.opts.Extensions)
 		modelSpan.End(obs.A("tainted", strconv.FormatBool(cand.Tainted)))
 		if !cand.Tainted {
 			continue // Constraint-1 failed
@@ -768,6 +769,7 @@ func (s *Scanner) verifySinks(parent, vctx context.Context, ar *rootResult, root
 			continue
 		}
 		seen[key] = true
+		vulnmodel.Describe(res.Graph, sink, &cand)
 		f := Finding{
 			Sink:     cand.Sink,
 			File:     cand.File,

@@ -41,6 +41,7 @@ type Candidate struct {
 	// SeDst and SeReach are the PHP-semantics s-expressions of the
 	// destination name and the reachability constraint (the paper's se_dst
 	// and se_reachability). SeReach is nil for unconditional paths.
+	// Describe fills them; Model leaves them nil.
 	SeDst   sexpr.Expr
 	SeReach sexpr.Expr
 
@@ -56,6 +57,7 @@ type Candidate struct {
 	// Lines are the source lines of every heap-graph object contributing
 	// to the destination or the reachability constraint — the
 	// source-code-level feedback the paper's AST-based design enables.
+	// Describe fills them; Model leaves them nil.
 	Lines []int
 }
 
@@ -70,9 +72,10 @@ type Sink struct {
 	Cur  heapgraph.Label // reachability constraint object (Null = always)
 }
 
-// Model builds the candidate for one sink on one path. tr must be a
-// translator over the same heap graph; sharing one translator across the
-// sinks of an application keeps fallback symbols stable.
+// Model builds the candidate's constraints for one sink on one path. tr
+// must be a translator over the same heap graph; sharing one translator
+// across the sinks of an application keeps fallback symbols stable. The
+// report-only fields are left to Describe.
 func Model(g *heapgraph.Graph, tr *translate.Translator, s Sink, extensions []string) Candidate {
 	if len(extensions) == 0 {
 		extensions = DefaultExtensions
@@ -85,12 +88,6 @@ func Model(g *heapgraph.Graph, tr *translate.Translator, s Sink, extensions []st
 
 	// Constraint-1: taint.
 	c.Tainted = s.Src != heapgraph.Null && g.ReachesName(s.Src, "$_FILES")
-
-	// PHP-level s-expressions (for reports and tests).
-	c.SeDst = g.ToSexpr(s.Dst)
-	if s.Cur != heapgraph.Null {
-		c.SeReach = g.ToSexpr(s.Cur)
-	}
 
 	// Constraint-2: the destination ends with an executable extension.
 	// Construction routes through the translator's factory (nil-safe), so
@@ -114,6 +111,19 @@ func Model(g *heapgraph.Graph, tr *translate.Translator, s Sink, extensions []st
 	}
 
 	c.Combined = f.And(c.Extension, c.Reach)
+	return c
+}
+
+// Describe fills the fields of c that only a report reads: the PHP-level
+// s-expressions of the destination and the reachability constraint, and
+// the source lines that built either one. s must be the sink c was
+// modelled from. Both graph walks are pure, so a candidate described
+// after it was solved reads exactly as one described when modelled.
+func Describe(g *heapgraph.Graph, s Sink, c *Candidate) {
+	c.SeDst = g.ToSexpr(s.Dst)
+	if s.Cur != heapgraph.Null {
+		c.SeReach = g.ToSexpr(s.Cur)
+	}
 
 	// Source lines involved in either constraint.
 	seen := map[int]bool{}
@@ -128,7 +138,6 @@ func Model(g *heapgraph.Graph, tr *translate.Translator, s Sink, extensions []st
 		c.Lines = append(c.Lines, ln)
 	}
 	sortInts(c.Lines)
-	return c
 }
 
 func sortInts(a []int) {

@@ -61,10 +61,12 @@ func listing4Fixture() fixture {
 
 func TestModelListing4(t *testing.T) {
 	fx := listing4Fixture()
-	cand := Model(fx.g, fx.tr, Sink{
+	sink := Sink{
 		Name: "move_uploaded_file", File: "up.php", Line: 4,
 		Src: fx.src, Dst: fx.dst, Cur: fx.cur,
-	}, nil)
+	}
+	cand := Model(fx.g, fx.tr, sink, nil)
+	Describe(fx.g, sink, &cand)
 
 	if !cand.Tainted {
 		t.Error("Constraint-1 should hold (src reaches $_FILES)")
@@ -108,10 +110,12 @@ func TestModelUntaintedSource(t *testing.T) {
 
 func TestModelNullCurIsTrue(t *testing.T) {
 	fx := listing4Fixture()
-	cand := Model(fx.g, fx.tr, Sink{
+	sink := Sink{
 		Name: "move_uploaded_file", File: "up.php", Line: 4,
 		Src: fx.src, Dst: fx.dst, Cur: heapgraph.Null,
-	}, nil)
+	}
+	cand := Model(fx.g, fx.tr, sink, nil)
+	Describe(fx.g, sink, &cand)
 	if cand.SeReach != nil {
 		t.Errorf("SeReach = %v, want nil for unconditional path", cand.SeReach)
 	}
