@@ -125,9 +125,10 @@ bench-scan:
 # Options.DisableIntern ablation, and the model search on
 # portfolio-showcase's budget-exhausting cube), the heap graph's fork
 # and lookup costs, and one interpreter run of Cimy up to its path-budget
-# abort, archived as JSON for cross-commit comparison. The recipes tee
-# with -a: when make's output is redirected to a file, a truncating
-# reopen of /dev/stderr would erase what earlier targets logged.
+# abort, archived as JSON for cross-commit comparison. The bench-smt and
+# bench-interp recipes tee with -a: when make's output is redirected to
+# a file, a truncating reopen of /dev/stderr would erase what earlier
+# targets logged.
 SMT_BENCH = 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch'
 HEAPGRAPH_BENCH = 'BenchmarkPathForkDeep|BenchmarkEnvGetForked'
 CIMY_BENCH = '^BenchmarkRunCimyAbort$$'

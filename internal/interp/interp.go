@@ -282,10 +282,13 @@ func (in *Interp) execStmts(stmts []phpast.Stmt, envs heapgraph.EnvSet) heapgrap
 			}
 		}
 		in.stats.PathsHeld += int64(nHeld)
-		switch nHeld {
-		case len(envs):
+		if nHeld == len(envs) {
 			return envs
-		case 0:
+		}
+		// With no path held, the caller's set itself runs the statement.
+		// That is safe because no statement writes into a set it was
+		// handed: tryJoin, for one, re-reads its set after the body.
+		if nHeld == 0 {
 			envs = in.execStmt(s, envs)
 			continue
 		}
