@@ -5,16 +5,12 @@ import "encoding/binary"
 // Factory is a hash-consing term constructor: every term built through a
 // Factory is interned, so structurally equal terms constructed from
 // already-interned operands are pointer-equal. Pointer identity then makes
-// three families of memoization sound and cheap:
-//
-//   - Simplify results (one-pass and fixpoint) are cached per node, so the
-//     path-condition prefix shared by sibling paths is rewritten once
-//     instead of once per path, per degradation rung, per sink.
-//   - Free-variable sets and node counts are cached per node (hot in the
-//     solver's model verification loop).
-//   - Candidate pools are cached per (conjunction, options) pair, so the
-//     three-constraint staging and sinks sharing a path prefix re-seed
-//     nothing.
+// the simplifier's per-node memo tables (one-pass and fixpoint results)
+// sound and cheap: a path-condition subterm shared by several of a root's
+// constraints is rewritten once. Free-variable sets, node counts, NNF, DNF
+// and candidate pools are not memoized but recomputed on every call: a
+// root makes about one solver check, so it seldom asks for the same one
+// twice (EXPERIMENTS.md has the counts).
 //
 // A nil *Factory is valid and means "no interning": every constructor
 // method on a nil receiver falls back to direct allocation with semantics
@@ -27,10 +23,10 @@ import "encoding/binary"
 // deterministic, the Factory's counters are byte-identical across worker
 // counts once merged in canonical root order.
 //
-// Memoization soundness: terms are immutable after construction and every
-// cached computation (simplify1, fixpoint simplification, Vars, Size,
-// candidate pools) is a pure function of term structure, so pointer-keyed
-// memo hits can never change results — interning only makes hits likely.
+// Memoization soundness: terms are immutable after construction and both
+// cached computations (simplify1 and fixpoint simplification) are pure
+// functions of term structure, so pointer-keyed memo hits can never change
+// results — interning only makes hits likely.
 type Factory struct {
 	table  map[internKey]*Term
 	ids    map[*Term]uint64
@@ -41,31 +37,9 @@ type Factory struct {
 	// and maps canonical terms to themselves.
 	internMemo map[*Term]*Term
 
-	varsMemo  map[*Term][]*Term
-	sizeMemo  map[*Term]int
 	simp1Memo map[*Term]*Term
 	fixMemo   map[*Term]*Term
 	fixCost   map[*Term]int
-	poolMemo  map[poolCacheKey]*candidatePool
-	nnfMemo   map[nnfKey]*Term
-	dnfMemo   map[dnfKey]dnfResult
-}
-
-// nnfKey memoizes NNF conversion per (node, polarity).
-type nnfKey struct {
-	t   *Term
-	neg bool
-}
-
-// dnfKey / dnfResult memoize whole DNF expansions per (root, budget).
-type dnfKey struct {
-	t        *Term
-	maxCubes int
-}
-
-type dnfResult struct {
-	cubes [][]*Term
-	ok    bool
 }
 
 // FactoryStats counts the structural-sharing work a Factory performed.
@@ -99,25 +73,15 @@ type internKey struct {
 	rest       string
 }
 
-type poolCacheKey struct {
-	conj *Term
-	opts Options
-}
-
 // NewFactory returns an empty hash-consing factory.
 func NewFactory() *Factory {
 	return &Factory{
 		table:      make(map[internKey]*Term),
 		ids:        make(map[*Term]uint64),
 		internMemo: make(map[*Term]*Term),
-		varsMemo:   make(map[*Term][]*Term),
-		sizeMemo:   make(map[*Term]int),
 		simp1Memo:  make(map[*Term]*Term),
 		fixMemo:    make(map[*Term]*Term),
 		fixCost:    make(map[*Term]int),
-		poolMemo:   make(map[poolCacheKey]*candidatePool),
-		nnfMemo:    make(map[nnfKey]*Term),
-		dnfMemo:    make(map[dnfKey]dnfResult),
 	}
 }
 
@@ -379,68 +343,4 @@ func (f *Factory) FromInt(i *Term) *Term {
 // At is str.at.
 func (f *Factory) At(s, i *Term) *Term {
 	return f.mk(OpAt, SortString, false, 0, "", []*Term{s, i})
-}
-
-// --- memoized inspection ---
-
-// Vars returns the distinct variables of t in first-occurrence order,
-// exactly like the package-level Vars, memoized per node. The returned
-// slice is shared across calls and must not be mutated. Safe on nil
-// (delegates to Vars).
-func (f *Factory) Vars(t *Term) []*Term {
-	if f == nil {
-		return Vars(t)
-	}
-	return f.varsRec(t)
-}
-
-func (f *Factory) varsRec(t *Term) []*Term {
-	if t == nil {
-		return nil
-	}
-	if v, ok := f.varsMemo[t]; ok {
-		return v
-	}
-	var out []*Term
-	switch {
-	case t.Op == OpVar:
-		out = []*Term{t}
-	case len(t.Args) == 1:
-		out = f.varsRec(t.Args[0])
-	case len(t.Args) > 1:
-		// Ordered union of the children's ordered lists preserves DFS
-		// first-occurrence order.
-		seen := make(map[string]bool)
-		for _, a := range t.Args {
-			for _, v := range f.varsRec(a) {
-				if !seen[v.S] {
-					seen[v.S] = true
-					out = append(out, v)
-				}
-			}
-		}
-	}
-	f.varsMemo[t] = out
-	return out
-}
-
-// Size returns the tree node count of t (counting shared subterms once
-// per occurrence, exactly like the package-level Size), memoized per
-// node. Safe on nil (delegates to Size).
-func (f *Factory) Size(t *Term) int {
-	if f == nil {
-		return Size(t)
-	}
-	if t == nil {
-		return 0
-	}
-	if n, ok := f.sizeMemo[t]; ok {
-		return n
-	}
-	n := 1
-	for _, a := range t.Args {
-		n += f.Size(a)
-	}
-	f.sizeMemo[t] = n
-	return n
 }

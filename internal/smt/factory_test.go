@@ -217,12 +217,6 @@ func TestFactoryNilSafe(t *testing.T) {
 	if !Equal(a, b) {
 		t.Fatalf("nil-factory construction differs: %s vs %s", a, b)
 	}
-	if f.Size(a) != Size(a) {
-		t.Fatalf("nil-factory Size %d != %d", f.Size(a), Size(a))
-	}
-	if got, want := f.Vars(a), Vars(a); len(got) != len(want) {
-		t.Fatalf("nil-factory Vars %v != %v", got, want)
-	}
 	if st := f.Stats(); st != (FactoryStats{}) {
 		t.Fatalf("nil-factory stats non-zero: %+v", st)
 	}
@@ -239,29 +233,6 @@ func TestFactoryNilSafe(t *testing.T) {
 	x := f.Var("x", SortString)
 	if f.And(x) != x || f.Or(x) != x || f.Concat(x) != x || f.Add(x) != x || f.Mul(x) != x {
 		t.Fatal("unary normalization differs")
-	}
-}
-
-// TestFactoryVarsMemoOrder: the memoized Vars preserves the package
-// function's DFS first-occurrence order on shared structure.
-func TestFactoryVarsMemoOrder(t *testing.T) {
-	f := NewFactory()
-	shared := f.Eq(f.Var("b", SortString), f.Var("a", SortString))
-	top := f.And(shared, f.Eq(f.Var("a", SortString), f.Var("c", SortString)), shared)
-	got := f.Vars(top)
-	want := Vars(top)
-	if len(got) != len(want) {
-		t.Fatalf("Vars length %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].S != want[i].S {
-			t.Fatalf("Vars order differs at %d: %s != %s (got %v want %v)", i, got[i].S, want[i].S, got, want)
-		}
-	}
-	// Second query is a memo hit returning the same slice.
-	again := f.Vars(top)
-	if len(again) != len(got) {
-		t.Fatal("memoized Vars changed")
 	}
 }
 

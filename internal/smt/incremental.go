@@ -11,11 +11,12 @@ import "context"
 //   - the simplified form of every asserted constraint is precooked into
 //     the solver factory's memo tables the moment it is asserted, making
 //     the eventual conjunction check rewrite only the novel structure;
-//   - constraints shared across sinks (the extension disjunction is
-//     typically identical for every sink of a root; reachability prefixes
-//     are shared between sinks on the same path) are recognized by
-//     pointer identity and their prior simplification is reused — the
-//     factory's IncrementalReuse counter reports exactly that;
+//   - a constraint asserted again for a later sink of the same root (an
+//     identical extension disjunction or reachability prefix) is
+//     recognized by pointer identity and its prior simplification is
+//     reused — the factory's IncrementalReuse counter reports exactly
+//     that (it reads 0 on the corpus and the generated plugins, whose
+//     roots seldom decide more than one sink);
 //   - an assertion set that already folds to false (QuickUnsat) yields a
 //     sound Unsat with no model search and without ever building or
 //     simplifying the remaining constraints.

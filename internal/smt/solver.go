@@ -103,10 +103,10 @@ func (o Options) withDefaults() Options {
 // to use with default options.
 type Solver struct {
 	opts Options
-	// f is the hash-consing factory the solver routes term construction,
-	// simplification, and candidate-pool seeding through. nil means no
-	// interning (direct construction) — semantics are identical either
-	// way, only the amount of recomputation differs.
+	// f is the hash-consing factory the solver routes term construction
+	// and simplification through. nil means no interning (direct
+	// construction) — semantics are identical either way, only the amount
+	// of recomputation differs.
 	f *Factory
 }
 
@@ -157,11 +157,11 @@ func (s *Solver) CheckCtx(ctx context.Context, f *Term) (Status, Model, Stats, e
 	// built through it.
 	f = s.f.Intern(f)
 	g := s.f.simplifyCounted(f, &st)
-	st.Simplified = s.f.Size(g)
+	st.Simplified = Size(g)
 	if g.Op == OpBoolConst {
 		if g.B {
 			m := Model{}
-			for _, v := range s.f.Vars(f) {
+			for _, v := range Vars(f) {
 				m[v.S] = defaultValue(v.Sort())
 			}
 			return Sat, m, st, nil
@@ -169,7 +169,7 @@ func (s *Solver) CheckCtx(ctx context.Context, f *Term) (Status, Model, Stats, e
 		return Unsat, nil, st, nil
 	}
 
-	cubes, ok := s.f.dnfOf(s.f.nnf(g, false), opts.MaxCubes)
+	cubes, ok := dnf(s.f.nnf(g, false), opts.MaxCubes)
 	if !ok {
 		// DNF blowup: whole-formula enumeration, Sat-only.
 		model, tried := s.search(ctx, g, g, opts.MaxAssignments, opts, &st)
@@ -196,7 +196,7 @@ func (s *Solver) CheckCtx(ctx context.Context, f *Term) (Status, Model, Stats, e
 				// A cube with no residual constraints: any assignment works;
 				// produce the empty model extended for f's variables.
 				m := Model{}
-				for _, v := range s.f.Vars(f) {
+				for _, v := range Vars(f) {
 					m[v.S] = defaultValue(v.Sort())
 				}
 				st.VerifyEvals++
@@ -242,12 +242,9 @@ func defaultValue(s Sort) Value {
 }
 
 // verify confirms a model satisfies the original formula, extending it with
-// defaults for variables the cube never mentioned. The free-variable set is
-// memoized through the solver's factory: verification runs once per
-// would-be model, so the repeated Vars walk is one of the hottest paths in
-// the search.
+// defaults for variables the cube never mentioned.
 func (s *Solver) verify(f *Term, m Model) bool {
-	for _, v := range s.f.Vars(f) {
+	for _, v := range Vars(f) {
 		if _, ok := m[v.S]; !ok {
 			m[v.S] = defaultValue(v.Sort())
 		}
@@ -267,7 +264,7 @@ func (s *Solver) verify(f *Term, m Model) bool {
 // the enumeration (returning nil, like exhaustion — the caller
 // distinguishes via ctx.Err()).
 func (s *Solver) search(ctx context.Context, conj, f *Term, budget int, opts Options, st *Stats) (Model, int) {
-	vars := s.f.Vars(conj)
+	vars := Vars(conj)
 	if len(vars) == 0 {
 		v, err := Eval(conj, nil)
 		if err == nil && v.B {
@@ -283,7 +280,7 @@ func (s *Solver) search(ctx context.Context, conj, f *Term, budget int, opts Opt
 	// Order variables: strings last tend to have bigger domains; put
 	// smaller domains first for better pruning.
 	cands := make([][]Value, len(vars))
-	pool := s.pool(conj, opts)
+	pool := newCandidatePool(conj, opts)
 	for i, v := range vars {
 		cands[i] = pool.forVar(v)
 		st.Candidates += len(cands[i])
@@ -305,7 +302,7 @@ func (s *Solver) search(ctx context.Context, conj, f *Term, budget int, opts Opt
 	for k, vi := range order {
 		slots[k] = vars[vi]
 	}
-	p := compilePlan(lits, slots, s.f.Size(conj))
+	p := compilePlan(lits, slots, Size(conj))
 
 	// Depth-first over the candidates: idx[k] is the candidate bound at
 	// depth k.
@@ -357,48 +354,13 @@ func (s *Solver) search(ctx context.Context, conj, f *Term, budget int, opts Opt
 	}
 }
 
-// pool returns the candidate pool for conj, cached per (conjunction,
-// options) through the factory. Pools are pure functions of the
-// conjunction's structure, so canonical pointers make the cache exact;
-// sinks sharing a path prefix (and the staged three-constraint checks)
-// re-seed nothing.
-func (s *Solver) pool(conj *Term, opts Options) *candidatePool {
-	if s.f == nil {
-		return newCandidatePool(conj, opts)
-	}
-	key := poolCacheKey{conj: conj, opts: opts}
-	if p, ok := s.f.poolMemo[key]; ok {
-		return p
-	}
-	p := newCandidatePool(conj, opts)
-	s.f.poolMemo[key] = p
-	return p
-}
-
 // --- normal forms ---
 
 // nnf converts a boolean term to negation normal form. neg indicates the
 // polarity. Non-boolean-structured atoms (equalities, string predicates)
 // are kept as literals, negated with Not. Construction routes through the
 // factory (nil-safe) so NNF of shared subtrees yields shared results.
-// nnf converts t to negation normal form. Like every factory rewrite it
-// is a pure function of term structure, so interned nodes memoize their
-// NNF per (node, polarity) — shared path-condition prefixes and repeat
-// checks of structurally equal formulas convert once.
 func (f *Factory) nnf(t *Term, neg bool) *Term {
-	if f == nil {
-		return nnfWork(f, t, neg)
-	}
-	k := nnfKey{t: t, neg: neg}
-	if r, ok := f.nnfMemo[k]; ok {
-		return r
-	}
-	r := nnfWork(f, t, neg)
-	f.nnfMemo[k] = r
-	return r
-}
-
-func nnfWork(f *Factory, t *Term, neg bool) *Term {
 	switch t.Op {
 	case OpBoolConst:
 		return Bool(t.B != neg)
@@ -461,24 +423,6 @@ func nnfWork(f *Factory, t *Term, neg bool) *Term {
 // nnf is the non-interned NNF entry point, kept for tests and the
 // nil-factory path.
 func nnf(t *Term, neg bool) *Term { return (*Factory)(nil).nnf(t, neg) }
-
-// dnfOf converts an NNF term to cubes, memoizing whole results per
-// (root, budget) on the factory. Cube slices are immutable after
-// construction (CheckCtx only reads them and conjoins their elements),
-// so sharing the cached slices across checks is safe; repeat checks of
-// pointer-equal formulas skip the expansion entirely.
-func (f *Factory) dnfOf(t *Term, maxCubes int) ([][]*Term, bool) {
-	if f == nil {
-		return dnf(t, maxCubes)
-	}
-	k := dnfKey{t: t, maxCubes: maxCubes}
-	if r, ok := f.dnfMemo[k]; ok {
-		return r.cubes, r.ok
-	}
-	cubes, ok := dnf(t, maxCubes)
-	f.dnfMemo[k] = dnfResult{cubes: cubes, ok: ok}
-	return cubes, ok
-}
 
 // dnf converts an NNF term to a list of cubes (conjunctions of literals).
 // ok is false if the expansion exceeds maxCubes.
