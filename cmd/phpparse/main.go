@@ -6,14 +6,21 @@
 //	phpparse -callgraph dir/         # Graphviz dot on stdout
 //	phpparse -locality dir/          # locality-analysis summary
 //	phpparse -symex dir/             # per-path symbolic state for the roots
+//
+// Directories are read the way uchecker reads them by default (".php",
+// ".php5" and ".inc" files), and files are processed in sorted path
+// order, as the scanner does: the first declaration of a function name
+// in that order wins it, so every run prints the same output.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/callgraph"
@@ -24,102 +31,125 @@ import (
 	"repro/internal/phpparser"
 	"repro/internal/phptoken"
 	"repro/internal/sexpr"
+	"repro/internal/vulnmodel"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes its output to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("phpparse", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		tokens = flag.Bool("tokens", false, "dump tokens")
-		ast    = flag.Bool("ast", false, "dump AST")
-		cg     = flag.Bool("callgraph", false, "dump extended call graph as Graphviz dot")
-		loc    = flag.Bool("locality", false, "run the locality analysis and print roots")
-		symex  = flag.Bool("symex", false, "symbolically execute the locality roots and print per-path state")
+		tokens = fs.Bool("tokens", false, "dump tokens")
+		ast    = fs.Bool("ast", false, "dump AST")
+		cg     = fs.Bool("callgraph", false, "dump extended call graph as Graphviz dot")
+		loc    = fs.Bool("locality", false, "run the locality analysis and print roots")
+		symex  = fs.Bool("symex", false, "symbolically execute the locality roots and print per-path state")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: phpparse [-tokens|-ast|-callgraph|-locality] <file-or-dir>...")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	sources, err := load(flag.Args())
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: phpparse [-tokens|-ast|-callgraph|-locality|-symex] <file-or-dir>...")
+		return 2
+	}
+	sources, err := load(fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "phpparse: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "phpparse: %v\n", err)
+		return 2
 	}
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 
 	switch {
 	case *tokens:
-		for name, src := range sources {
-			fmt.Printf("== %s ==\n", name)
-			lex := phplex.New(name, src)
+		for _, name := range names {
+			fmt.Fprintf(stdout, "== %s ==\n", name)
+			lex := phplex.New(name, sources[name])
 			for {
 				tok := lex.Next()
-				fmt.Println(tok)
+				fmt.Fprintln(stdout, tok)
 				if tok.Kind == phptoken.EOF {
 					break
 				}
 			}
 		}
 	case *ast:
-		for name, src := range sources {
-			f, errs := phpparser.Parse(name, src)
+		for _, name := range names {
+			f, errs := phpparser.Parse(name, sources[name])
 			for _, e := range errs {
-				fmt.Fprintln(os.Stderr, e)
+				fmt.Fprintln(stderr, e)
 			}
-			fmt.Print(phpast.Dump(f))
+			fmt.Fprint(stdout, phpast.Dump(f))
 		}
 	case *cg:
-		g := callgraph.Build(parseAll(sources))
-		fmt.Print(g.Dot())
+		_, prog := parseAll(names, sources)
+		fmt.Fprint(stdout, callgraph.BuildProgram(prog).Dot())
 	case *loc:
-		files := parseAll(sources)
-		g := callgraph.Build(files)
-		res := locality.Analyze(g, files, sources)
-		fmt.Printf("total LoC: %d, analyzed: %d (%.2f%%)\n", res.TotalLoC, res.AnalyzedLoC, res.PercentAnalyzed())
+		files, prog := parseAll(names, sources)
+		res := locality.Analyze(callgraph.BuildProgram(prog), files, sources)
+		fmt.Fprintf(stdout, "total LoC: %d, analyzed: %d (%.2f%%)\n", res.TotalLoC, res.AnalyzedLoC, res.PercentAnalyzed())
 		for _, r := range res.Roots {
-			fmt.Printf("root: %s (%d lines)\n", r.Node, r.Lines)
+			fmt.Fprintf(stdout, "root: %s (%d lines)\n", r.Node, r.Lines)
 		}
 	case *symex:
-		files := parseAll(sources)
-		g := callgraph.Build(files)
-		res := locality.Analyze(g, files, sources)
+		files, prog := parseAll(names, sources)
+		res := locality.Analyze(callgraph.BuildProgram(prog), files, sources)
+		engines := interp.NewEngines(prog)
 		for _, r := range res.Roots {
-			fmt.Printf("== root %s ==\n", r.Node)
-			in := interp.New(files, interp.Options{})
-			out := in.Run(context.Background(), r.Node)
-			fmt.Printf("paths: %d, objects: %d, sinks: %d\n",
+			fmt.Fprintf(stdout, "== root %s ==\n", r.Node)
+			out := engines.New(interp.Options{}).Run(context.Background(), r.Node)
+			fmt.Fprintf(stdout, "paths: %d, objects: %d, sinks: %d\n",
 				out.Paths, out.Graph.NumObjects(), len(out.Sinks))
 			for i, env := range out.Envs {
 				if i >= 8 {
-					fmt.Printf("  … %d more paths\n", len(out.Envs)-i)
+					fmt.Fprintf(stdout, "  … %d more paths\n", len(out.Envs)-i)
 					break
 				}
-				fmt.Printf("  path %d: reach = %s\n", i+1, sexpr.Format(out.Graph.ToSexpr(env.Cur)))
+				fmt.Fprintf(stdout, "  path %d: reach = %s\n", i+1, sexpr.Format(out.Graph.ToSexpr(env.Cur)))
 				for _, v := range env.VarNames() {
-					fmt.Printf("    $%s = %s\n", v, sexpr.Format(out.Graph.ToSexpr(env.Get(v))))
+					fmt.Fprintf(stdout, "    $%s = %s\n", v, sexpr.Format(out.Graph.ToSexpr(env.Get(v))))
 				}
 			}
 			for _, hit := range out.Sinks {
-				fmt.Printf("  sink %s at %s:%d, dst = %s\n",
+				fmt.Fprintf(stdout, "  sink %s at %s:%d, dst = %s\n",
 					hit.Sink, hit.File, hit.Line, sexpr.Format(out.Graph.ToSexpr(hit.Dst)))
 			}
 		}
 	default:
-		for name, src := range sources {
-			f, errs := phpparser.Parse(name, src)
-			fmt.Printf("%s: %d top-level statements, %d parse errors\n", name, len(f.Stmts), len(errs))
+		for _, name := range names {
+			f, errs := phpparser.Parse(name, sources[name])
+			fmt.Fprintf(stdout, "%s: %d top-level statements, %d parse errors\n", name, len(f.Stmts), len(errs))
 		}
 	}
+	return 0
 }
 
-func parseAll(sources map[string]string) []*phpast.File {
-	var files []*phpast.File
-	for name, src := range sources {
-		f, _ := phpparser.Parse(name, src)
+// parseAll parses the named sources in the given order and builds their
+// one program table, which the call graph and the interpreter share.
+func parseAll(names []string, sources map[string]string) ([]*phpast.File, *phpast.Program) {
+	files := make([]*phpast.File, 0, len(names))
+	for _, name := range names {
+		f, _ := phpparser.Parse(name, sources[name])
 		files = append(files, f)
 	}
-	return files
+	return files, phpast.NewProgram(files)
 }
 
+// load reads every named file, and every file under a named directory
+// whose extension uchecker reads by default.
 func load(paths []string) (map[string]string, error) {
+	accept := map[string]bool{".inc": true}
+	for _, e := range vulnmodel.DefaultExtensions {
+		accept[e] = true
+	}
 	sources := map[string]string{}
 	for _, p := range paths {
 		info, err := os.Stat(p)
@@ -138,7 +168,7 @@ func load(paths []string) (map[string]string, error) {
 			if err != nil {
 				return err
 			}
-			if d.IsDir() || !strings.HasSuffix(strings.ToLower(path), ".php") {
+			if d.IsDir() || !accept[strings.ToLower(filepath.Ext(path))] {
 				return nil
 			}
 			data, err := os.ReadFile(path)

@@ -106,8 +106,8 @@ type Graph struct {
 
 // Build builds the program table of the given parsed files and returns
 // BuildProgram over it. It remains for the separately built benchmark
-// module, cmd/phpparse and the tests; the scanner builds its table once
-// and calls BuildProgram.
+// module and the tests; the scanner and cmd/phpparse build their table
+// once and call BuildProgram.
 func Build(files []*phpast.File) *Graph {
 	return BuildProgram(phpast.NewProgram(files))
 }
