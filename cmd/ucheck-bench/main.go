@@ -69,6 +69,10 @@ func main() {
 		Interproc: interprocKind,
 		Workers:   *workers,
 	}
+	if err := opts.Budgets.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "ucheck-bench: -max-paths: %v\n", err)
+		os.Exit(2)
+	}
 	var times *evalharness.PhaseTimes
 	if *phases {
 		times = evalharness.NewPhaseTimes()

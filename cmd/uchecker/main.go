@@ -190,6 +190,10 @@ func run() int {
 		ResumeFrom:       *resumeFrom,
 		CacheDir:         *cacheDir,
 	}
+	if err := opts.Budgets.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "uchecker: -max-paths: %v\n", err)
+		return 2
+	}
 
 	var targets []uchecker.Target
 	switch {

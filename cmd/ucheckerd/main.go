@@ -121,6 +121,10 @@ func run() int {
 		MaxJournalRecords: *maxRecords,
 		MaxJournalBytes:   *maxBytes,
 	}
+	if err := cfg.Scan.Budgets.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "ucheckerd: -max-paths: %v\n", err)
+		return 2
+	}
 	d, err := scand.Open(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ucheckerd: %v\n", err)

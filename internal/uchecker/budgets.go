@@ -10,6 +10,8 @@
 package uchecker
 
 import (
+	"fmt"
+
 	"repro/internal/interp"
 	"repro/internal/smt"
 )
@@ -72,13 +74,38 @@ func (b Budgets) withDefaults() Budgets {
 	return b
 }
 
+// Validate rejects a negative budget. Zero selects the layer default; a
+// negative bound would fail every root at its first check, and the app
+// would be reported not vulnerable with its analysis incomplete.
+func (b Budgets) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MaxPaths", b.MaxPaths},
+		{"MaxObjects", b.MaxObjects},
+		{"LoopUnroll", b.LoopUnroll},
+		{"MaxCallDepth", b.MaxCallDepth},
+		{"MaxCubes", b.MaxCubes},
+		{"MaxAssignments", b.MaxAssignments},
+		{"MaxStrCandidates", b.MaxStrCandidates},
+		{"MaxIntCandidates", b.MaxIntCandidates},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("budget %s is %d: want 0 (the default) or a positive bound", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Halve is one rung of the degradation ladder: every budget cut in half
-// after default resolution. Interpreter bounds floor at 1 — besides the
-// raw path/object budgets, the loop-unroll bound and inlining depth are
-// halved too, so a retry explores a coarser (cheaper) model rather than
-// just aborting earlier on the same explosion. Solver candidate-set
-// sizes keep the historical floors (8 strings, 4 integers) so the
-// small-model search still has literals to work with.
+// after default resolution, and never raised. Interpreter bounds floor
+// at 1 — besides the raw path/object budgets, the loop-unroll bound and
+// inlining depth are halved too, so a retry explores a coarser (cheaper)
+// model rather than just aborting earlier on the same explosion. Solver
+// candidate-set sizes keep the historical floors (8 strings, 4 integers)
+// so the small-model search still has literals to work with; a set
+// already below its floor keeps its size.
 func (b Budgets) Halve() Budgets {
 	b = b.withDefaults()
 	b.MaxPaths = max(1, b.MaxPaths/2)
@@ -87,8 +114,8 @@ func (b Budgets) Halve() Budgets {
 	b.MaxCallDepth = max(1, b.MaxCallDepth/2)
 	b.MaxCubes = max(1, b.MaxCubes/2)
 	b.MaxAssignments = max(1, b.MaxAssignments/2)
-	b.MaxStrCandidates = max(8, b.MaxStrCandidates/2)
-	b.MaxIntCandidates = max(4, b.MaxIntCandidates/2)
+	b.MaxStrCandidates = max(min(8, b.MaxStrCandidates), b.MaxStrCandidates/2)
+	b.MaxIntCandidates = max(min(4, b.MaxIntCandidates), b.MaxIntCandidates/2)
 	return b
 }
 
