@@ -8,7 +8,7 @@ GO ?= go
 # (e.g. make fuzz-smoke FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-smt-diff bench-interp bench-interp-diff bench-smoke bench-module ucheck-bench-smoke
+.PHONY: check fmt vet build test race fuzz-smoke crash-matrix registry-sim daemon-chaos summary-diff bench bench-scan bench-smt bench-smt-diff bench-interp bench-interp-diff bench-interp-paired bench-smoke bench-module ucheck-bench-smoke
 
 check: fmt vet build race fuzz-smoke bench-smoke bench-module ucheck-bench-smoke
 
@@ -172,6 +172,34 @@ bench-interp-diff:
 	@$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 2s -benchmem . | tee -a /dev/stderr | \
 	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial|ScanScreening)' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
+
+# Paired parent-vs-change run of bench-interp's suite, for reading ns/op
+# on a host whose speed drifts between runs (bench-interp-diff compares
+# against numbers recorded on another day). The root package's test
+# binary is built once from PARENT (exported with git archive under the
+# git-ignored .bench_build/) and once from the working tree; the two run
+# the suite alternately PAIRS times, the parent first in odd pairs, each
+# from its own source tree. benchjson -paired then prints, per benchmark,
+# both medians, the parent's interquartile spread and the pairs the
+# change won. It reports and gates nothing.
+PARENT ?= HEAD~1
+PAIRS ?= 5
+PAIRED_DIR = .bench_build/paired
+bench-interp-paired:
+	@rm -rf $(PAIRED_DIR) && mkdir -p $(PAIRED_DIR)/parent
+	@git archive $(PARENT) | tar -x -C $(PAIRED_DIR)/parent
+	@cd $(PAIRED_DIR)/parent && $(GO) test -c -o ../parent.test .
+	@$(GO) test -c -o $(PAIRED_DIR)/change.test .
+	@for i in $$(seq 1 $(PAIRS)); do \
+	  if [ $$((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = parent ]; then dir=$(PAIRED_DIR)/parent; else dir=.; fi; \
+	    echo "pair $$i: $$side" >&2; \
+	    (cd $$dir && $(CURDIR)/$(PAIRED_DIR)/$$side.test -test.run '^$$' -test.bench '$(INTERP_BENCH)' \
+	      -test.benchtime 2s -test.benchmem -test.timeout 30m) >> $(PAIRED_DIR)/$$side.txt || exit 1; \
+	  done; \
+	done
+	@$(GO) run ./cmd/benchjson -paired $(PAIRED_DIR)/parent.txt $(PAIRED_DIR)/change.txt
 
 # One-iteration smoke over the constraint-engine, parse, call-graph and
 # symbolic-execution benchmarks: keeps the benchmark harnesses compiling

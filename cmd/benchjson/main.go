@@ -21,6 +21,15 @@
 //	  go run ./cmd/benchjson -baseline BENCH_interp.json -out BENCH_interp.new.json
 //	go test -run '^$' -bench . -benchmem ./internal/smt |
 //	  go run ./cmd/benchjson -baseline BENCH_smt.json -metrics allocs/op,B/op
+//
+// With -paired, benchjson reads no stdin. Its two arguments hold the
+// `go test -bench` output of a parent commit and of a change, one run of
+// the suite per pair, in pair order. For every benchmark and each of
+// -metrics it prints both medians, the parent's interquartile spread and
+// the number of pairs the change won (a lower value wins; ties count for
+// neither). It gates nothing (make bench-interp-paired):
+//
+//	go run ./cmd/benchjson -paired parent.txt change.txt
 package main
 
 import (
@@ -31,8 +40,10 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 type result struct {
@@ -59,9 +70,32 @@ func main() {
 	baseline := flag.String("baseline", "", "archived benchjson JSON to diff the fresh run against; exit 1 on regression")
 	maxRegress := flag.Float64("max-regress", 15, "maximum allowed regression in percent of each gated metric")
 	match := flag.String("match", "", "regexp restricting which benchmarks the -baseline diff gates (default: all)")
-	metrics := flag.String("metrics", defaultMetrics, "comma-separated metrics the -baseline diff gates")
+	metrics := flag.String("metrics", defaultMetrics, "comma-separated metrics the -baseline diff gates and -paired reports")
 	out := flag.String("out", "", "write the fresh JSON document to this file instead of stdout")
+	pairedRuns := flag.Bool("paired", false, "compare the paired runs in the two file arguments (parent, change) instead of reading stdin")
 	flag.Parse()
+
+	if *pairedRuns {
+		if flag.NArg() != 2 {
+			fatalf("-paired takes two files: the parent's runs and the change's runs")
+		}
+		var docs [2]*doc
+		for i, path := range flag.Args() {
+			f, err := os.Open(path)
+			if err != nil {
+				fatalf("%v", err)
+			}
+			docs[i], err = parseBench(f)
+			f.Close()
+			if err != nil {
+				fatalf("parse %s: %v", path, err)
+			}
+		}
+		if err := paired(docs[0], docs[1], strings.Split(*metrics, ","), os.Stdout); err != nil {
+			fatalf("%v", err)
+		}
+		return
+	}
 
 	fresh, err := parseBench(os.Stdin)
 	if err != nil {
@@ -159,6 +193,67 @@ func diff(base, fresh *doc, re *regexp.Regexp, metrics []string, maxRegress floa
 		}
 	}
 	return regressions
+}
+
+// paired writes, for every benchmark of the parent's runs and each of
+// metrics, the parent's and the change's medians, the parent's
+// interquartile spread and how many pairs the change won. The k-th result
+// of a benchmark on one side pairs with its k-th result on the other.
+func paired(parent, change *doc, metrics []string, w io.Writer) error {
+	runs := func(d *doc) (names []string, byName map[string][]result) {
+		byName = map[string][]result{}
+		for _, r := range d.Results {
+			if byName[r.Name] == nil {
+				names = append(names, r.Name)
+			}
+			byName[r.Name] = append(byName[r.Name], r)
+		}
+		return names, byName
+	}
+	names, pruns := runs(parent)
+	_, cruns := runs(change)
+	tw := tabwriter.NewWriter(w, 0, 8, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tmetric\tparent median\tchange median\tchange\tparent IQR\tchange won\t")
+	for _, name := range names {
+		p, c := pruns[name], cruns[name]
+		n := min(len(p), len(c))
+		if n == 0 {
+			fmt.Fprintf(tw, "%s\t\tmissing from the change's runs\t\t\t\t\t\n", name)
+			continue
+		}
+		for _, m := range metrics {
+			var pv, cv []float64
+			won := 0
+			for k := 0; k < n; k++ {
+				pv = append(pv, p[k].Metrics[m])
+				cv = append(cv, c[k].Metrics[m])
+				if cv[k] < pv[k] {
+					won++
+				}
+			}
+			pmed, cmed := quantile(pv, 0.5), quantile(cv, 0.5)
+			pct := 0.0
+			if pmed != 0 {
+				pct = (cmed - pmed) / pmed * 100
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.0f\t%+.1f%%\t%.0f\t%d/%d\t\n",
+				name, m, pmed, cmed, pct, quantile(pv, 0.75)-quantile(pv, 0.25), won, n)
+		}
+	}
+	return tw.Flush()
+}
+
+// quantile returns the q-quantile of xs, interpolating linearly between
+// the two nearest order statistics. xs is not modified.
+func quantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	h := q * float64(len(s)-1)
+	i := int(h)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[i] + (h-float64(i))*(s[i+1]-s[i])
 }
 
 // parseBench reads `go test -bench` text output into a doc.

@@ -163,3 +163,40 @@ func TestWriteDocReportsFile(t *testing.T) {
 		t.Fatal("writeDoc into a missing directory succeeded")
 	}
 }
+
+// TestPairedReport: the k-th run of a benchmark pairs with the k-th run
+// on the other side; the report gives both medians, the parent's
+// interquartile spread and the pairs the change won, ties counting for
+// neither, and names a benchmark the change's runs lack.
+func TestPairedReport(t *testing.T) {
+	parent := mkDoc(
+		res("BenchmarkA-2", 100, 10), res("BenchmarkGone-2", 5, 1),
+		res("BenchmarkA-2", 140, 10),
+		res("BenchmarkA-2", 120, 10),
+		res("BenchmarkA-2", 110, 10),
+		res("BenchmarkA-2", 130, 10),
+	)
+	change := mkDoc(
+		res("BenchmarkA-2", 90, 10),
+		res("BenchmarkA-2", 150, 10),
+		res("BenchmarkA-2", 100, 10),
+		res("BenchmarkA-2", 110, 10),
+		res("BenchmarkA-2", 95, 10),
+	)
+	var sb strings.Builder
+	if err := paired(parent, change, []string{"ns/op", "allocs/op"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []*regexp.Regexp{
+		// Parent 100..140: median 120, quartiles 110 and 130. Change
+		// median 100; it won pairs 1, 3 and 5 and tied pair 4.
+		regexp.MustCompile(`BenchmarkA-2\s+ns/op\s+120\s+100\s+-16\.7%\s+20\s+3/5`),
+		regexp.MustCompile(`BenchmarkA-2\s+allocs/op\s+10\s+10\s+\+0\.0%\s+0\s+0/5`),
+		regexp.MustCompile(`BenchmarkGone-2\s+missing from the change's runs`),
+	} {
+		if !want.MatchString(out) {
+			t.Errorf("report does not match %s:\n%s", want, out)
+		}
+	}
+}
