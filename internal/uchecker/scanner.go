@@ -391,11 +391,13 @@ func (s *Scanner) scan(ctx context.Context, t Target, measureMem bool) (*AppRepo
 
 // ScanBatch scans whole applications concurrently — the corpus-sweep
 // workload of Section IV-B. Up to Options.Workers apps are in flight at
-// once (each app additionally parallelizes its own roots over the same
-// worker budget). The returned slice is aligned with targets; every entry
-// is non-nil even under cancellation: targets that never started because
-// the context died (or the journal crashed) carry a FailCancelled
-// schedule failure instead of being silently dropped or half-scanned.
+// once, and each of them runs up to Options.Workers of its roots at once,
+// so a batch can hold Workers² root attempts (each with its own solver
+// factory and interpreter heap). The returned slice is aligned with
+// targets; every entry is non-nil even under cancellation: targets that
+// never started because the context died (or the journal crashed) carry
+// a FailCancelled schedule failure instead of being silently dropped or
+// half-scanned.
 // Every app in the batch records its spans on Options.Trace.
 //
 // When Options.Journal / ResumeFrom / CacheDir are set, the batch runs
