@@ -158,9 +158,11 @@ func fatalf(format string, args ...any) {
 // diff compares every baseline benchmark whose name matches re against
 // the fresh run on each of metrics, writes a per-metric report to w, and
 // returns the number of metrics that regressed by more than maxRegress
-// percent. A matching baseline benchmark missing from the fresh run
-// counts as a regression: the gate must not silently pass because a
-// bench was renamed or dropped.
+// percent. A matching baseline benchmark missing from the fresh run, or
+// a metric the baseline holds that the fresh run lacks, counts as a
+// regression: the gate must not silently pass because a bench was
+// renamed or dropped, or because a recipe stopped reporting a metric
+// (a run without -benchmem reports no B/op or allocs/op).
 func diff(base, fresh *doc, re *regexp.Regexp, metrics []string, maxRegress float64, w io.Writer) int {
 	byName := make(map[string]result, len(fresh.Results))
 	for _, r := range fresh.Results {
@@ -180,7 +182,12 @@ func diff(base, fresh *doc, re *regexp.Regexp, metrics []string, maxRegress floa
 		for _, m := range metrics {
 			bv, bok := b.Metrics[m]
 			fv, fok := f.Metrics[m]
-			if !bok || !fok || bv == 0 {
+			if bok && !fok {
+				fmt.Fprintf(w, "FAIL %s %s: present in baseline, missing from fresh run\n", b.Name, m)
+				regressions++
+				continue
+			}
+			if !bok || bv == 0 {
 				continue
 			}
 			pct := (fv - bv) / bv * 100

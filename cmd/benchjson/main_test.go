@@ -96,6 +96,31 @@ func TestDiffMissingBenchFails(t *testing.T) {
 	}
 }
 
+// TestDiffMissingMetricFails: a fresh run that lost -benchmem reports
+// ns/op alone. Each metric the baseline holds and the run lacks is a
+// regression, so the allocation gate cannot pass with nothing checked.
+func TestDiffMissingMetricFails(t *testing.T) {
+	base := mkDoc(res("BenchmarkRunCimyAbort-2", 100, 1000))
+	fresh := mkDoc(res("BenchmarkRunCimyAbort-2", 100, 1000))
+	delete(fresh.Results[0].Metrics, "B/op")
+	delete(fresh.Results[0].Metrics, "allocs/op")
+	var sb strings.Builder
+	if n := diff(base, fresh, regexp.MustCompile(""), []string{"allocs/op", "B/op"}, 15, &sb); n != 2 {
+		t.Fatalf("got %d regressions, want 2 (allocs/op and B/op missing):\n%s", n, sb.String())
+	}
+	for _, m := range []string{"allocs/op", "B/op"} {
+		if !strings.Contains(sb.String(), "FAIL BenchmarkRunCimyAbort-2 "+m+": present in baseline, missing from fresh run") {
+			t.Errorf("report lacks the %s FAIL line:\n%s", m, sb.String())
+		}
+	}
+	// A metric the baseline never recorded is not checked.
+	delete(base.Results[0].Metrics, "B/op")
+	delete(base.Results[0].Metrics, "allocs/op")
+	if n := diff(base, fresh, regexp.MustCompile(""), []string{"allocs/op", "B/op"}, 15, &strings.Builder{}); n != 0 {
+		t.Fatalf("got %d regressions for metrics the baseline lacks, want 0", n)
+	}
+}
+
 func TestDiffMatchFilter(t *testing.T) {
 	base := mkDoc(res("BenchmarkEngineCompile-8", 100, 1000), res("BenchmarkOther-8", 100, 1000))
 	fresh := mkDoc(res("BenchmarkEngineCompile-8", 100, 1000), res("BenchmarkOther-8", 500, 1000))

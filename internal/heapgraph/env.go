@@ -34,9 +34,6 @@ type binding struct {
 type layer struct {
 	vars   []binding
 	parent *layer
-	// depth counts the layers from this one down to the bottom of the
-	// chain, this one included.
-	depth int
 }
 
 // deltaLayer is a frame's newest layer allocated together with room for
@@ -47,12 +44,16 @@ type deltaLayer struct {
 	buf [2]binding
 }
 
-// height is the layer's depth, 0 for the empty chain.
+// height counts the layers from this one down to the bottom of the
+// chain, this one included: 0 for the empty chain. freeze keeps a chain
+// at most maxLayers+1 layers long, so the walk is short, and a layer
+// does not store its height.
 func (ly *layer) height() int {
-	if ly == nil {
-		return 0
+	n := 0
+	for ; ly != nil; ly = ly.parent {
+		n++
 	}
-	return ly.depth
+	return n
 }
 
 // index returns the position of the layer's own binding of a name, or -1.
@@ -118,20 +119,21 @@ func (ly *layer) flatten() *layer {
 			}
 		}
 	}
-	return &layer{vars: vars, depth: 1}
+	return &layer{vars: vars}
 }
 
-// commonLayer returns the newest layer both chains share, or nil.
+// commonLayer returns the newest layer both chains share, or nil: it
+// steps the taller chain down to the other's height, then both together.
 func commonLayer(a, b *layer) *layer {
+	da, db := a.height(), b.height()
+	for ; da > db; da-- {
+		a = a.parent
+	}
+	for ; db > da; db-- {
+		b = b.parent
+	}
 	for a != b {
-		switch da, db := a.height(), b.height(); {
-		case da > db:
-			a = a.parent
-		case db > da:
-			b = b.parent
-		default:
-			a, b = a.parent, b.parent
-		}
+		a, b = a.parent, b.parent
 	}
 	return a
 }
@@ -179,7 +181,7 @@ func (f *frame) lookup(name string) (Label, bool) {
 func (f *frame) set(name string, l Label) {
 	f.shared = false
 	if f.delta == nil {
-		d := &deltaLayer{layer: layer{parent: f.base, depth: f.base.height() + 1}}
+		d := &deltaLayer{layer: layer{parent: f.base}}
 		d.vars = d.buf[:0]
 		f.delta = &d.layer
 	} else if i := f.delta.index(name); i >= 0 {
@@ -214,7 +216,7 @@ func (f *frame) freeze() {
 		return
 	}
 	f.base = d
-	if d.depth > maxLayers {
+	if d.height() > maxLayers {
 		f.base = d.flatten()
 	}
 }
@@ -274,9 +276,10 @@ type Env struct {
 	Terminated bool
 	// BreakN / ContinueN are pending loop-control levels (PHP's `break n`).
 	// A non-zero value suspends statement execution until the enclosing
-	// loop consumes it.
-	BreakN    int
-	ContinueN int
+	// loop consumes it. They are int16s so that an Env fits the 64-byte
+	// size class; the interpreter saturates a larger level.
+	BreakN    int16
+	ContinueN int16
 	// Tmp is the interpreter's per-path operand stack: partially evaluated
 	// operand labels are parked here while a sibling operand evaluates, so
 	// that label vectors stay aligned when the sibling's evaluation forks

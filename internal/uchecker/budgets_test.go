@@ -1,9 +1,13 @@
 package uchecker
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 // TestBudgetsHalveNeverRaises: a ladder rung promises a cheaper model,
@@ -49,5 +53,56 @@ func TestBudgetsValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), typ.Field(i).Name) {
 			t.Errorf("negative %s: got %v, want an error naming the field", typ.Field(i).Name, err)
 		}
+	}
+}
+
+// TestScanRejectsNegativeBudgets: the library validates budgets as the
+// commands do. A negative MaxPaths used to scan Foxypress, a vulnerable
+// app, with every root failing at its first path and report it not
+// vulnerable with the budget exceeded. Scan and both batch entry points
+// must instead scan nothing, give every target a cancelled schedule
+// failure and return the validation error.
+func TestScanRejectsNegativeBudgets(t *testing.T) {
+	foxy, ok := corpus.ByName("Foxypress 0.4.1.1-0.4.2.1")
+	if !ok {
+		t.Fatal("Foxypress missing from the corpus")
+	}
+	target := Target{Name: foxy.Name, Sources: foxy.Sources}
+	sc := NewScanner(Options{Workers: 1, Budgets: Budgets{MaxPaths: -1}})
+	check := func(how string, rep *AppReport) {
+		t.Helper()
+		if rep == nil {
+			t.Fatalf("%s: nil report", how)
+		}
+		if rep.Vulnerable || rep.BudgetExceeded || rep.Paths != 0 || len(rep.Roots) != 0 {
+			t.Errorf("%s: the app was scanned: %+v", how, rep)
+		}
+		if len(rep.Failures) != 1 || rep.Failures[0].Stage != StageSchedule || rep.Failures[0].Class != FailCancelled ||
+			!strings.Contains(rep.Failures[0].Err, "MaxPaths") {
+			t.Errorf("%s: failures = %v, want one cancelled schedule failure naming MaxPaths", how, rep.Failures)
+		}
+	}
+
+	rep, err := sc.Scan(context.Background(), target)
+	if err == nil || !strings.Contains(err.Error(), "MaxPaths") {
+		t.Errorf("Scan: err = %v, want the budget error", err)
+	}
+	check("Scan", rep)
+
+	reps, _, err := sc.ScanBatchJournaled(context.Background(), []Target{target, target})
+	if err == nil || !strings.Contains(err.Error(), "MaxPaths") {
+		t.Errorf("ScanBatchJournaled: err = %v, want the budget error", err)
+	}
+	for i, rep := range reps {
+		check(fmt.Sprintf("ScanBatchJournaled slot %d", i), rep)
+	}
+	for _, rep := range sc.ScanBatch(context.Background(), []Target{target}) {
+		check("ScanBatch", rep)
+	}
+
+	// The same app with default budgets is vulnerable.
+	rep, err = NewScanner(Options{Workers: 1}).Scan(context.Background(), target)
+	if err != nil || !rep.Vulnerable {
+		t.Fatalf("default budgets: Vulnerable=%v err=%v, want a vulnerable report", rep.Vulnerable, err)
 	}
 }

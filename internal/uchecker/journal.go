@@ -137,6 +137,8 @@ func scheduleCancelledReport(name, msg string) *AppReport {
 // prefix is salvaged, the rest re-scanned, and the corruption surfaces
 // as a FailJournalCorrupt entry in BatchStats.Failures.) When the
 // journal is healthy the returned error is ctx.Err(), mirroring Scan.
+// Budgets that Budgets.Validate rejects abort the batch the same way
+// before any target is scanned or journaled.
 func (s *Scanner) ScanBatchJournaled(ctx context.Context, targets []Target) ([]*AppReport, *BatchStats, error) {
 	reports := make([]*AppReport, len(targets))
 	stats := &BatchStats{Targets: len(targets), Metrics: obs.NewMetrics()}
@@ -172,6 +174,9 @@ func (s *Scanner) ScanBatchJournaled(ctx context.Context, targets []Target) ([]*
 		}
 		s.finishBatchStats(stats)
 		return reports, stats, err
+	}
+	if err := s.opts.Budgets.Validate(); err != nil {
+		return abortAll(err)
 	}
 
 	// --- Recovery: salvage the resume journal, if any ---

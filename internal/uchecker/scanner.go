@@ -191,8 +191,13 @@ func (rr *rootResult) countable() int {
 // or deadlines the expensive phases: symbolic-execution path exploration
 // and the SMT candidate search both poll ctx and abort promptly. On
 // cancellation Scan returns the partial report alongside ctx.Err();
-// per-root cancellation details land in AppReport.Failures.
+// per-root cancellation details land in AppReport.Failures. Budgets that
+// Budgets.Validate rejects scan nothing: Scan returns its error with a
+// report that carries one FailCancelled schedule failure.
 func (s *Scanner) Scan(ctx context.Context, t Target) (*AppReport, error) {
+	if err := s.opts.Budgets.Validate(); err != nil {
+		return scheduleCancelledReport(t.Name, "scan aborted: "+err.Error()), err
+	}
 	return s.scan(ctx, t, true)
 }
 
