@@ -450,14 +450,15 @@ func (in *Interp) concreteBool(l heapgraph.Label) (bool, bool) {
 }
 
 // loopLevel is the level of a break or continue statement as an Env
-// holds it: an omitted level is 1, and a level outside int16 saturates.
-// A saturated break still unwinds every loop of a program that nests
-// fewer than math.MaxInt16 of them, as the level it stands for would.
+// holds it: an omitted level is 1, and a level past math.MaxInt16
+// saturates. A saturated break still unwinds every loop of a program
+// that nests fewer than math.MaxInt16 of them, as the level it stands
+// for would.
 func loopLevel(lvl int) int16 {
 	if lvl == 0 {
 		return 1
 	}
-	return int16(max(math.MinInt16, min(lvl, math.MaxInt16)))
+	return int16(min(lvl, math.MaxInt16))
 }
 
 // consumeLoopControl decrements break/continue counters at a loop
