@@ -173,29 +173,34 @@ bench-interp-diff:
 	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^Benchmark(PhaseParse|PhaseCallgraphLocality|PhaseSymbolicExecution|ScanRoots|ScanSerial|ScanScreening)' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
-# Paired parent-vs-change run of bench-interp's suite, for reading ns/op
-# on a host whose speed drifts between runs (bench-interp-diff compares
-# against numbers recorded on another day). The root package's test
-# binary is built once from PARENT (exported with git archive under the
-# git-ignored .bench_build/) and once from the working tree; the two run
-# the suite alternately PAIRS times, the parent first in odd pairs, each
-# from its own source tree. benchjson -paired then prints, per benchmark,
-# both medians, the parent's interquartile spread and the pairs the
-# change won. It reports and gates nothing.
+# Paired parent-vs-change run of bench-interp's suite and of
+# BenchmarkRunCimyAbort, for reading ns/op on a host whose speed drifts
+# between runs (bench-interp-diff compares against numbers recorded on
+# another day, and bench-smt-diff gates the Cimy abort's allocations
+# only). The test binaries of the root package and of internal/interp
+# are built once from PARENT (exported with git archive under the
+# git-ignored .bench_build/) and once from the working tree; each pair
+# runs both sides alternately, the parent first in odd pairs, each side
+# from its own source tree, and appends the Cimy abort's run to the same
+# side's output. benchjson -paired then prints, per benchmark, both
+# medians, the parent's interquartile spread and the pairs the change
+# won. It reports and gates nothing.
 PARENT ?= HEAD~1
 PAIRS ?= 5
 PAIRED_DIR = .bench_build/paired
 bench-interp-paired:
 	@rm -rf $(PAIRED_DIR) && mkdir -p $(PAIRED_DIR)/parent
 	@git archive $(PARENT) | tar -x -C $(PAIRED_DIR)/parent
-	@cd $(PAIRED_DIR)/parent && $(GO) test -c -o ../parent.test .
-	@$(GO) test -c -o $(PAIRED_DIR)/change.test .
+	@cd $(PAIRED_DIR)/parent && $(GO) test -c -o ../parent.test . && $(GO) test -c -o ../parent-interp.test ./internal/interp
+	@$(GO) test -c -o $(PAIRED_DIR)/change.test . && $(GO) test -c -o $(PAIRED_DIR)/change-interp.test ./internal/interp
 	@for i in $$(seq 1 $(PAIRS)); do \
 	  if [ $$((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
 	  for side in $$order; do \
 	    if [ $$side = parent ]; then dir=$(PAIRED_DIR)/parent; else dir=.; fi; \
 	    echo "pair $$i: $$side" >&2; \
 	    (cd $$dir && $(CURDIR)/$(PAIRED_DIR)/$$side.test -test.run '^$$' -test.bench '$(INTERP_BENCH)' \
+	      -test.benchtime 2s -test.benchmem -test.timeout 30m) >> $(PAIRED_DIR)/$$side.txt || exit 1; \
+	    (cd $$dir/internal/interp && $(CURDIR)/$(PAIRED_DIR)/$$side-interp.test -test.run '^$$' -test.bench $(CIMY_BENCH) \
 	      -test.benchtime 2s -test.benchmem -test.timeout 30m) >> $(PAIRED_DIR)/$$side.txt || exit 1; \
 	  done; \
 	done

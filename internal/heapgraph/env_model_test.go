@@ -291,31 +291,32 @@ func TestEdgesAppendDoesNotWriteGraph(t *testing.T) {
 }
 
 // TestArenaFindBounds checks Find across chunk boundaries: every label
-// resolves to its own object, the pointer stays valid as the arena grows,
-// and Null, negative and past-the-end labels return nil.
+// resolves to its own object, an object reads the same as the arena
+// grows past it, and Null, negative and past-the-end labels report no
+// object.
 func TestArenaFindBounds(t *testing.T) {
 	g := New()
 	first := g.NewSymbol("first", sexpr.Unknown, 1)
-	p := g.Find(first)
+	before := mustFind(t, g, first)
 	for i := 0; i < 3*chunkSize; i++ {
 		g.NewConcrete(sexpr.IntVal(int64(i)), i+2)
 	}
-	if g.Find(first) != p || p.Name != "first" {
-		t.Fatalf("Find(%d) moved or changed: %+v", first, p)
+	if after := mustFind(t, g, first); after != before || after.Name != "first" {
+		t.Fatalf("Find(%d) changed as the arena grew: %+v, then %+v", first, before, after)
 	}
 	n := g.NumObjects()
 	if n != 3*chunkSize+1 {
 		t.Fatalf("NumObjects = %d, want %d", n, 3*chunkSize+1)
 	}
 	for l := Label(2); l <= Label(n); l++ {
-		o := g.Find(l)
-		if o == nil || int(o.Line) != int(l) {
-			t.Fatalf("Find(%d) = %+v", l, o)
+		o, ok := g.Find(l)
+		if !ok || int(o.Line) != int(l) || o.Val != sexpr.IntVal(int64(l-2)) {
+			t.Fatalf("Find(%d) = %+v, %v", l, o, ok)
 		}
 	}
 	for _, l := range []Label{Null, -1, Label(n + 1), Label(n + chunkSize)} {
-		if g.Find(l) != nil {
-			t.Errorf("Find(%d) = %+v, want nil", l, g.Find(l))
+		if o, ok := g.Find(l); ok {
+			t.Errorf("Find(%d) = %+v, want no object", l, o)
 		}
 		if g.Edges(l) != nil {
 			t.Errorf("Edges(%d) = %v, want nil", l, g.Edges(l))

@@ -23,7 +23,7 @@ import (
 // Label identifies an object in the heap graph. 0 is the null label (the
 // paper's cur = null). A label is 4 bytes, so every per-path label
 // vector and every arena operand slot costs half what an int would. It
-// needs no overflow check: 2^31 objects would take 96 GiB of 48-byte
+// needs no overflow check: 2^31 objects would take 40 GiB of 20-byte
 // nodes, and the default object budget (MaxObjects) is 1.5M.
 type Label int32
 
@@ -60,15 +60,13 @@ func (k ObjKind) String() string {
 	}
 }
 
-// Object is one heap-graph node. Its label is its position in the arena,
-// so the object does not store it. Kind, Type, the node's operand count
-// and Line share one 8-byte word, so an Object is 40 bytes.
+// Object is one heap-graph object as Find reports it. The graph does
+// not store Objects: Find builds one from the object's arena node and
+// the graph's name and value tables. Its label is its position in the
+// arena, so the object does not carry it.
 type Object struct {
 	Kind ObjKind
 	Type sexpr.Type
-	// nops is the number of operands held inline in the node, or spilled
-	// once the list has moved to the graph's overflow table.
-	nops uint8
 	// Line is the source line whose evaluation created the object,
 	// preserving the paper's AST-node-to-source mapping. Like
 	// phptoken.Pos it is an int32 that saturates at math.MaxInt32.
@@ -92,32 +90,53 @@ type ArrayInfo struct {
 	NextIndex int64
 }
 
-// chunkBits sizes the arena's chunks at 64 objects (3 KiB): the graph of
-// a small root does not pay for a mostly empty chunk, and a large graph
-// still allocates one chunk per 64 objects instead of one per object.
+// chunkBits sizes the arena's chunks at 64 objects (1,280 bytes, itself
+// an allocation size class) and the value chunks at 64 values (1 KiB):
+// the graph of a small root does not pay for a mostly empty chunk, and a
+// large graph still allocates one chunk per 64 objects instead of one
+// per object.
 const (
 	chunkBits = 6
 	chunkSize = 1 << chunkBits
 )
 
+// nameScanMax is the largest name table looked up by a linear scan; a
+// table that grows past it gets a map. Most graphs hold a few dozen
+// names or fewer, and a map would cost them more than it saves.
+const nameScanMax = 32
+
 // spilled is the operand count of a node whose list lives in the
 // graph's overflow table.
 const spilled = uint8(len(node{}.ops) + 1)
 
-// node is one 48-byte arena slot: an object and its ordered operand
-// list. The first two operands live inline in ops (obj.nops of them); a
-// third moves the whole list to the graph's overflow table, and ops[0]
-// then holds the list's index there.
+// node is one 20-byte arena slot: an object's kind, type, source line,
+// payload reference and ordered operand list. ref indexes the graph's
+// name table for a symbol, function or operation, and its value chunks
+// for a concrete value; an array has no ref. The first two operands live
+// inline in ops (nops of them); a third moves the whole list to the
+// graph's overflow table, and ops[0] then holds the list's index there.
 type node struct {
-	obj Object
-	ops [2]Label
+	kind ObjKind
+	typ  sexpr.Type
+	// nops is the number of operands held inline in ops, or spilled
+	// once the list has moved to the overflow table.
+	nops uint8
+	line int32
+	ref  int32
+	ops  [2]Label
 }
 
 // Graph is the heap graph. Objects live in an arena of fixed-size chunks
-// indexed by label; chunks never move, so the *Object Find returns stays
-// valid as the graph grows.
+// indexed by label, and chunks never move. A graph holds few distinct
+// names and many objects, so each name is stored once in names and the
+// node holds its index; each concrete object has its own slot in vals.
 type Graph struct {
 	chunks []*[chunkSize]node
+	vals   []*[chunkSize]sexpr.Expr
+	nvals  int32
+	names  []string
+	// nameIdx indexes names once the table holds more than nameScanMax.
+	nameIdx map[string]int32
 	// spill holds the operand lists of nodes with three or more operands.
 	spill  [][]Label
 	arrays map[Label]*ArrayInfo
@@ -140,27 +159,84 @@ func (g *Graph) slot(l Label) *node {
 	return &g.chunks[i>>chunkBits][i&(chunkSize-1)]
 }
 
-// Find returns the object with the given label, or nil (the paper's
-// Find(G, l)).
-func (g *Graph) Find(l Label) *Object {
-	if n := g.slot(l); n != nil {
-		return &n.obj
+// Find returns the object with the given label, and false for Null and
+// for labels no object has (the paper's Find(G, l)).
+func (g *Graph) Find(l Label) (Object, bool) {
+	n := g.slot(l)
+	if n == nil {
+		return Object{}, false
 	}
-	return nil
+	o := Object{Kind: n.kind, Type: n.typ, Line: n.line}
+	switch n.kind {
+	case KindConcrete:
+		o.Val = g.vals[n.ref>>chunkBits][n.ref&(chunkSize-1)]
+	case KindArray:
+	default:
+		o.Name = g.names[n.ref]
+	}
+	return o, true
 }
 
 // NumObjects returns the number of objects in the graph (Table III's
 // "Objects" column).
 func (g *Graph) NumObjects() int { return int(g.next) }
 
-func (g *Graph) add(o Object) Label {
+func (g *Graph) add(kind ObjKind, t sexpr.Type, ref int32, line int) Label {
 	i := int(g.next)
 	if i&(chunkSize-1) == 0 {
 		g.chunks = append(g.chunks, new([chunkSize]node))
 	}
 	g.next++
-	g.chunks[i>>chunkBits][i&(chunkSize-1)].obj = o
+	g.chunks[i>>chunkBits][i&(chunkSize-1)] = node{kind: kind, typ: t, line: line32(line), ref: ref}
 	return g.next
+}
+
+// nameRef returns the name table index of name, adding it if the table
+// does not hold it yet.
+func (g *Graph) nameRef(name string) int32 {
+	if g.nameIdx != nil {
+		if i, ok := g.nameIdx[name]; ok {
+			return i
+		}
+	} else {
+		for i, s := range g.names {
+			if s == name {
+				return int32(i)
+			}
+		}
+	}
+	i := int32(len(g.names))
+	if g.names == nil {
+		// Room for every name a linear scan serves: a root's graph holds
+		// 10 to 24 names on the corpus and 300 screening plugins, and
+		// growing the table to them would take five or six allocations.
+		g.names = make([]string, 0, nameScanMax)
+	}
+	g.names = append(g.names, name)
+	switch {
+	case g.nameIdx != nil:
+		g.nameIdx[name] = i
+	case len(g.names) > nameScanMax:
+		g.nameIdx = make(map[string]int32, len(g.names))
+		for j, s := range g.names {
+			g.nameIdx[s] = int32(j)
+		}
+	}
+	return i
+}
+
+// valRef stores v in a fresh value slot and returns its index. Values
+// are not interned: == on sexpr.Expr merges 0.0 with -0.0 and never
+// matches a NaN, and a graph with many distinct constants would pay for
+// the index.
+func (g *Graph) valRef(v sexpr.Expr) int32 {
+	i := g.nvals
+	if i&(chunkSize-1) == 0 {
+		g.vals = append(g.vals, new([chunkSize]sexpr.Expr))
+	}
+	g.nvals++
+	g.vals[i>>chunkBits][i&(chunkSize-1)] = v
+	return i
 }
 
 // line32 narrows a source line to Object.Line, saturating instead of
@@ -172,7 +248,7 @@ func line32(line int) int32 {
 // NewConcrete creates and adds an object for a concrete value (the paper's
 // Create_Concrete_Obj + Add_Concrete_Obj). The value's own type is used.
 func (g *Graph) NewConcrete(v sexpr.Expr, line int) Label {
-	return g.add(Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line32(line)})
+	return g.add(KindConcrete, v.Kind(), g.valRef(v), line)
 }
 
 // NewSymbol creates a symbolic-value object. An empty name generates a
@@ -182,23 +258,23 @@ func (g *Graph) NewSymbol(name string, t sexpr.Type, line int) Label {
 		g.symSeq++
 		name = "s_" + strconv.Itoa(g.symSeq)
 	}
-	return g.add(Object{Kind: KindSymbol, Type: t, Name: name, Line: line32(line)})
+	return g.add(KindSymbol, t, g.nameRef(name), line)
 }
 
 // NewFunc creates an object for a built-in function invocation whose result
 // type is t.
 func (g *Graph) NewFunc(name string, t sexpr.Type, line int) Label {
-	return g.add(Object{Kind: KindFunc, Type: t, Name: name, Line: line32(line)})
+	return g.add(KindFunc, t, g.nameRef(name), line)
 }
 
 // NewOp creates an operation object (the paper's Create_OP_Obj).
 func (g *Graph) NewOp(op string, t sexpr.Type, line int) Label {
-	return g.add(Object{Kind: KindOp, Type: t, Name: op, Line: line32(line)})
+	return g.add(KindOp, t, g.nameRef(op), line)
 }
 
 // NewArray creates an empty array object.
 func (g *Graph) NewArray(line int) Label {
-	l := g.add(Object{Kind: KindArray, Type: sexpr.Array, Line: line32(line)})
+	l := g.add(KindArray, sexpr.Array, 0, line)
 	g.arrays[l] = &ArrayInfo{Elems: map[string]Label{}}
 	return l
 }
@@ -251,15 +327,15 @@ func (g *Graph) AddEdge(from, to Label) {
 	n := g.slot(from)
 	switch {
 	case n == nil:
-	case n.obj.nops == spilled:
+	case n.nops == spilled:
 		g.spill[n.ops[0]] = append(g.spill[n.ops[0]], to)
-	case int(n.obj.nops) < len(n.ops):
-		n.ops[n.obj.nops] = to
-		n.obj.nops++
+	case int(n.nops) < len(n.ops):
+		n.ops[n.nops] = to
+		n.nops++
 	default:
 		g.spill = append(g.spill, []Label{n.ops[0], n.ops[1], to})
 		n.ops = [2]Label{Label(len(g.spill) - 1)}
-		n.obj.nops = spilled
+		n.nops = spilled
 	}
 }
 
@@ -269,13 +345,13 @@ func (g *Graph) AddEdge(from, to Label) {
 func (g *Graph) Edges(l Label) []Label {
 	n := g.slot(l)
 	switch {
-	case n == nil || n.obj.nops == 0:
+	case n == nil || n.nops == 0:
 		return nil
-	case n.obj.nops == spilled:
+	case n.nops == spilled:
 		ops := g.spill[n.ops[0]]
 		return ops[:len(ops):len(ops)]
 	default:
-		return n.ops[:n.obj.nops:n.obj.nops]
+		return n.ops[:n.nops:n.nops]
 	}
 }
 
@@ -289,8 +365,8 @@ func (g *Graph) ToSexpr(l Label) sexpr.Expr {
 }
 
 func (g *Graph) toSexpr(l Label, visiting map[Label]bool) sexpr.Expr {
-	o := g.Find(l)
-	if o == nil {
+	o, ok := g.Find(l)
+	if !ok {
 		return sexpr.NullVal{}
 	}
 	if visiting[l] {
@@ -368,8 +444,7 @@ func (g *Graph) ReachesName(src Label, name string) bool {
 			return false
 		}
 		seen[l] = true
-		o := g.Find(l)
-		if o != nil && o.Name == name {
+		if o, ok := g.Find(l); ok && o.Name == name {
 			return true
 		}
 		for _, e := range g.Edges(l) {
@@ -401,8 +476,8 @@ func (g *Graph) Lines(l Label) []int {
 			return
 		}
 		seen[x] = true
-		o := g.Find(x)
-		if o == nil {
+		o, ok := g.Find(x)
+		if !ok {
 			return
 		}
 		if o.Line > 0 {

@@ -29,22 +29,32 @@ func TestObjectCreation(t *testing.T) {
 		}
 		seen[l] = true
 	}
-	if got := g.Find(c); got.Kind != KindConcrete || got.Type != sexpr.Int {
+	if got := mustFind(t, g, c); got.Kind != KindConcrete || got.Type != sexpr.Int {
 		t.Errorf("concrete = %+v", got)
 	}
-	if got := g.Find(s); got.Name != "s_b" || got.Line != 3 {
+	if got := mustFind(t, g, s); got.Name != "s_b" || got.Line != 3 {
 		t.Errorf("symbol = %+v", got)
 	}
-	if g.Find(Label(999)) != nil {
-		t.Error("Find of unknown label should be nil")
+	if _, ok := g.Find(Label(999)); ok {
+		t.Error("Find of unknown label should report no object")
 	}
+}
+
+// mustFind returns the object at l, failing the test when there is none.
+func mustFind(t *testing.T, g *Graph, l Label) Object {
+	t.Helper()
+	o, ok := g.Find(l)
+	if !ok {
+		t.Fatalf("Find(%d): no object", l)
+	}
+	return o
 }
 
 func TestFreshSymbolNamesUnique(t *testing.T) {
 	g := New()
 	a := g.NewSymbol("", sexpr.Unknown, 1)
 	b := g.NewSymbol("", sexpr.Unknown, 1)
-	if g.Find(a).Name == g.Find(b).Name {
+	if mustFind(t, g, a).Name == mustFind(t, g, b).Name {
 		t.Error("fresh symbols must have distinct names")
 	}
 }
@@ -243,8 +253,8 @@ func TestER(t *testing.T) {
 	}
 	// Second ER builds an And node over the previous cur and the new label.
 	e.ER(g, cond2, 5)
-	andObj := g.Find(e.Cur)
-	if andObj == nil || andObj.Name != "And" || andObj.Kind != KindOp {
+	andObj, ok := g.Find(e.Cur)
+	if !ok || andObj.Name != "And" || andObj.Kind != KindOp {
 		t.Fatalf("cur object = %+v", andObj)
 	}
 	edges := g.Edges(e.Cur)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -11,11 +12,11 @@ import (
 )
 
 // TestLayoutSizes pins the sizes the arena, Clone and the scope deltas
-// are tuned for: a node fills one 48-byte slot (a chunk of chunkSize of
-// them is 3 KiB, itself an allocation size class), Clone copies 32 bytes
-// per frame into a 64-byte Env, and a delta layer with its two inline
-// bindings fills the 80-byte size class. A field that pushes any of
-// them past its size fails here.
+// are tuned for: a node is 20 bytes (a chunk of chunkSize of them is
+// 1,280 bytes, itself an allocation size class), a value chunk is 1 KiB,
+// Clone copies 32 bytes per frame into a 64-byte Env, and a delta layer
+// with its two inline bindings fills the 80-byte size class. A field
+// that pushes any of them past its size fails here.
 func TestLayoutSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
@@ -24,9 +25,9 @@ func TestLayoutSizes(t *testing.T) {
 		what      string
 		got, want uintptr
 	}{
-		{"Object", unsafe.Sizeof(Object{}), 40},
-		{"node", unsafe.Sizeof(node{}), 48},
-		{"chunk", unsafe.Sizeof([chunkSize]node{}), 3072},
+		{"node", unsafe.Sizeof(node{}), 20},
+		{"chunk", unsafe.Sizeof([chunkSize]node{}), 1280},
+		{"value chunk", unsafe.Sizeof([chunkSize]sexpr.Expr{}), 1024},
 		{"frame", unsafe.Sizeof(frame{}), 32},
 		{"Env", unsafe.Sizeof(Env{}), 64},
 		{"deltaLayer", unsafe.Sizeof(deltaLayer{}), 80},
@@ -99,6 +100,94 @@ func TestOperandListsMatchModel(t *testing.T) {
 	}
 }
 
+// TestPayloadsMatchModel runs fixed-seed random sequences of
+// NewConcrete, NewSymbol, NewFunc, NewOp, NewArray and AddEdge over more
+// than four chunks and checks every object Find reports against a
+// reference Object after each step. The values cover every sexpr kind,
+// 0.0 followed by -0.0, a NaN, the empty string and an *App; the names
+// repeat, include fresh symbols, and number well past nameScanMax, so
+// the name table is read both before and after it gains its map.
+func TestPayloadsMatchModel(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	app := &sexpr.App{Op: "f", Type: sexpr.String, Args: []sexpr.Expr{sexpr.StrVal("a")}}
+	values := []sexpr.Expr{
+		sexpr.FloatVal(0), sexpr.FloatVal(negZero), sexpr.FloatVal(math.NaN()),
+		sexpr.FloatVal(1.5), sexpr.StrVal(""), sexpr.StrVal("x"), sexpr.IntVal(0),
+		sexpr.IntVal(-3), sexpr.BoolVal(true), sexpr.BoolVal(false),
+		sexpr.NullVal{}, sexpr.NewSym("v", sexpr.Int), app,
+	}
+	types := []sexpr.Type{sexpr.Unknown, sexpr.Bool, sexpr.Int, sexpr.Float, sexpr.String, sexpr.Array, sexpr.Null}
+	var names []string
+	for i := 0; i < 2*nameScanMax; i++ {
+		names = append(names, "n"+strconv.Itoa(i))
+	}
+	names = append(names, "", ".", "s_2")
+	sameVal := func(a, b sexpr.Expr) bool {
+		if x, ok := a.(sexpr.FloatVal); ok {
+			y, ok := b.(sexpr.FloatVal)
+			return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+		}
+		return a == b
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		var want []Object
+		fresh := 0
+		add := func(l Label, o Object) {
+			if int(l) != len(want)+1 {
+				t.Fatalf("seed %d: label %d after %d objects", seed, l, len(want))
+			}
+			want = append(want, o)
+		}
+		for step := 0; step < 5*chunkSize; step++ {
+			line := rng.Intn(200) - 20
+			typ := types[rng.Intn(len(types))]
+			name := names[rng.Intn(len(names))]
+			switch r := rng.Intn(12); {
+			case step < 2 || r < 4:
+				// The first two steps store 0.0, then -0.0.
+				v := values[rng.Intn(len(values))]
+				if step < 2 {
+					v = values[step]
+				}
+				add(g.NewConcrete(v, line), Object{Kind: KindConcrete, Type: v.Kind(), Line: int32(line), Val: v})
+			case r < 5:
+				fresh++
+				add(g.NewSymbol("", typ, line), Object{Kind: KindSymbol, Type: typ, Line: int32(line), Name: "s_" + strconv.Itoa(fresh)})
+			case r < 7 && name != "":
+				add(g.NewSymbol(name, typ, line), Object{Kind: KindSymbol, Type: typ, Line: int32(line), Name: name})
+			case r < 8:
+				add(g.NewFunc(name, typ, line), Object{Kind: KindFunc, Type: typ, Line: int32(line), Name: name})
+			case r < 10:
+				add(g.NewOp(name, typ, line), Object{Kind: KindOp, Type: typ, Line: int32(line), Name: name})
+			case r < 11:
+				add(g.NewArray(line), Object{Kind: KindArray, Type: sexpr.Array, Line: int32(line)})
+			default:
+				g.AddEdge(Label(rng.Intn(len(want)+1)), Label(rng.Intn(len(want))+1))
+			}
+			for i, w := range want {
+				l := Label(i + 1)
+				got, ok := g.Find(l)
+				if !ok || got.Kind != w.Kind || got.Type != w.Type || got.Line != w.Line || got.Name != w.Name || !sameVal(got.Val, w.Val) {
+					t.Fatalf("seed %d step %d: Find(%d) = %+v, %v; model %+v", seed, step, l, got, ok, w)
+				}
+			}
+			for _, l := range []Label{Null, -1, math.MinInt32, Label(len(want) + 1), Label(len(want) + chunkSize)} {
+				if o, ok := g.Find(l); ok {
+					t.Fatalf("seed %d step %d: Find(%d) = %+v, want no object", seed, step, l, o)
+				}
+			}
+		}
+		if g.NumObjects() < 4*chunkSize {
+			t.Fatalf("seed %d: %d objects span fewer than four chunks", seed, g.NumObjects())
+		}
+		if len(g.names) <= nameScanMax || g.nameIdx == nil {
+			t.Fatalf("seed %d: the name table holds %d names and no map", seed, len(g.names))
+		}
+	}
+}
+
 // TestLineSaturates checks that a line past math.MaxInt32 is stored as
 // math.MaxInt32 instead of wrapping, and that Lines never reports a
 // negative or zero line.
@@ -116,13 +205,13 @@ func TestLineSaturates(t *testing.T) {
 	for _, l := range []Label{far, wrap, neg, zero} {
 		g.AddEdge(op, l)
 	}
-	if got := g.Find(far).Line; got != math.MaxInt32 {
+	if got := mustFind(t, g, far).Line; got != math.MaxInt32 {
 		t.Errorf("line past MaxInt32 stored as %d", got)
 	}
-	if got := g.Find(wrap).Line; got != math.MaxInt32 {
+	if got := mustFind(t, g, wrap).Line; got != math.MaxInt32 {
 		t.Errorf("line 2^32+3 stored as %d, want MaxInt32", got)
 	}
-	if got := g.Find(neg).Line; got != math.MinInt32 {
+	if got := mustFind(t, g, neg).Line; got != math.MinInt32 {
 		t.Errorf("line -2^32+9 stored as %d, want MinInt32", got)
 	}
 	if got := g.Lines(op); !slices.Equal(got, []int{4, math.MaxInt32}) {

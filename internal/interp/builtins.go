@@ -97,7 +97,7 @@ func (in *Interp) builtinCall(name string, args []heapgraph.Label, e *heapgraph.
 		// name it preserves structure enough for suffix checks, so pass
 		// through structurally via a FUNC node.
 		if len(args) == 1 {
-			if o := in.g.Find(args[0]); o != nil && o.Kind == heapgraph.KindConcrete {
+			if o, ok := in.g.Find(args[0]); ok && o.Kind == heapgraph.KindConcrete {
 				if s, ok := o.Val.(sexpr.StrVal); ok {
 					v := string(s)
 					if name == "strtolower" {
@@ -113,7 +113,7 @@ func (in *Interp) builtinCall(name string, args []heapgraph.Label, e *heapgraph.
 		// Concrete fold; otherwise FUNC node for the translator's
 		// File Name rule.
 		if len(args) >= 1 {
-			if o := in.g.Find(args[0]); o != nil && o.Kind == heapgraph.KindConcrete {
+			if o, ok := in.g.Find(args[0]); ok && o.Kind == heapgraph.KindConcrete {
 				if s, ok := o.Val.(sexpr.StrVal); ok {
 					return in.g.NewConcrete(sexpr.StrVal(baseOf(string(s))), line)
 				}
@@ -121,7 +121,7 @@ func (in *Interp) builtinCall(name string, args []heapgraph.Label, e *heapgraph.
 		}
 	case "dirname":
 		if len(args) >= 1 {
-			if o := in.g.Find(args[0]); o != nil && o.Kind == heapgraph.KindConcrete {
+			if o, ok := in.g.Find(args[0]); ok && o.Kind == heapgraph.KindConcrete {
 				if s, ok := o.Val.(sexpr.StrVal); ok {
 					return in.g.NewConcrete(sexpr.StrVal(dirOf(string(s))), line)
 				}
@@ -184,7 +184,7 @@ func (in *Interp) builtinPathinfo(args []heapgraph.Label, line int) heapgraph.La
 
 	if len(args) >= 2 {
 		// Flag-selected component.
-		if o := in.g.Find(args[1]); o != nil && o.Kind == heapgraph.KindConcrete {
+		if o, ok := in.g.Find(args[1]); ok && o.Kind == heapgraph.KindConcrete {
 			if v, ok := o.Val.(sexpr.IntVal); ok {
 				switch int64(v) {
 				case 4: // PATHINFO_EXTENSION
@@ -212,8 +212,8 @@ func (in *Interp) builtinPathinfo(args []heapgraph.Label, line int) heapgraph.La
 // basename, filename-without-extension) labels, recognizing the
 // pre-structured "name . '.' . ext" concat shape and concrete strings.
 func (in *Interp) pathComponents(pathL heapgraph.Label, line int) (ext, base, name heapgraph.Label) {
-	o := in.g.Find(pathL)
-	if o != nil && o.Kind == heapgraph.KindConcrete {
+	o, ok := in.g.Find(pathL)
+	if ok && o.Kind == heapgraph.KindConcrete {
 		if s, ok := o.Val.(sexpr.StrVal); ok {
 			b := baseOf(string(s))
 			dot := strings.LastIndexByte(b, '.')
@@ -239,24 +239,24 @@ func (in *Interp) pathComponents(pathL heapgraph.Label, line int) (ext, base, na
 // splitStructuredName recognizes the $_FILES 'name' shape
 // (. s_name (. "." s_ext)) and returns (s_ext, s_name).
 func (in *Interp) splitStructuredName(l heapgraph.Label) (ext, name heapgraph.Label, ok bool) {
-	o := in.g.Find(l)
-	if o == nil || o.Kind != heapgraph.KindOp || o.Name != "." {
+	o, ok := in.g.Find(l)
+	if !ok || o.Kind != heapgraph.KindOp || o.Name != "." {
 		return 0, 0, false
 	}
 	edges := in.g.Edges(l)
 	if len(edges) != 2 {
 		return 0, 0, false
 	}
-	right := in.g.Find(edges[1])
-	if right == nil || right.Kind != heapgraph.KindOp || right.Name != "." {
+	right, ok := in.g.Find(edges[1])
+	if !ok || right.Kind != heapgraph.KindOp || right.Name != "." {
 		return 0, 0, false
 	}
 	rEdges := in.g.Edges(edges[1])
 	if len(rEdges) != 2 {
 		return 0, 0, false
 	}
-	dot := in.g.Find(rEdges[0])
-	if dot == nil || dot.Kind != heapgraph.KindConcrete {
+	dot, ok := in.g.Find(rEdges[0])
+	if !ok || dot.Kind != heapgraph.KindConcrete {
 		return 0, 0, false
 	}
 	if s, isStr := dot.Val.(sexpr.StrVal); !isStr || s != "." {
@@ -271,10 +271,10 @@ func (in *Interp) splitStructuredName(l heapgraph.Label) (ext, name heapgraph.La
 func (in *Interp) builtinExplode(args []heapgraph.Label, line int) heapgraph.Label {
 	arr := in.g.NewArray(line)
 	if len(args) >= 2 {
-		sep := in.g.Find(args[0])
-		if sep != nil && sep.Kind == heapgraph.KindConcrete {
+		sep, ok := in.g.Find(args[0])
+		if ok && sep.Kind == heapgraph.KindConcrete {
 			if s, ok := sep.Val.(sexpr.StrVal); ok {
-				if str := in.g.Find(args[1]); str != nil && str.Kind == heapgraph.KindConcrete {
+				if str, ok := in.g.Find(args[1]); ok && str.Kind == heapgraph.KindConcrete {
 					if sv, ok2 := str.Val.(sexpr.StrVal); ok2 {
 						for _, part := range strings.Split(string(sv), string(s)) {
 							in.g.PushElem(arr, in.g.NewConcrete(sexpr.StrVal(part), line))
@@ -325,8 +325,8 @@ func (in *Interp) builtinSprintf(args []heapgraph.Label, line int) heapgraph.Lab
 	if len(args) == 0 {
 		return in.g.NewSymbol("", sexpr.String, line)
 	}
-	fo := in.g.Find(args[0])
-	if fo == nil || fo.Kind != heapgraph.KindConcrete {
+	fo, ok := in.g.Find(args[0])
+	if !ok || fo.Kind != heapgraph.KindConcrete {
 		fn := in.g.NewFunc("sprintf", sexpr.String, line)
 		for _, a := range args {
 			in.g.AddEdge(fn, a)

@@ -132,6 +132,13 @@ func (in *Interp) condLoop(evalCond condFn, runBody, runPost bodyFn, line int, e
 				}
 				continue
 			}
+			if e.ContinueN > 0 {
+				// clearContinues left only a continue for an outer loop:
+				// it leaves this one with a level fewer.
+				e.ContinueN--
+				held = append(held, e)
+				continue
+			}
 			if e.Suspended() {
 				held = append(held, e) // returned/thrown: carries through
 				continue

@@ -308,8 +308,8 @@ func (in *Interp) readElem(arr, idx heapgraph.Label, line int) heapgraph.Label {
 // concreteKey extracts a concrete array key from an object, canonicalizing
 // integers to their decimal spelling as PHP does.
 func (in *Interp) concreteKey(l heapgraph.Label) (string, bool) {
-	o := in.g.Find(l)
-	if o == nil || o.Kind != heapgraph.KindConcrete {
+	o, ok := in.g.Find(l)
+	if !ok || o.Kind != heapgraph.KindConcrete {
 		return "", false
 	}
 	switch v := o.Val.(type) {
@@ -397,8 +397,8 @@ func (in *Interp) evalUnary(x *phpast.Unary, envs heapgraph.EnvSet) (heapgraph.E
 }
 
 func (in *Interp) foldUnary(op string, l heapgraph.Label, line int) (heapgraph.Label, bool) {
-	o := in.g.Find(l)
-	if o == nil || o.Kind != heapgraph.KindConcrete {
+	o, ok := in.g.Find(l)
+	if !ok || o.Kind != heapgraph.KindConcrete {
 		return heapgraph.Null, false
 	}
 	if op == "+" {
@@ -468,8 +468,9 @@ func binaryResultType(op string) sexpr.Type {
 // foldBinary computes concrete results for concrete operands, following
 // PHP semantics for the operators the corpus uses.
 func (in *Interp) foldBinary(op string, l, r heapgraph.Label, line int) (heapgraph.Label, bool) {
-	lo, ro := in.g.Find(l), in.g.Find(r)
-	if lo == nil || ro == nil || lo.Kind != heapgraph.KindConcrete || ro.Kind != heapgraph.KindConcrete {
+	lo, lok := in.g.Find(l)
+	ro, rok := in.g.Find(r)
+	if !lok || !rok || lo.Kind != heapgraph.KindConcrete || ro.Kind != heapgraph.KindConcrete {
 		return heapgraph.Null, false
 	}
 	// "??" yields an existing operand label (no allocation).
@@ -541,9 +542,8 @@ func (in *Interp) evalTernary(x *phpast.Ternary, envs heapgraph.EnvSet) (heapgra
 			}
 			continue
 		}
-		to := in.g.Find(tls[i])
 		t := sexpr.Unknown
-		if to != nil {
+		if to, ok := in.g.Find(tls[i]); ok {
 			t = to.Type
 		}
 		op := in.g.NewOp("ite", t, int(x.P.Line))
@@ -560,8 +560,8 @@ func (in *Interp) evalCast(x *phpast.Cast, envs heapgraph.EnvSet) (heapgraph.Env
 	envs, ls = in.eval(x.X, envs)
 	labels := make([]heapgraph.Label, len(envs))
 	for i := range envs {
-		o := in.g.Find(ls[i])
-		if o != nil && o.Kind == heapgraph.KindConcrete {
+		o, ok := in.g.Find(ls[i])
+		if ok && o.Kind == heapgraph.KindConcrete {
 			if v, ok := foldCastValue(x.Type, o.Val); ok {
 				labels[i] = in.g.NewConcrete(v, int(x.P.Line))
 				continue

@@ -435,8 +435,8 @@ func (in *Interp) execIf(x *phpast.If, envs heapgraph.EnvSet) heapgraph.EnvSet {
 // concreteBool reports whether the object is a concrete value with a known
 // truthiness (PHP semantics).
 func (in *Interp) concreteBool(l heapgraph.Label) (bool, bool) {
-	o := in.g.Find(l)
-	if o == nil {
+	o, ok := in.g.Find(l)
+	if !ok {
 		return false, false
 	}
 	switch o.Kind {
@@ -461,19 +461,17 @@ func loopLevel(lvl int) int16 {
 	return int16(min(lvl, math.MaxInt16))
 }
 
-// consumeLoopControl decrements break/continue counters at a loop
-// boundary; envs whose counters hit zero resume.
+// consumeLoopControl takes one level off each pending break or continue
+// as paths leave a loop or switch; envs whose counters hit zero resume.
+// A continue that reaches zero here continued a loop past its last
+// iteration, or reached a switch, where PHP treats it as a break. One
+// with levels left continues an enclosing loop.
 func consumeLoopControl(envs heapgraph.EnvSet) {
 	for _, e := range envs {
 		if e.BreakN > 0 {
 			e.BreakN--
 		} else if e.ContinueN > 0 {
 			e.ContinueN--
-			if e.ContinueN > 0 {
-				// Multi-level continue behaves like break for outer levels.
-				e.BreakN = e.ContinueN
-				e.ContinueN = 0
-			}
 		}
 	}
 }

@@ -198,8 +198,8 @@ func (in *Interp) andParts(l heapgraph.Label) (prev, cond heapgraph.Label, ok bo
 	if l == heapgraph.Null {
 		return heapgraph.Null, heapgraph.Null, false
 	}
-	o := in.g.Find(l)
-	if o == nil || o.Kind != heapgraph.KindOp || o.Name != "And" {
+	o, ok := in.g.Find(l)
+	if !ok || o.Kind != heapgraph.KindOp || o.Name != "And" {
 		return heapgraph.Null, heapgraph.Null, false
 	}
 	edges := in.g.Edges(l)
@@ -255,8 +255,8 @@ func (in *Interp) suffixEligible(conds []heapgraph.Label, syms map[string]bool) 
 // classifyCond matches one condition label against the literal
 // vocabulary: sym, !sym, sym == const, !(sym == const).
 func (in *Interp) classifyCond(l heapgraph.Label, syms map[string]bool, negated bool) (condLiteral, bool) {
-	o := in.g.Find(l)
-	if o == nil {
+	o, ok := in.g.Find(l)
+	if !ok {
 		return condLiteral{}, false
 	}
 	switch o.Kind {
@@ -290,8 +290,9 @@ func (in *Interp) classifyCond(l heapgraph.Label, syms map[string]bool, negated 
 // eqOperands accepts symbol==concrete in either operand order, with a
 // scalar comparand.
 func (in *Interp) eqOperands(x, y heapgraph.Label, syms map[string]bool) (string, sexpr.Expr, bool) {
-	ox, oy := in.g.Find(x), in.g.Find(y)
-	if ox == nil || oy == nil {
+	ox, xok := in.g.Find(x)
+	oy, yok := in.g.Find(y)
+	if !xok || !yok {
 		return "", nil, false
 	}
 	if ox.Kind == heapgraph.KindSymbol && syms[ox.Name] && oy.Kind == heapgraph.KindConcrete && scalarVal(oy.Val) {

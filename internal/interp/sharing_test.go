@@ -13,7 +13,7 @@ import (
 func countOps(g *heapgraph.Graph, name string, line int) int {
 	n := 0
 	for l := heapgraph.Label(1); int(l) <= g.NumObjects(); l++ {
-		if o := g.Find(l); o.Kind == heapgraph.KindOp && o.Name == name && int(o.Line) == line {
+		if o, _ := g.Find(l); o.Kind == heapgraph.KindOp && o.Name == name && int(o.Line) == line {
 			n++
 		}
 	}
@@ -67,6 +67,42 @@ func TestOperandSharingCounts(t *testing.T) {
 				t.Errorf("$own takes %d labels across the paths, want %d", len(seen), paths)
 			}
 		})
+	}
+}
+
+// TestContinueOuterLoop: a `continue 2` leaves the inner loop or switch
+// as a pending `continue 1` and continues the loop around it, as PHP
+// does, whatever kinds of loop the two are.
+func TestContinueOuterLoop(t *testing.T) {
+	for _, c := range []struct {
+		name, body string
+		want       map[string]string
+	}{
+		{"for in for", "for ($i = 0; $i < 2; $i++) { for ($j = 0; $j < 2; $j++) { continue 2; } $n = $n + 1; }",
+			map[string]string{"after": "1", "i": "2", "n": "0"}},
+		{"while in while", "while ($i < 2) { $i++; while (true) { continue 2; } $n = $n + 1; }",
+			map[string]string{"after": "1", "i": "2", "n": "0"}},
+		{"foreach in foreach", "foreach ([1, 2] as $x) { $c = $c + 1; foreach ([1, 2] as $y) { continue 2; } }",
+			map[string]string{"after": "1", "c": "2"}},
+		{"switch in for", "for ($i = 0; $i < 2; $i++) { $c = $c + 1; switch ($i) { case 0: continue 2; } $n = $n + 1; }",
+			map[string]string{"after": "1", "c": "2", "i": "2", "n": "1"}},
+	} {
+		src := "<?php\n$n = 0;\n$c = 0;\n$i = 0;\n" + c.body + "\n$after = 1;\n"
+		res := run(t, src, Options{})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", c.name, res.Err)
+		}
+		if res.Paths != 1 {
+			t.Fatalf("%s: paths = %d, want 1", c.name, res.Paths)
+		}
+		if e := res.Envs[0]; e.Suspended() {
+			t.Errorf("%s: the path is still suspended (BreakN %d, ContinueN %d)", c.name, e.BreakN, e.ContinueN)
+		}
+		for name, want := range c.want {
+			if got := val(t, res, name); got != want {
+				t.Errorf("%s: $%s = %s, want %s", c.name, name, got, want)
+			}
+		}
 	}
 }
 

@@ -180,8 +180,8 @@ func (t *Translator) coerce(term *smt.Term, want smt.Sort) *smt.Term {
 
 // translate dispatches on the object kind.
 func (t *Translator) translate(l heapgraph.Label, want smt.Sort) *smt.Term {
-	o := t.g.Find(l)
-	if o == nil {
+	o, ok := t.g.Find(l)
+	if !ok {
 		return t.defaultTerm(want)
 	}
 	switch o.Kind {
@@ -216,7 +216,7 @@ func (t *Translator) constTerm(v sexpr.Expr, want smt.Sort) *smt.Term {
 
 // translateApp handles operation and built-in function objects per
 // Table II.
-func (t *Translator) translateApp(l heapgraph.Label, o *heapgraph.Object, want smt.Sort) *smt.Term {
+func (t *Translator) translateApp(l heapgraph.Label, o heapgraph.Object, want smt.Sort) *smt.Term {
 	edges := t.g.Edges(l)
 	arg := func(i int, s smt.Sort) *smt.Term {
 		if i >= len(edges) {
@@ -228,7 +228,7 @@ func (t *Translator) translateApp(l heapgraph.Label, o *heapgraph.Object, want s
 		if i >= len(edges) {
 			return sexpr.Unknown
 		}
-		if eo := t.g.Find(edges[i]); eo != nil {
+		if eo, ok := t.g.Find(edges[i]); ok {
 			return eo.Type
 		}
 		return sexpr.Unknown
@@ -355,7 +355,7 @@ func (t *Translator) translateApp(l heapgraph.Label, o *heapgraph.Object, want s
 	//     wrapped in an ite. ---
 	case "preg_match":
 		if len(edges) >= 2 {
-			if po := t.g.Find(edges[0]); po != nil && po.Kind == heapgraph.KindConcrete {
+			if po, ok := t.g.Find(edges[0]); ok && po.Kind == heapgraph.KindConcrete {
 				if pat, isStr := po.Val.(sexpr.StrVal); isStr {
 					subj := t.Label(edges[1], smt.SortString)
 					if match, ok := pregMatchTerm(t.f, string(pat), subj); ok {
@@ -409,7 +409,7 @@ func (t *Translator) translateApp(l heapgraph.Label, o *heapgraph.Object, want s
 //	bool   -> itself
 //	int    -> (not (= e 0))
 //	string -> (> (str.len e) 0)
-func (t *Translator) truthy(edges []heapgraph.Label, i int, l heapgraph.Label, o *heapgraph.Object) *smt.Term {
+func (t *Translator) truthy(edges []heapgraph.Label, i int, l heapgraph.Label, o heapgraph.Object) *smt.Term {
 	if i >= len(edges) {
 		return t.freshSym(l, o.Name+"_truthy", smt.SortBool)
 	}
@@ -430,7 +430,7 @@ func (t *Translator) truthy(edges []heapgraph.Label, i int, l heapgraph.Label, o
 //	bool   -> (not e)
 //	int    -> (= e 0)
 //	string -> (= (str.len e) 0)
-func (t *Translator) truthyNot(edges []heapgraph.Label, l heapgraph.Label, o *heapgraph.Object) *smt.Term {
+func (t *Translator) truthyNot(edges []heapgraph.Label, l heapgraph.Label, o heapgraph.Object) *smt.Term {
 	if len(edges) == 0 {
 		return t.freshSym(l, "not", smt.SortBool)
 	}
@@ -447,8 +447,8 @@ func (t *Translator) truthyNot(edges []heapgraph.Label, l heapgraph.Label, o *he
 
 // naturalSort picks the SMT sort an object most naturally translates to.
 func (t *Translator) naturalSort(l heapgraph.Label) smt.Sort {
-	o := t.g.Find(l)
-	if o == nil {
+	o, ok := t.g.Find(l)
+	if !ok {
 		return smt.SortBool
 	}
 	switch o.Type {
@@ -479,7 +479,7 @@ func (t *Translator) naturalSort(l heapgraph.Label) smt.Sort {
 }
 
 // logicalEqual implements Table II's Logical Equal case analysis.
-func (t *Translator) logicalEqual(edges []heapgraph.Label, l heapgraph.Label, o *heapgraph.Object, strict bool) *smt.Term {
+func (t *Translator) logicalEqual(edges []heapgraph.Label, l heapgraph.Label, o heapgraph.Object, strict bool) *smt.Term {
 	if len(edges) < 2 {
 		return t.freshSym(l, "eq", smt.SortBool)
 	}
@@ -514,7 +514,7 @@ func (t *Translator) logicalEqual(edges []heapgraph.Label, l heapgraph.Label, o 
 // inArray implements Table II's Array Check: when the haystack is a
 // recognized array, expand to a disjunction of equalities; otherwise a
 // fresh boolean.
-func (t *Translator) inArray(edges []heapgraph.Label, l heapgraph.Label, o *heapgraph.Object) *smt.Term {
+func (t *Translator) inArray(edges []heapgraph.Label, l heapgraph.Label, o heapgraph.Object) *smt.Term {
 	if len(edges) >= 2 {
 		if info := t.g.Array(edges[1]); info != nil {
 			if len(info.Keys) == 0 {
@@ -536,7 +536,7 @@ func (t *Translator) inArray(edges []heapgraph.Label, l heapgraph.Label, o *heap
 // its final component; a concatenation whose constant parts contain no
 // path separator passes through unchanged (uploads' structured names);
 // anything else becomes a fresh string symbol.
-func (t *Translator) basename(edges []heapgraph.Label, l heapgraph.Label, o *heapgraph.Object) *smt.Term {
+func (t *Translator) basename(edges []heapgraph.Label, l heapgraph.Label, o heapgraph.Object) *smt.Term {
 	if len(edges) == 0 {
 		return t.freshSym(l, "basename", smt.SortString)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -310,6 +311,34 @@ func TestSpanAppAttribution(t *testing.T) {
 	for _, name := range []string{"parse", "locality", "root", "attempt", "interp", "scan"} {
 		if seen[name] == 0 {
 			t.Errorf("no %q span delivered; got %v", name, seen)
+		}
+	}
+}
+
+// TestScanMemoryRepeats: three solo scans of one app in one process
+// each report as MemoryMB the bytes the process allocated around the
+// scan, as an exact outside count reads them. The heap delta MemoryMB
+// replaced swung with the collector's phase instead. The scans are not
+// compared with each other: the scan's own allocation varies by up to
+// about 5% from run to run, because a large map's table layout follows
+// its per-map random hash seed.
+func TestScanMemoryRepeats(t *testing.T) {
+	app, ok := corpus.ByName("Avatar Uploader 6.x-1.2")
+	if !ok {
+		t.Fatal("corpus: no Avatar Uploader")
+	}
+	s := NewScanner(Options{Workers: 1})
+	for i := range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := s.Scan(context.Background(), Target{Name: app.Name, Sources: app.Sources})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		outside := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		if rep.MemoryMB < 0.98*outside || rep.MemoryMB > outside {
+			t.Errorf("scan %d: MemoryMB %.3f, want within 2%% below the %.3f MB allocated around the scan", i, rep.MemoryMB, outside)
 		}
 	}
 }

@@ -203,8 +203,11 @@ type AppReport struct {
 	Paths           int
 	Objects         int
 	ObjectsPerPath  float64
-	MemoryMB        float64
-	Seconds         float64
+	// MemoryMB is the megabytes the whole process allocated on the heap
+	// during a solo Scan (Table III's Alloc(MB) column): not the paper's
+	// peak memory, and zero in batched and canonical reports.
+	MemoryMB float64
+	Seconds  float64
 
 	// Roots selected by the locality analysis.
 	Roots []string
