@@ -317,8 +317,7 @@ func TestSpanAppAttribution(t *testing.T) {
 
 // TestScanMemoryRepeats: three solo scans of one app in one process
 // each report as MemoryMB the bytes the process allocated around the
-// scan, as an exact outside count reads them. The heap delta MemoryMB
-// replaced swung with the collector's phase instead. The scans are not
+// scan, as an exact outside count reads them. The scans are not
 // compared with each other: the scan's own allocation varies by up to
 // about 5% from run to run, because a large map's table layout follows
 // its per-map random hash seed.
