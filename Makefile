@@ -124,29 +124,34 @@ bench-scan:
 # Shared-structure constraint-engine micro-benchmarks (interned vs the
 # Options.DisableIntern ablation, and the model search on
 # portfolio-showcase's budget-exhausting cube), the heap graph's fork
-# and lookup costs, and one interpreter run of Cimy up to its path-budget
-# abort, archived as JSON for cross-commit comparison. The bench-smt and
-# bench-interp recipes tee with -a: when make's output is redirected to
-# a file, a truncating reopen of /dev/stderr would erase what earlier
-# targets logged.
+# and lookup costs, one interpreter run of Cimy up to its path-budget
+# abort, and one plugin through the daemon's HTTP API as a cold job and
+# two cache hits, archived as JSON for cross-commit comparison. The
+# bench-smt and bench-interp recipes tee with -a: when make's output is
+# redirected to a file, a truncating reopen of /dev/stderr would erase
+# what earlier targets logged.
 SMT_BENCH = 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverSearch'
 HEAPGRAPH_BENCH = 'BenchmarkPathForkDeep|BenchmarkEnvGetForked'
 CIMY_BENCH = '^BenchmarkRunCimyAbort$$'
+SCAND_BENCH = '^BenchmarkDaemonJob$$'
 bench-smt:
 	@{ $(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 2s -benchmem ./internal/smt; \
 	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; \
-	   $(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 2s -benchmem ./internal/interp; } | tee -a /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
+	   $(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 2s -benchmem ./internal/interp; \
+	   $(GO) test -run '^$$' -bench $(SCAND_BENCH) -benchtime 2s -benchmem ./internal/scand; } | tee -a /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
-# Constraint-engine allocation gate: re-runs bench-smt's suite and fails
-# when allocs/op or B/op regresses more than 15% against the committed
-# BENCH_smt.json. ns/op is not gated here: it follows the host's speed,
-# which drifts by 2x or more, while allocations do not depend on the
-# host. The fresh run lands in BENCH_smt.new.json.
+# Constraint-engine, heap-graph, Cimy-abort and daemon-job allocation
+# gate: re-runs bench-smt's suite and fails when allocs/op or B/op
+# regresses more than 15% against the committed BENCH_smt.json. ns/op
+# is not gated here: it follows the host's speed, which drifts by 2x or
+# more, while allocations do not depend on the host. The fresh run
+# lands in BENCH_smt.new.json.
 bench-smt-diff:
 	@{ $(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 2s -benchmem ./internal/smt; \
 	   $(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 2s -benchmem ./internal/heapgraph; \
-	   $(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 2s -benchmem ./internal/interp; } | tee -a /dev/stderr | \
+	   $(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 2s -benchmem ./internal/interp; \
+	   $(GO) test -run '^$$' -bench $(SCAND_BENCH) -benchtime 2s -benchmem ./internal/scand; } | tee -a /dev/stderr | \
 	  $(GO) run ./cmd/benchjson -baseline BENCH_smt.json -max-regress 15 -metrics allocs/op,B/op -out BENCH_smt.new.json
 	@echo "wrote BENCH_smt.new.json (candidate baseline)"
 
@@ -206,13 +211,15 @@ bench-interp-paired:
 	done
 	@$(GO) run ./cmd/benchjson -paired $(PAIRED_DIR)/parent.txt $(PAIRED_DIR)/change.txt
 
-# One-iteration smoke over the constraint-engine, parse, call-graph and
-# symbolic-execution benchmarks: keeps the benchmark harnesses compiling
-# and running inside `make check` without paying for a real measurement.
+# One-iteration smoke over the constraint-engine, parse, call-graph,
+# symbolic-execution and daemon-job benchmarks: keeps the benchmark
+# harnesses compiling and running inside `make check` without paying
+# for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench $(SMT_BENCH) -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench $(HEAPGRAPH_BENCH) -benchtime 1x ./internal/heapgraph
 	$(GO) test -run '^$$' -bench $(CIMY_BENCH) -benchtime 1x ./internal/interp
+	$(GO) test -run '^$$' -bench $(SCAND_BENCH) -benchtime 1x ./internal/scand
 	$(GO) test -run '^$$' -bench '$(INTERP_BENCH)' -benchtime 1x .
 
 # The repo benchmark (bench/, driven by bench/run.sh) is its own Go
