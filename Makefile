@@ -83,10 +83,12 @@ registry-sim:
 # subprocess mid-scan; every restarted daemon must resume the accepted
 # jobs to results byte-identical to an uninterrupted baseline, with no
 # job lost, none double-submitted, and at most one terminal journal
-# record per job. The clean baseline's canonical reports and the matrix
-# shape are archived at DAEMON_CHAOS_matrix.json.
+# record per job. A job submitted over HTTP (JSON and tarball) and
+# crashed before its start record must restart from its spool to a fresh
+# daemon's result bytes. The clean baseline's canonical reports and the
+# matrix shape are archived at DAEMON_CHAOS_matrix.json.
 daemon-chaos:
-	DAEMON_CHAOS_OUT=$(CURDIR)/DAEMON_CHAOS_matrix.json $(GO) test -race -run 'TestDaemonChaosMatrix|TestDaemonSeamCrashes|TestDaemonChaosKillNine$$' ./internal/scand
+	DAEMON_CHAOS_OUT=$(CURDIR)/DAEMON_CHAOS_matrix.json $(GO) test -race -run 'TestDaemonChaosMatrix|TestDaemonSeamCrashes|TestDaemonChaosKillNine$$|TestDaemonRestartFromHTTPSpool' ./internal/scand
 	@echo "wrote DAEMON_CHAOS_matrix.json"
 
 # Interprocedural-strategy differential acceptance suite under the race

@@ -549,7 +549,7 @@ func printReport(w io.Writer, rep *uchecker.AppReport, verbose, smtOut bool) {
 		rep.TotalLoC, rep.PercentAnalyzed, rep.Paths, rep.Objects, rep.SinkCount)
 	if verbose {
 		fmt.Fprintf(w, "  roots: %s\n", strings.Join(rep.Roots, ", "))
-		fmt.Fprintf(w, "  %.1f MB, %.3f s, %d parse errors\n", rep.MemoryMB, rep.Seconds, rep.ParseErrors)
+		fmt.Fprintf(w, "  %.3f s, %d parse errors\n", rep.Seconds, rep.ParseErrors)
 		if rep.Retries > 0 {
 			fmt.Fprintf(w, "  degradation-ladder retries: %d\n", rep.Retries)
 		}

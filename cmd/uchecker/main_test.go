@@ -252,6 +252,23 @@ func TestPrintReportBenign(t *testing.T) {
 	}
 }
 
+// TestPrintReportVerboseTiming: -v prints a target's seconds and parse
+// errors and no memory figure. The CLI scans through ScanBatchJournaled,
+// whose reports leave MemoryMB at 0, so a figure would always read
+// 0.0 MB.
+func TestPrintReportVerboseTiming(t *testing.T) {
+	rep := &uchecker.AppReport{Name: "demo", Seconds: 0.041, ParseErrors: 2}
+	var sb strings.Builder
+	printReport(&sb, rep, true, false)
+	out := sb.String()
+	if !strings.Contains(out, "  0.041 s, 2 parse errors\n") {
+		t.Errorf("report missing the timing line:\n%s", out)
+	}
+	if strings.Contains(out, "MB") {
+		t.Errorf("report prints a memory figure:\n%s", out)
+	}
+}
+
 func TestIndentLines(t *testing.T) {
 	if got := indentLines("a\nb\n", "  "); got != "  a\n  b" {
 		t.Errorf("indentLines = %q", got)

@@ -10,6 +10,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -297,6 +300,101 @@ func TestDaemonSeamCrashes(t *testing.T) {
 	t.Run("drain", func(t *testing.T) {
 		runSeam(t, faultinject.FailAfter(faultinject.JobDrain, "", 0), true)
 	})
+}
+
+// TestDaemonRestartFromHTTPSpool restarts a job from the spool an HTTP
+// submit wrote. The daemon goes fatal at the job's dequeue, before its
+// start record, so the job survives only as its submit record and its
+// spool file; reopened without the fault, the daemon must run it to the
+// result bytes a fresh daemon gives the same submit. A JSON submit
+// spools its request body as sent; a tarball submit spools the sources
+// encoded by the daemon.
+func TestDaemonRestartFromHTTPSpool(t *testing.T) {
+	app := chaosApps()[1]
+	// Indented, so the body differs from the daemon's own encoding.
+	jsonBody, err := json.MarshalIndent(submitBody{Name: app.Name, Sources: app.Sources}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members []tarMember
+	for name, src := range app.Sources {
+		members = append(members, tarMember{name: name, body: src})
+	}
+	for _, tc := range []struct {
+		name, query, contentType string
+		body                     []byte
+	}{
+		{"json", "tenant=acme", "application/json", jsonBody},
+		{"tarball", "tenant=acme&name=" + url.QueryEscape(app.Name), "application/x-tar", buildTar(t, members)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			submit := func(d *Daemon) string {
+				t.Helper()
+				req := httptest.NewRequest(http.MethodPost, "/jobs?"+tc.query, bytes.NewReader(tc.body))
+				req.Header.Set("Content-Type", tc.contentType)
+				rec := httptest.NewRecorder()
+				d.Handler().ServeHTTP(rec, req)
+				if rec.Code != http.StatusAccepted {
+					t.Fatalf("submit = %d: %s", rec.Code, rec.Body.Bytes())
+				}
+				var job Job
+				if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
+					t.Fatal(err)
+				}
+				return job.ID
+			}
+			result := func(d *Daemon, id string) []byte {
+				t.Helper()
+				if j := waitTerminal(t, d, []string{id}, 120*time.Second, false)[id]; j.State != JobFinished {
+					t.Fatalf("job %s = %s (%s)", id, j.State, j.Error)
+				}
+				raw, err := d.Result(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+
+			fresh := mustOpen(t, chaosConfig(t.TempDir(), 1))
+			want := result(fresh, submit(fresh))
+			fresh.Close()
+
+			dir := t.TempDir()
+			cfg := chaosConfig(dir, 1)
+			cfg.FaultHook = faultinject.FailAfter(faultinject.JobDequeue, "", 0)
+			d := mustOpen(t, cfg)
+			id := submit(d)
+			waitTerminal(t, d, []string{id}, 60*time.Second, true)
+			if d.Fatal() == nil {
+				t.Fatal("the dequeue fault did not put the daemon into crash semantics")
+			}
+			d.Close()
+			rec, err := scanjournal.Read(filepath.Join(dir, "jobs.journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rec.Records {
+				if r.Type != scanjournal.TypeManifest && r.Type != scanjournal.TypeJobSubmit {
+					t.Fatalf("journal holds a %s record; the job must stop before its start", r.Type)
+				}
+			}
+			if tc.name == "json" {
+				data, err := os.ReadFile(filepath.Join(dir, "spool", id+".src"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if spooled, err := scanjournal.Unframe(data); err != nil || !bytes.Equal(spooled, tc.body) {
+					t.Fatalf("spool is not the request body as sent (err %v):\n%s", err, spooled)
+				}
+			}
+
+			d2 := mustOpen(t, chaosConfig(dir, 1))
+			defer d2.Close()
+			if got := result(d2, id); !bytes.Equal(got, want) {
+				t.Fatalf("restarted result differs from a fresh daemon's\n got: %s\nwant: %s", got, want)
+			}
+		})
+	}
 }
 
 // --- Subprocess kill -9 variant ---

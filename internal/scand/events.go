@@ -37,23 +37,24 @@ const subBuffer = 256
 
 type eventHub struct {
 	mu   sync.Mutex
-	subs map[string]map[chan Event]struct{} // jobID → subscribers
-	reg  *obs.Registry                      // counts dropped events
+	subs map[string]map[chan *Event]struct{} // jobID → subscribers
+	reg  *obs.Registry                       // counts dropped events
 }
 
 func newEventHub(reg *obs.Registry) *eventHub {
-	return &eventHub{subs: map[string]map[chan Event]struct{}{}, reg: reg}
+	return &eventHub{subs: map[string]map[chan *Event]struct{}{}, reg: reg}
 }
 
 // subscribe registers a listener for one job's events. The returned
 // cancel must be called exactly once; the channel is never closed by
-// the hub (the subscriber stops reading instead).
-func (h *eventHub) subscribe(jobID string) (<-chan Event, func()) {
-	ch := make(chan Event, subBuffer)
+// the hub (the subscriber stops reading instead). Every subscriber of a
+// job receives the same *Event, which no one may modify.
+func (h *eventHub) subscribe(jobID string) (<-chan *Event, func()) {
+	ch := make(chan *Event, subBuffer)
 	h.mu.Lock()
 	set, ok := h.subs[jobID]
 	if !ok {
-		set = map[chan Event]struct{}{}
+		set = map[chan *Event]struct{}{}
 		h.subs[jobID] = set
 	}
 	set[ch] = struct{}{}
@@ -68,16 +69,24 @@ func (h *eventHub) subscribe(jobID string) (<-chan Event, func()) {
 	}
 }
 
+// publish hands ev to every subscriber of the job. The event is copied
+// to the heap only when someone subscribes, once for all of them.
 func (h *eventHub) publish(jobID string, ev Event) {
 	h.mu.Lock()
-	for ch := range h.subs[jobID] {
+	defer h.mu.Unlock()
+	set := h.subs[jobID]
+	if len(set) == 0 {
+		return
+	}
+	shared := new(Event)
+	*shared = ev
+	for ch := range set {
 		select {
-		case ch <- ev:
+		case ch <- shared:
 		default:
 			h.reg.Add(daemonLabels, "events_dropped_total", 1)
 		}
 	}
-	h.mu.Unlock()
 }
 
 func (h *eventHub) publishState(jobID string, state JobState, errText string) {
@@ -92,7 +101,7 @@ func (h *eventHub) publishSpan(jobID string, sp obs.Span) {
 }
 
 // encode renders an Event as one SSE data payload.
-func (ev Event) encode() []byte {
+func (ev *Event) encode() []byte {
 	b, _ := json.Marshal(ev)
 	return b
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -86,27 +87,73 @@ type errorBody struct {
 	RetryAfterMs int64 `json:"retryAfterMs,omitempty"`
 }
 
-// submitBody is the JSON submit format.
+// submitBody is the JSON submit format, and the spool's.
 type submitBody struct {
 	Name    string            `json:"name"`
 	Sources map[string]string `json:"sources"`
+}
+
+// readBody reads a request body whole, failing with *http.MaxBytesError
+// past limit bytes. A body that declares its Content-Length is read into
+// one buffer of that size, plus the byte that sees the end; a chunked
+// body grows as it arrives.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength >= 0 && r.ContentLength <= limit {
+		size = r.ContentLength + 1
+	}
+	buf := make([]byte, 0, size)
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.URL.Query().Get("tenant")
 	name := r.URL.Query().Get("name")
 	var sources map[string]string
+	var spool []byte
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
+		// One read, one decode, and the same bytes become the job's
+		// spool. Unmarshal, unlike a Decoder, rejects bytes after the
+		// value: the spool is decoded again on restart, so a body must
+		// decode as a whole to be accepted.
+		lim := d.cfg.Ingest.orDefaults()
+		raw, err := readBody(w, r, lim.MaxTotalBytes)
+		if err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, code, errorBody{Error: "read body: " + err.Error()})
+			return
+		}
 		var body submitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if err := json.Unmarshal(raw, &body); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON body: " + err.Error()})
+			return
+		}
+		if err := lim.checkSources(body.Sources); err != nil {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
 			return
 		}
 		if body.Name != "" {
 			name = body.Name
 		}
-		sources = body.Sources
+		sources, spool = body.Sources, raw
 	} else {
 		// Anything else is treated as a (possibly gzipped) tarball and
 		// run through the hostile-archive gauntlet.
@@ -121,7 +168,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		sources = src
 	}
-	job, err := d.Submit(tenant, name, sources)
+	job, err := d.submit(tenant, name, sources, spool)
 	if err != nil {
 		var shed *ShedError
 		switch {
@@ -219,11 +266,11 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	writeSSE := func(ev Event) {
+	writeSSE := func(ev *Event) {
 		fmt.Fprintf(w, "data: %s\n\n", ev.encode())
 		flusher.Flush()
 	}
-	writeSSE(Event{Type: "state", Job: id, State: job.State, Error: job.Error})
+	writeSSE(&Event{Type: "state", Job: id, State: job.State, Error: job.Error})
 	if job.State.Terminal() {
 		return
 	}

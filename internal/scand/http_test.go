@@ -10,6 +10,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/interp"
+	"repro/internal/scanjournal"
 	"repro/internal/uchecker"
 )
 
@@ -268,6 +271,122 @@ func TestHTTPSubmitTarball(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitJSONLimits: a JSON submit is held to the IngestLimits a
+// tarball is. A body past MaxTotalBytes (with or without a
+// Content-Length), more sources than MaxFiles and a source past
+// MaxFileBytes each get 413, and none leaves a job, a spool file or a
+// journal record behind.
+func TestHTTPSubmitJSONLimits(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(dir, 1)
+	cfg.Ingest = IngestLimits{MaxFileBytes: 100, MaxTotalBytes: 1000, MaxFiles: 2}
+	d := mustOpen(t, cfg)
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	// submit posts sources as a JSON body; chunked hides the length, so
+	// the body is sent without a Content-Length.
+	submit := func(sources map[string]string, chunked bool) (int, string) {
+		t.Helper()
+		raw, err := json.Marshal(submitBody{Name: "capped", Sources: sources})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body io.Reader = bytes.NewReader(raw)
+		if chunked {
+			body = io.MultiReader(body)
+		}
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/jobs?tenant=acme", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(reply)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		sources map[string]string
+		chunked bool
+	}{
+		{"total bytes", map[string]string{"a.php": strings.Repeat("a", 5000)}, false},
+		{"total bytes, chunked", map[string]string{"a.php": strings.Repeat("a", 5000)}, true},
+		{"file count", map[string]string{"a.php": "<?php", "b.php": "<?php", "c.php": "<?php"}, false},
+		{"file bytes", map[string]string{"a.php": strings.Repeat("a", 500)}, false},
+	} {
+		if code, reply := submit(tc.sources, tc.chunked); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: submit = %d %s, want 413", tc.name, code, reply)
+		}
+	}
+	if n := len(d.Jobs()); n != 0 {
+		t.Errorf("rejected submits left %d jobs", n)
+	}
+	spooled, err := os.ReadDir(filepath.Join(dir, "spool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spooled) != 0 {
+		t.Errorf("rejected submits left %d spool files", len(spooled))
+	}
+	rec, err := scanjournal.Read(d.journalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rec.Records {
+		if r.Type != scanjournal.TypeManifest {
+			t.Errorf("rejected submits left a %s record", r.Type)
+		}
+	}
+
+	// At every cap, chunked or not, the submit is accepted.
+	atCaps := map[string]string{"a.php": strings.Repeat("a", 100), "b.php": "<?php echo 1;"}
+	for _, chunked := range []bool{false, true} {
+		if code, reply := submit(atCaps, chunked); code != http.StatusAccepted {
+			t.Errorf("chunked=%v: submit at the caps = %d %s, want 202", chunked, code, reply)
+		}
+	}
+}
+
+// TestHTTPSubmitJSONTrailingBytes: a JSON body must decode as a whole,
+// since the spool that holds it is decoded again on restart. Bytes after
+// the value get 400; trailing whitespace is part of a valid body.
+func TestHTTPSubmitJSONTrailingBytes(t *testing.T) {
+	d := mustOpen(t, testConfig(t.TempDir(), 1))
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	valid := `{"name":"tail","sources":{"a.php":"<?php echo 1;"}}`
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{valid + `{"name":"second"}`, http.StatusBadRequest},
+		{valid + "x", http.StatusBadRequest},
+		{valid + "\n", http.StatusAccepted},
+	} {
+		resp, err := http.Post(srv.URL+"/jobs?tenant=acme", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("body %q: submit = %d %s, want %d", tc.body, resp.StatusCode, reply, tc.want)
+		}
+	}
+	if n := len(d.Jobs()); n != 1 {
+		t.Errorf("%d jobs, want 1", n)
+	}
+}
+
 func TestHTTPShedCarriesRetryAfter(t *testing.T) {
 	apps := vulnApps(4)
 	gate := newScanGate()
@@ -452,6 +571,74 @@ func TestHTTPEventsTerminalBeforeSubscribe(t *testing.T) {
 	d.mu.Unlock()
 	gate.release()
 	waitState(t, d, job.ID, JobFinished, 60*time.Second)
+}
+
+// TestHTTPEventsSharedAcrossStreams: two event streams open on one job
+// receive the same events in the same order, from the state snapshot to
+// the terminal state. The hub hands every subscriber of a job one shared
+// *Event per publish.
+func TestHTTPEventsSharedAcrossStreams(t *testing.T) {
+	apps := vulnApps(1)
+	gate := newScanGate()
+	cfg := testConfig(t.TempDir(), 1)
+	cfg.Scan.FaultHook = gate.hook
+	d := mustOpen(t, cfg)
+	defer d.Close()
+	defer gate.release()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	job, err := d.Submit("acme", apps[0].Name, apps[0].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, job.ID, JobRunning, 10*time.Second)
+
+	// A stream's first event is the snapshot its handler takes after
+	// subscribing: once both have arrived, both streams are subscribed,
+	// and the scan may go on.
+	var streams [2][]string
+	var scanners [2]*bufio.Scanner
+	for i := range scanners {
+		resp, err := http.Get(srv.URL + "/jobs/" + job.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		scanners[i] = bufio.NewScanner(resp.Body)
+		scanners[i].Buffer(make([]byte, 1<<20), 1<<20)
+		if !scanners[i].Scan() {
+			t.Fatalf("stream %d: no snapshot: %v", i, scanners[i].Err())
+		}
+		streams[i] = append(streams[i], scanners[i].Text())
+	}
+	gate.release()
+
+	var wg sync.WaitGroup
+	for i := range scanners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for scanners[i].Scan() {
+				if line := scanners[i].Text(); strings.HasPrefix(line, "data: ") {
+					streams[i] = append(streams[i], line)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Fewer events than a subscription holds, so neither stream can
+	// have had one dropped.
+	if n := len(streams[0]); n < 3 || n > subBuffer {
+		t.Fatalf("stream 0 has %d events, want 3 to %d", n, subBuffer)
+	}
+	if last := streams[0][len(streams[0])-1]; !strings.Contains(last, `"state":"finished"`) {
+		t.Fatalf("stream 0 ends on %s, want the finished state", last)
+	}
+	if strings.Join(streams[0], "\n") != strings.Join(streams[1], "\n") {
+		t.Fatalf("streams differ:\n%s\n---\n%s", strings.Join(streams[0], "\n"), strings.Join(streams[1], "\n"))
+	}
 }
 
 // waitForGoroutine polls the goroutine dump until some goroutine's

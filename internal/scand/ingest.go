@@ -22,16 +22,20 @@ import (
 	"strings"
 )
 
-// IngestLimits caps one archive's resource consumption. The zero value
-// selects DefaultIngestLimits' caps.
+// IngestLimits caps one HTTP submit's resource consumption: a
+// tarball's extracted members, or a JSON body and the sources it
+// decodes to. The zero value selects DefaultIngestLimits' caps.
 type IngestLimits struct {
-	// MaxFileBytes caps one member's extracted size.
+	// MaxFileBytes caps one member's extracted size, or one decoded
+	// source of a JSON submit.
 	MaxFileBytes int64
 	// MaxTotalBytes caps the archive's total extracted size — the
 	// decompression-bomb guard (a tiny .tar.gz can expand without
-	// bound; the cap applies to extracted bytes while streaming).
+	// bound; the cap applies to extracted bytes while streaming). A
+	// JSON submit's body is capped at the same size while it is read.
 	MaxTotalBytes int64
-	// MaxFiles caps the number of regular-file members.
+	// MaxFiles caps the number of regular-file members, or of a JSON
+	// submit's sources.
 	MaxFiles int
 }
 
@@ -54,6 +58,21 @@ func (l IngestLimits) orDefaults() IngestLimits {
 		l.MaxFiles = DefaultIngestLimits.MaxFiles
 	}
 	return l
+}
+
+// checkSources applies the file-count and per-file caps to the sources
+// of a decoded JSON submit; its body was capped at MaxTotalBytes while
+// it was read.
+func (l IngestLimits) checkSources(sources map[string]string) error {
+	if len(sources) > l.MaxFiles {
+		return fmt.Errorf("scand: submit exceeds limits: %d files (cap %d)", len(sources), l.MaxFiles)
+	}
+	for _, src := range sources {
+		if int64(len(src)) > l.MaxFileBytes {
+			return fmt.Errorf("scand: submit exceeds limits: a source exceeds per-file cap %d", l.MaxFileBytes)
+		}
+	}
+	return nil
 }
 
 // ErrHostileArchive is the base error for every rejection that implies

@@ -74,7 +74,8 @@ type Config struct {
 	// auto-compaction (see scanjournal.AutoCompact). Zero disables.
 	MaxJournalRecords int
 	MaxJournalBytes   int64
-	// Ingest caps tarball submits. Zero value selects DefaultIngestLimits.
+	// Ingest caps HTTP submits, tarball and JSON alike. Zero value
+	// selects DefaultIngestLimits.
 	Ingest IngestLimits
 	// FaultHook, when non-nil, fires at the daemon's faultinject seams
 	// (JobAccept/JobEnqueue/JobDequeue/JobCheckpoint/JobDrain and the
@@ -390,22 +391,22 @@ func (d *Daemon) updateQueueGauges() {
 
 // --- Spool ---
 
-type spoolEntry struct {
-	Name    string            `json:"name"`
-	Sources map[string]string `json:"sources"`
-}
-
-// writeSpool persists a job's sources before the submit record lands:
-// framed (checksummed) JSON behind an atomic write, so a torn spool is
-// detected on restart instead of silently scanning garbage.
-func (d *Daemon) writeSpool(id string, e spoolEntry) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return err
+// writeSpool persists a job's sources before the submit record lands: a
+// JSON submit document (submitBody), framed (checksummed) behind an
+// atomic write, so a torn spool is detected on restart instead of
+// silently scanning garbage. payload, when non-nil, is that document as
+// a client sent it, already decoded to these sources; otherwise it is
+// encoded here. A restart reads only the sources back: the job's name
+// comes from its submit record.
+func (d *Daemon) writeSpool(id, name string, sources map[string]string, payload []byte) error {
+	if payload == nil {
+		var err error
+		if payload, err = json.Marshal(submitBody{Name: name, Sources: sources}); err != nil {
+			return err
+		}
 	}
 	return scanjournal.AtomicWrite(d.spoolPath(id), func(w io.Writer) error {
-		_, werr := w.Write(scanjournal.Frame(payload))
-		return werr
+		return scanjournal.WriteFrame(w, payload)
 	})
 }
 
@@ -418,7 +419,7 @@ func (d *Daemon) loadSpool(id string) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var e spoolEntry
+	var e submitBody
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return nil, err
 	}
@@ -436,6 +437,12 @@ func (d *Daemon) removeSpool(id string) {
 // ErrDraining, ErrJournalDown, or an injected JobAccept/JobEnqueue
 // fault.
 func (d *Daemon) Submit(tenant, name string, sources map[string]string) (Job, error) {
+	return d.submit(tenant, name, sources, nil)
+}
+
+// submit is Submit with the spool payload writeSpool takes: a JSON
+// submit's body, or nil.
+func (d *Daemon) submit(tenant, name string, sources map[string]string, spool []byte) (Job, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
@@ -491,13 +498,15 @@ func (d *Daemon) Submit(tenant, name string, sources map[string]string) (Job, er
 	}
 	d.seq++
 	id := fmt.Sprintf("j%08d", d.seq)
-	key := d.jobKey(name, sources)
 	d.mu.Unlock()
+	// Hashed after the unlock: status reads, worker pops and Jobs() all
+	// wait on d.mu.
+	key := d.jobKey(name, sources)
 
 	// Durability, in crash-safe order: spool first, then the submit
 	// record. A crash between the two leaves an orphan spool file (cheap
 	// garbage) — never a journaled job without sources.
-	if err := d.writeSpool(id, spoolEntry{Name: name, Sources: sources}); err != nil {
+	if err := d.writeSpool(id, name, sources, spool); err != nil {
 		return Job{}, fmt.Errorf("scand: spool: %w", err)
 	}
 	if d.cfg.FaultHook != nil {

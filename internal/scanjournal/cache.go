@@ -25,17 +25,26 @@ import (
 	"repro/internal/faultinject"
 )
 
+// keyBufSize is the size of the buffer CacheKey feeds the hash through.
+const keyBufSize = 4 << 10
+
 // CacheKey derives the content address of one target: SHA-256 over the
 // format version, the options fingerprint and the sorted (name, content)
 // pairs, with unambiguous length framing so no two distinct inputs
-// collide structurally.
+// collide structurally. Every part goes through one fixed buffer: the
+// digest has no WriteString, and io.WriteString would copy each source
+// whole into a fresh byte slice.
 func CacheKey(sources map[string]string, fingerprint string) string {
 	h := sha256.New()
-	var lenBuf [8]byte
+	buf := make([]byte, keyBufSize)
 	writePart := func(s string) {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(s)))
-		h.Write(lenBuf[:])
-		io.WriteString(h, s)
+		binary.BigEndian.PutUint64(buf, uint64(len(s)))
+		h.Write(buf[:8])
+		for len(s) > 0 {
+			n := copy(buf, s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
 	}
 	writePart(fmt.Sprintf("uchecker-cache-v%d", FormatVersion))
 	writePart(fingerprint)
@@ -99,10 +108,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // fault hook fires at the AtomicWriteBody/AtomicRename seams, so a Put
 // killed mid-replacement is a crash-matrix boundary like any other.
 func (c *Cache) Put(key string, payload []byte) error {
-	frame := Frame(payload)
 	return AtomicWriteHook(c.path(key), c.hook, func(w io.Writer) error {
-		_, err := w.Write(frame)
-		return err
+		return WriteFrame(w, payload)
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -32,6 +33,42 @@ func TestCacheKeyDiscrimination(t *testing.T) {
 	// not collide.
 	if CacheKey(map[string]string{"ab": "c"}, "") == CacheKey(map[string]string{"a": "bc"}, "") {
 		t.Error("structural collision across the name/content boundary")
+	}
+}
+
+// TestCacheKeyDigest pins CacheKey's digest, so every key already in a
+// cache directory or a journal still matches. The input holds an empty
+// file and one longer than the buffer the key is hashed through.
+func TestCacheKeyDigest(t *testing.T) {
+	sources := map[string]string{
+		"empty.php":  "",
+		"long.php":   strings.Repeat("<?php echo 'long';\n", 1000),
+		"upload.php": `<?php move_uploaded_file($_FILES["f"]["tmp_name"], "up/" . $_FILES["f"]["name"]);`,
+	}
+	if len(sources["long.php"]) <= keyBufSize {
+		t.Fatalf("long.php is %d bytes, not longer than the %d-byte buffer", len(sources["long.php"]), keyBufSize)
+	}
+	const want = "6b5074e446bcb6cf5b977665cfc19205010062e87c236526861054ebf9a715e0"
+	if got := CacheKey(sources, "opts-fingerprint\x00name\x00demo"); got != want {
+		t.Errorf("CacheKey = %s, want %s", got, want)
+	}
+}
+
+// TestCacheKeyAllocsIndependentOfSources: hashing copies no source, so a
+// key over 50 files allocates as often as a key over one.
+func TestCacheKeyAllocsIndependentOfSources(t *testing.T) {
+	sources := func(n int) map[string]string {
+		m := map[string]string{}
+		for i := 0; i < n; i++ {
+			m[fmt.Sprintf("f%02d.php", i)] = "<?php echo 1;"
+		}
+		return m
+	}
+	one, fifty := sources(1), sources(50)
+	a1 := testing.AllocsPerRun(100, func() { CacheKey(one, "fp") })
+	a50 := testing.AllocsPerRun(100, func() { CacheKey(fifty, "fp") })
+	if a1 != a50 {
+		t.Errorf("CacheKey allocates %v times for 1 source and %v for 50", a1, a50)
 	}
 }
 

@@ -406,6 +406,25 @@ func Frame(payload []byte) []byte {
 	return frame
 }
 
+// WriteFrame writes the bytes of Frame(payload) to w without building
+// the frame: the length prefix, the payload and the CRC32 go out in
+// three writes, so the payload is never copied. It suits a file written
+// whole before it is renamed into place (spool files, cache entries);
+// a journal record keeps Frame, so each append is a single write.
+func WriteFrame(w io.Writer, payload []byte) error {
+	var word [4]byte
+	binary.BigEndian.PutUint32(word[:], uint32(len(payload)))
+	if _, err := w.Write(word[:]); err != nil {
+		return err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(word[:], crc32.ChecksumIEEE(payload))
+	_, err := w.Write(word[:])
+	return err
+}
+
 // Unframe validates one complete frame and returns its payload. It is
 // the cache's entry validator; journals use the incremental reader.
 func Unframe(data []byte) ([]byte, error) {

@@ -1,6 +1,7 @@
 package scanjournal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -412,6 +413,28 @@ func TestUnframe(t *testing.T) {
 	binary.BigEndian.PutUint32(huge[:4], 1<<31)
 	if _, err := Unframe(huge[:]); err == nil {
 		t.Error("garbage length accepted")
+	}
+}
+
+// TestWriteFrame: WriteFrame writes exactly Frame's bytes, and Unframe
+// gives the payload back, for an empty, a one-byte and a large payload.
+func TestWriteFrame(t *testing.T) {
+	for _, n := range []int{0, 1, 100000} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, payload); err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
+		}
+		if !bytes.Equal(buf.Bytes(), Frame(payload)) {
+			t.Errorf("%d bytes: WriteFrame differs from Frame", n)
+		}
+		got, err := Unframe(buf.Bytes())
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("%d bytes: Unframe = %d bytes, %v", n, len(got), err)
+		}
 	}
 }
 
