@@ -38,7 +38,8 @@
 //
 //	POST   /jobs?tenant=T&name=N  submit JSON {"name","sources"} or a
 //	                              (gzipped) tarball body; 202 with the
-//	                              job, 429 + Retry-After when shed
+//	                              job, 429 + Retry-After when shed, 413
+//	                              past the ingest caps (either body)
 //	GET    /jobs/{id}             status
 //	GET    /jobs/{id}/result      canonical report (finished jobs)
 //	GET    /jobs/{id}/events      SSE lifecycle + span progress stream
