@@ -580,8 +580,18 @@ func TestHTTPEventsTerminalBeforeSubscribe(t *testing.T) {
 func TestHTTPEventsSharedAcrossStreams(t *testing.T) {
 	apps := vulnApps(1)
 	gate := newScanGate()
+	// The scan's spans before its first root (parse, call graph, ...)
+	// are published before either stream opens: the streams open only
+	// once the scan waits at the gate.
+	atGate := make(chan struct{})
+	var atGateOnce sync.Once
 	cfg := testConfig(t.TempDir(), 1)
-	cfg.Scan.FaultHook = gate.hook
+	cfg.Scan.FaultHook = func(p faultinject.Point, detail string) error {
+		if p == faultinject.RootStart {
+			atGateOnce.Do(func() { close(atGate) })
+		}
+		return gate.hook(p, detail)
+	}
 	d := mustOpen(t, cfg)
 	defer d.Close()
 	defer gate.release()
@@ -592,7 +602,11 @@ func TestHTTPEventsSharedAcrossStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, d, job.ID, JobRunning, 10*time.Second)
+	select {
+	case <-atGate:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the scan never reached its first root")
+	}
 
 	// A stream's first event is the snapshot its handler takes after
 	// subscribing: once both have arrived, both streams are subscribed,
