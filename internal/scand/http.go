@@ -5,10 +5,10 @@
 package scand
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -93,30 +93,26 @@ type submitBody struct {
 	Sources map[string]string `json:"sources"`
 }
 
+// maxBodyHint caps the part of a declared Content-Length that is
+// allocated before the body arrives, so a client that declares a large
+// body and then sends nothing pins at most this much. It is well above
+// a typical plugin's body (the daemon workload's largest is 73 KB); a
+// larger body grows as it arrives.
+const maxBodyHint = 256 << 10
+
 // readBody reads a request body whole, failing with *http.MaxBytesError
-// past limit bytes. A body that declares its Content-Length is read into
-// one buffer of that size, plus the byte that sees the end; a chunked
-// body grows as it arrives.
+// past limit bytes; a body that declares more is refused unread. A
+// declared length up to maxBodyHint sizes the buffer, so such a body is
+// read into one allocation; a longer or chunked body grows as it
+// arrives.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	size := int64(512)
-	if r.ContentLength >= 0 && r.ContentLength <= limit {
-		size = r.ContentLength + 1
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
 	}
-	buf := make([]byte, 0, size)
-	body := http.MaxBytesReader(w, r.Body, limit)
-	for {
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-	}
+	var b bytes.Buffer
+	b.Grow(int(min(max(r.ContentLength, 0), maxBodyHint)) + bytes.MinRead)
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return b.Bytes(), err
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -387,6 +387,65 @@ func TestHTTPSubmitJSONTrailingBytes(t *testing.T) {
 	}
 }
 
+// readCounter counts the reads of a request body.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadBodyBoundsHint: a declared Content-Length sizes the read
+// buffer only up to maxBodyHint, so a body that declares the whole cap
+// and sends two bytes pins the hint, not the cap; a body that declares
+// more than the cap is refused unread, by readBody and by the submit
+// handler, which answers 413 and admits nothing.
+func TestReadBodyBoundsHint(t *testing.T) {
+	limit := DefaultIngestLimits.MaxTotalBytes
+	req := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader("{}"))
+	req.ContentLength = limit
+	raw, err := readBody(httptest.NewRecorder(), req, limit)
+	if err != nil || string(raw) != "{}" {
+		t.Fatalf("readBody = %q, %v; want \"{}\"", raw, err)
+	}
+	// The allocator may round the hint up to its size class, never to
+	// twice the hint.
+	if c := cap(raw); c >= 2*maxBodyHint {
+		t.Errorf("buffer capacity %d for a 2-byte body declaring %d; want below %d", c, limit, 2*maxBodyHint)
+	}
+
+	body := &readCounter{r: strings.NewReader("{}")}
+	req = httptest.NewRequest(http.MethodPost, "/jobs", body)
+	req.ContentLength = limit + 1
+	var tooLarge *http.MaxBytesError
+	if _, err := readBody(httptest.NewRecorder(), req, limit); !errors.As(err, &tooLarge) {
+		t.Errorf("declared length past the cap: readBody error = %v, want *http.MaxBytesError", err)
+	}
+	if body.reads != 0 {
+		t.Errorf("declared length past the cap: body read %d times, want 0", body.reads)
+	}
+
+	cfg := testConfig(t.TempDir(), 1)
+	cfg.Ingest = IngestLimits{MaxTotalBytes: 1000}
+	d := mustOpen(t, cfg)
+	defer d.Close()
+	body = &readCounter{r: strings.NewReader(`{"sources":{"a.php":"<?php"}}`)}
+	req = httptest.NewRequest(http.MethodPost, "/jobs?tenant=acme", body)
+	req.Header.Set("Content-Type", "application/json")
+	req.ContentLength = 1001
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge || body.reads != 0 {
+		t.Errorf("submit declaring 1001 bytes = %d after %d reads, want 413 unread", rec.Code, body.reads)
+	}
+	if n := len(d.Jobs()); n != 0 {
+		t.Errorf("refused submit left %d jobs", n)
+	}
+}
+
 func TestHTTPShedCarriesRetryAfter(t *testing.T) {
 	apps := vulnApps(4)
 	gate := newScanGate()

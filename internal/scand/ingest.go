@@ -32,7 +32,10 @@ type IngestLimits struct {
 	// MaxTotalBytes caps the archive's total extracted size — the
 	// decompression-bomb guard (a tiny .tar.gz can expand without
 	// bound; the cap applies to extracted bytes while streaming). A
-	// JSON submit's body is capped at the same size while it is read.
+	// JSON submit's body is capped at the same size while it is read,
+	// so for JSON the cap counts the encoded body, escapes included:
+	// json.Marshal writes each '<', '>' and '&' as a 6-byte \u003c
+	// escape, so PHP sources that fit as a tarball may not as JSON.
 	MaxTotalBytes int64
 	// MaxFiles caps the number of regular-file members, or of a JSON
 	// submit's sources.

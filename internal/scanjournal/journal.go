@@ -35,6 +35,7 @@
 package scanjournal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -396,21 +397,19 @@ func (w *Writer) Close() error {
 	return w.f.Close()
 }
 
-// Frame wraps a payload in the on-disk frame format:
-// length prefix, payload, CRC32.
+// Frame builds WriteFrame's bytes in one buffer, so a journal append is
+// a single write.
 func Frame(payload []byte) []byte {
-	frame := make([]byte, 4+len(payload)+4)
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	binary.BigEndian.PutUint32(frame[4+len(payload):], crc32.ChecksumIEEE(payload))
-	return frame
+	var b bytes.Buffer
+	b.Grow(4 + len(payload) + 4)
+	WriteFrame(&b, payload)
+	return b.Bytes()
 }
 
-// WriteFrame writes the bytes of Frame(payload) to w without building
-// the frame: the length prefix, the payload and the CRC32 go out in
-// three writes, so the payload is never copied. It suits a file written
-// whole before it is renamed into place (spool files, cache entries);
-// a journal record keeps Frame, so each append is a single write.
+// WriteFrame writes a payload to w in the on-disk frame format: length
+// prefix, payload, CRC32. The three parts go out in three writes, so
+// the payload is never copied. It suits a file written whole before it
+// is renamed into place (spool files, cache entries).
 func WriteFrame(w io.Writer, payload []byte) error {
 	var word [4]byte
 	binary.BigEndian.PutUint32(word[:], uint32(len(payload)))

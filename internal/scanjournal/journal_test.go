@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -416,7 +417,8 @@ func TestUnframe(t *testing.T) {
 	}
 }
 
-// TestWriteFrame: WriteFrame writes exactly Frame's bytes, and Unframe
+// TestWriteFrame: WriteFrame writes the documented layout (big-endian
+// length, payload, big-endian CRC32), exactly Frame's bytes, and Unframe
 // gives the payload back, for an empty, a one-byte and a large payload.
 func TestWriteFrame(t *testing.T) {
 	for _, n := range []int{0, 1, 100000} {
@@ -427,6 +429,12 @@ func TestWriteFrame(t *testing.T) {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, payload); err != nil {
 			t.Fatalf("%d bytes: %v", n, err)
+		}
+		want := binary.BigEndian.AppendUint32(nil, uint32(n))
+		want = append(want, payload...)
+		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%d bytes: WriteFrame does not write length, payload, CRC32", n)
 		}
 		if !bytes.Equal(buf.Bytes(), Frame(payload)) {
 			t.Errorf("%d bytes: WriteFrame differs from Frame", n)
