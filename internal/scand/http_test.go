@@ -432,7 +432,7 @@ func TestReadBodyBoundsHint(t *testing.T) {
 	cfg.Ingest = IngestLimits{MaxTotalBytes: 1000}
 	d := mustOpen(t, cfg)
 	defer d.Close()
-	body = &readCounter{r: strings.NewReader(`{"sources":{"a.php":"<?php"}}`)}
+	body = &readCounter{r: strings.NewReader(`{"name":"big","sources":{"a.php":"<?php"}}`)}
 	req = httptest.NewRequest(http.MethodPost, "/jobs?tenant=acme", body)
 	req.Header.Set("Content-Type", "application/json")
 	req.ContentLength = 1001
