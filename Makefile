@@ -33,11 +33,13 @@ race:
 
 # Crash-safety acceptance suite under the race detector: kill the batch
 # at every journal-write boundary and require the resumed sweep to merge
-# byte-identically (uchecker), plus the journal corruption matrix and
-# cache torture tests (scanjournal) and the cancellation/loader
-# robustness satellites.
+# byte-identically (uchecker), fail one append at its write and at its
+# fsync and require the batch to abort and the resume to report no
+# corruption (a failed append is a crash, never retried), plus the
+# journal corruption matrix and cache torture tests (scanjournal) and
+# the cancellation/loader robustness satellites.
 crash-matrix:
-	$(GO) test -race -run 'TestCrashResumeMatrix|TestBatchJournalCorruptionRecovery|TestBatchResumeAfterOptionsChange|TestBatchSemanticCorruptionCompaction|TestBatchDuplicateTargetNames|TestBatchCacheCorrectness|TestBatchCacheReadFault|TestScanBatchCancelledTargets' ./internal/uchecker
+	$(GO) test -race -run 'TestCrashResumeMatrix|TestBatchJournalFaultIsCrash|TestBatchJournalCorruptionRecovery|TestBatchResumeAfterOptionsChange|TestBatchSemanticCorruptionCompaction|TestBatchDuplicateTargetNames|TestBatchCacheCorrectness|TestBatchCacheReadFault|TestScanBatchCancelledTargets' ./internal/uchecker
 	$(GO) test -race ./internal/scanjournal
 	$(GO) test -race -run 'TestLoadTargetUnreadable|TestWriteToAtomic' ./cmd/uchecker
 
@@ -66,12 +68,13 @@ fuzz-smoke:
 # worker killed (crash semantics) at every lease/journal/publish/fold
 # boundary, a paused-then-resumed zombie writer fenced off by token
 # checks, graceful SIGTERM-style drain, a real kill -9 of a worker
-# subprocess, and the shardcoord lease-protocol suite. The resumed
+# subprocess, and the shardcoord lease-protocol suite (a claim whose
+# fsync fails is a failed claim, recorded once). The resumed
 # fleet's merged report must be byte-identical to an uninterrupted
 # single-process sweep; a clean run's merged report is archived at
 # REGISTRY_SIM_merged.json.
 registry-sim:
-	REGISTRY_SIM_OUT=$(CURDIR)/REGISTRY_SIM_merged.json $(GO) test -race -run 'TestRegistrySimCrashMatrix|TestWorkerFleetMergesIdentical|TestWorkerZombieFencedEndToEnd|TestWorkerDrainReleasesLease|TestBatchDrainSemantics|TestBatchCancelSemantics|TestBatchTransientAppendRetry|TestSubprocessKillNine' ./internal/uchecker
+	REGISTRY_SIM_OUT=$(CURDIR)/REGISTRY_SIM_merged.json $(GO) test -race -run 'TestRegistrySimCrashMatrix|TestWorkerFleetMergesIdentical|TestWorkerZombieFencedEndToEnd|TestWorkerDrainReleasesLease|TestBatchDrainSemantics|TestBatchCancelSemantics|TestSubprocessKillNine' ./internal/uchecker
 	$(GO) test -race ./internal/shardcoord
 	@echo "wrote REGISTRY_SIM_merged.json"
 
@@ -85,10 +88,13 @@ registry-sim:
 # job lost, none double-submitted, and at most one terminal journal
 # record per job. A job submitted over HTTP (JSON and tarball) and
 # crashed before its start record must restart from its spool to a fresh
-# daemon's result bytes. The clean baseline's canonical reports and the
-# matrix shape are archived at DAEMON_CHAOS_matrix.json.
+# daemon's result bytes. A submit whose journal fsync fails is refused
+# and its record is not appended again: the restarted daemon folds a
+# clean journal and finishes every job it knows. The clean baseline's
+# canonical reports and the matrix shape are archived at
+# DAEMON_CHAOS_matrix.json.
 daemon-chaos:
-	DAEMON_CHAOS_OUT=$(CURDIR)/DAEMON_CHAOS_matrix.json $(GO) test -race -run 'TestDaemonChaosMatrix|TestDaemonSeamCrashes|TestDaemonChaosKillNine$$|TestDaemonRestartFromHTTPSpool' ./internal/scand
+	DAEMON_CHAOS_OUT=$(CURDIR)/DAEMON_CHAOS_matrix.json $(GO) test -race -run 'TestDaemonChaosMatrix|TestDaemonSeamCrashes|TestDaemonChaosKillNine$$|TestDaemonRestartFromHTTPSpool|TestJournalSyncFaultIsCrash' ./internal/scand
 	@echo "wrote DAEMON_CHAOS_matrix.json"
 
 # Interprocedural-strategy differential acceptance suite under the race

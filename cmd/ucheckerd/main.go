@@ -31,8 +31,6 @@
 //	                     (0 = unlimited)
 //	-burst N             default tenant burst allowance (default 4)
 //	-max-queue N         default tenant queue bound (default 256)
-//	-journal-max-records N   auto-compact the job journal past N records
-//	-journal-max-bytes N     auto-compact the job journal past N bytes
 //
 // Endpoints:
 //
@@ -89,8 +87,6 @@ func run() int {
 		rate          = flag.Float64("rate", 0, "default tenant submit rate per second (0 = unlimited)")
 		burst         = flag.Int("burst", 4, "default tenant burst allowance")
 		maxQueue      = flag.Int("max-queue", 0, "default tenant queue bound (0 = 256)")
-		maxRecords    = flag.Int("journal-max-records", 0, "auto-compact the job journal past N records (0 disables)")
-		maxBytes      = flag.Int64("journal-max-bytes", 0, "auto-compact the job journal past N bytes (0 disables)")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -119,8 +115,6 @@ func run() int {
 			Burst:      *burst,
 			MaxQueue:   *maxQueue,
 		},
-		MaxJournalRecords: *maxRecords,
-		MaxJournalBytes:   *maxBytes,
 	}
 	if err := cfg.Scan.Budgets.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "ucheckerd: -max-paths: %v\n", err)
@@ -132,7 +126,7 @@ func run() int {
 		return 2
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: d.Handler()}
+	srv := newServer(*addr, d.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "ucheckerd: serving on %s (state: %s)\n", *addr, *dir)
@@ -174,6 +168,28 @@ func run() int {
 		d.Close()
 		shutdownHTTP(srv)
 		return 0
+	}
+}
+
+// Connection timeouts. A client that opens a connection and stalls in
+// its request headers, or between requests on a kept-alive connection,
+// holds a goroutine and a read buffer; these bound how long. A stalled
+// submit body is bounded by the daemon's own body deadline instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server. It sets no ReadTimeout or
+// WriteTimeout: GET /jobs/{id}/events streams for a job's whole life,
+// and a read deadline that passes while a handler runs cancels the
+// handler's context.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -47,9 +47,10 @@ const (
 	// kill the pipeline here after every N.
 	JournalWrite Point = "journal-write"
 	// JournalSync fires after a journal record is written but before it
-	// is fsynced. A returned error simulates a crash between write and
-	// sync (the record may or may not survive; recovery must salvage
-	// either way).
+	// is fsynced. Detail is "<type>:<target>". A returned error simulates
+	// a failed fsync: the record is on disk but the append reports
+	// failure, so the caller must treat the journal as crashed — never
+	// append the record again, which would duplicate it.
 	JournalSync Point = "journal-sync"
 	// CacheRead fires before each result-cache lookup. Detail is the
 	// content-address key. A returned error forces a cache miss, proving
@@ -176,9 +177,9 @@ func ErrorOn(p Point, target string) Hook {
 
 // ErrorN returns a Hook that returns an ErrInjected-wrapped error for the
 // first n matching calls and succeeds from the (n+1)th on — the
-// "transient fault" complement of FailAfter. Retry layers use it to
-// prove a bounded retry absorbs n transient failures where FailAfter
-// would prove a persistent fault still aborts. Safe for concurrent use.
+// one-shot complement of FailAfter. The crash-contract tests use it to
+// fail one journal append and then reopen or resume without a fault.
+// Safe for concurrent use.
 func ErrorN(p Point, target string, n int) Hook {
 	var calls atomic.Int64
 	return func(point Point, detail string) error {

@@ -5,10 +5,9 @@
 //   - A per-tenant token bucket rejects submit bursts beyond the
 //     tenant's sustained rate before any work is spent on them. A shed
 //     submit carries a Retry-After hint computed from the bucket's
-//     actual refill time plus scanjournal.RetryPolicy's deterministic
-//     jitter — the same backoff schedule internal retries use, so an
-//     obedient client desynchronizes exactly like an internal retry
-//     would and shed tests stay reproducible.
+//     actual refill time plus retryBackoff's deterministic jitter, so
+//     obedient clients shed together come back at different times and
+//     shed tests stay reproducible.
 //
 //   - A bounded per-tenant FIFO behind stride-based weighted-fair
 //     scheduling bounds memory and keeps one Cimy-scale tenant from
@@ -19,7 +18,9 @@
 package scand
 
 import (
+	"hash/fnv"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -38,6 +39,26 @@ type TenantPolicy struct {
 	// weight-2 tenant is served twice as often as a weight-1 tenant
 	// under contention.
 	Weight int
+}
+
+// retryBase is the unit of retryBackoff's schedule.
+const retryBase = 2 * time.Millisecond
+
+// retryBackoff is the jitter a shed submit's Retry-After hint carries
+// after streak consecutive sheds of the same tenant: retryBase<<streak
+// scaled by a factor in [0.5, 1.5) drawn from an FNV hash of key and
+// streak — never from wall clocks or math/rand, so the hint is a pure
+// function of (key, streak) and clients shed together desynchronize
+// identically on every run.
+func retryBackoff(key string, streak int) time.Duration {
+	step := retryBase << uint(streak)
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	h.Write([]byte{0})
+	h.Write([]byte(strconv.Itoa(streak)))
+	// Map the hash onto [0.5, 1.5) in 1/1024 steps.
+	frac := h.Sum64() % 1024
+	return step/2 + step*time.Duration(frac)/1024
 }
 
 // DefaultMaxQueue bounds a tenant's queue when its policy does not.

@@ -118,3 +118,40 @@ func TestFairQueueRemoveAndDepths(t *testing.T) {
 		t.Fatalf("depths() = %v", d)
 	}
 }
+
+// TestRetryBackoffDeterministic: the jitter is a pure function of
+// (key, streak) — identical across runs, different across keys, so
+// clients shed together desynchronize reproducibly.
+func TestRetryBackoffDeterministic(t *testing.T) {
+	a := retryBackoff("worker-0", 0)
+	if b := retryBackoff("worker-0", 0); a != b {
+		t.Errorf("same key+attempt gave %v then %v", a, b)
+	}
+	if a < time.Millisecond || a >= 3*time.Millisecond {
+		t.Errorf("attempt-0 backoff %v outside [Base/2, 3*Base/2)", a)
+	}
+	// Exponential growth: attempt 1's window is [Base, 3*Base).
+	if c := retryBackoff("worker-0", 1); c < 2*time.Millisecond || c >= 6*time.Millisecond {
+		t.Errorf("attempt-1 backoff %v outside [Base, 3*Base)", c)
+	}
+	if retryBackoff("worker-0", 0) == retryBackoff("worker-1", 0) &&
+		retryBackoff("worker-0", 1) == retryBackoff("worker-1", 1) {
+		t.Error("distinct keys produced identical jitter on both attempts")
+	}
+	// The hints the shed tests see, as computed before the schedule
+	// moved into this package: moving it changed no value.
+	for _, tc := range []struct {
+		key    string
+		streak int
+		want   time.Duration
+	}{
+		{"queue:greedy", 0, 1496093},
+		{"queue:greedy", 1, 4691406},
+		{"rate:rho", 0, 2308593},
+		{"rate:rho", 1, 2316406},
+	} {
+		if got := retryBackoff(tc.key, tc.streak); got != tc.want {
+			t.Errorf("retryBackoff(%q, %d) = %d ns, want %d", tc.key, tc.streak, got, tc.want)
+		}
+	}
+}

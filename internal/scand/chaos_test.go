@@ -302,6 +302,64 @@ func TestDaemonSeamCrashes(t *testing.T) {
 	})
 }
 
+// TestJournalSyncFaultIsCrash: a fault between a job-submit record's
+// write and its fsync refuses the submit and puts the daemon into crash
+// semantics; the record is not appended again. Reopened without the
+// fault, the daemon folds a clean journal and finishes every job it
+// knows, the refused one included (its record had reached disk), with
+// the bytes a fault-free daemon gives the same app.
+func TestJournalSyncFaultIsCrash(t *testing.T) {
+	apps := simApps(4)
+	dir := t.TempDir()
+	cfg := testConfig(dir, 1)
+	cfg.FaultHook = faultinject.ErrorN(faultinject.JournalSync, "job-submit:"+apps[1].Name, 1)
+	d := mustOpen(t, cfg)
+	if _, err := d.Submit("acme", apps[0].Name, apps[0].Sources); err != nil {
+		t.Fatalf("submit %s: %v", apps[0].Name, err)
+	}
+	for _, app := range apps[1:] {
+		if _, err := d.Submit("acme", app.Name, app.Sources); !errors.Is(err, ErrJournalDown) {
+			t.Fatalf("submit %s = %v, want ErrJournalDown", app.Name, err)
+		}
+	}
+	d.Close()
+
+	rec, err := scanjournal.Read(d.journalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp := FoldJobs(rec); rp.Corrupt != nil {
+		t.Fatalf("journal corrupt after the sync fault: %+v", rp.Corrupt)
+	}
+
+	d2 := mustOpen(t, testConfig(dir, 1))
+	defer d2.Close()
+	jobs := d2.Jobs()
+	if len(jobs) != 2 || jobs[0].Name != apps[0].Name || jobs[1].Name != apps[1].Name {
+		t.Fatalf("reopened daemon knows %+v, want the jobs of %s and %s", jobs, apps[0].Name, apps[1].Name)
+	}
+	ids := []string{jobs[0].ID, jobs[1].ID}
+	waitTerminal(t, d2, ids, 120*time.Second, false)
+
+	clean := mustOpen(t, testConfig(t.TempDir(), 1))
+	defer clean.Close()
+	cleanIDs := submitAll(t, clean, "acme", apps[:2])
+	waitTerminal(t, clean, cleanIDs, 120*time.Second, false)
+	for i, id := range ids {
+		got, err := d2.Result(id)
+		if err != nil {
+			t.Fatalf("result %s: %v", id, err)
+		}
+		want, err := clean.Result(cleanIDs[i])
+		if err != nil {
+			t.Fatalf("fault-free result of %s: %v", apps[i].Name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("report of %s differs from a fault-free daemon's", apps[i].Name)
+		}
+	}
+}
+
 // TestDaemonRestartFromHTTPSpool restarts a job from the spool an HTTP
 // submit wrote. The daemon goes fatal at the job's dequeue, before its
 // start record, so the job survives only as its submit record and its

@@ -53,6 +53,10 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController, which
+// handleSubmit uses to set the body read deadline.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // red wraps a handler with RED metrics under {endpoint: name}:
 // requests/errors/shed counters plus a duration sum+count pair (enough
 // for rate() and mean-latency panels without histogram machinery).
@@ -100,6 +104,13 @@ type submitBody struct {
 // larger body grows as it arrives.
 const maxBodyHint = 256 << 10
 
+// bodyReadTimeout bounds the read of a submit body, JSON or tarball: a
+// client that declares a body and stalls is answered or cut off at the
+// deadline instead of holding its connection indefinitely. Five minutes
+// carry the default 64 MiB MaxTotalBytes at about 220 KB/s. A variable
+// only so tests can shorten it.
+var bodyReadTimeout = 5 * time.Minute
+
 // readBody reads a request body whole, failing with *http.MaxBytesError
 // past limit bytes; a body that declares more is refused unread. A
 // declared length up to maxBodyHint sizes the buffer, so such a body is
@@ -118,6 +129,13 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.URL.Query().Get("tenant")
 	name := r.URL.Query().Get("name")
+	// The deadline covers only the body: it is cleared once the body is
+	// read, because a read deadline that passes while the handler runs
+	// cancels the request's context. Errors are ignored: httptest
+	// recorders support no deadlines (http.ErrNotSupported), and on a
+	// broken connection the read fails anyway.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	var sources map[string]string
 	var spool []byte
 	ct := r.Header.Get("Content-Type")
@@ -128,6 +146,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// decode as a whole to be accepted.
 		lim := d.cfg.Ingest.orDefaults()
 		raw, err := readBody(w, r, lim.MaxTotalBytes)
+		_ = rc.SetReadDeadline(time.Time{})
 		if err != nil {
 			code := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
@@ -154,6 +173,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Anything else is treated as a (possibly gzipped) tarball and
 		// run through the hostile-archive gauntlet.
 		src, err := IngestTar(r.Body, d.cfg.Ingest)
+		_ = rc.SetReadDeadline(time.Time{})
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.Is(err, ErrArchiveTooLarge) {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -443,6 +444,44 @@ func TestReadBodyBoundsHint(t *testing.T) {
 	}
 	if n := len(d.Jobs()); n != 0 {
 		t.Errorf("refused submit left %d jobs", n)
+	}
+}
+
+// TestHTTPSubmitBodyStallTimesOut: a client that declares a submit body
+// and stalls after its first byte is answered or cut off once
+// bodyReadTimeout passes, instead of holding its connection open for as
+// long as it likes, and nothing is admitted.
+func TestHTTPSubmitBodyStallTimesOut(t *testing.T) {
+	defer func(old time.Duration) { bodyReadTimeout = old }(bodyReadTimeout)
+	bodyReadTimeout = 200 * time.Millisecond
+	d := mustOpen(t, testConfig(t.TempDir(), 1))
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /jobs?tenant=acme HTTP/1.1\r\nHost: daemon\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000000\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(bodyReadTimeout + 5*time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled submit still open %v after its headers", time.Since(start))
+	}
+	if err == nil {
+		resp.Body.Close()
+		if resp.StatusCode < 400 {
+			t.Errorf("stalled submit answered %d, want an error status", resp.StatusCode)
+		}
+	}
+	if n := len(d.Jobs()); n != 0 {
+		t.Errorf("stalled submit left %d jobs", n)
 	}
 }
 

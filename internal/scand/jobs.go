@@ -103,9 +103,10 @@ type JobReplay struct {
 //     starts per job are legal (one per crash-and-resume cycle); a
 //     start for an unknown or terminal job is corruption.
 //   - job-finish / job-fail / job-cancel: terminal and self-contained —
-//     an unknown ID creates the job directly (compaction drops the
-//     submit/start of terminal jobs). A second terminal record for the
-//     same job is corruption: the no-double-report invariant.
+//     an unknown ID creates the job directly (job journals compacted by
+//     earlier versions dropped the submit/start of terminal jobs). A
+//     second terminal record for the same job is corruption: the
+//     no-double-report invariant.
 func FoldJobs(rec *scanjournal.Recovery) *JobReplay {
 	rp := &JobReplay{Jobs: map[string]*Job{}, Corrupt: rec.Corrupt}
 	if len(rec.Records) == 0 && rp.Corrupt == nil {
@@ -141,8 +142,9 @@ func FoldJobs(rec *scanjournal.Recovery) *JobReplay {
 		case scanjournal.TypeJobFinish, scanjournal.TypeJobFail, scanjournal.TypeJobCancel:
 			j, ok := rp.Jobs[r.Job]
 			if !ok {
-				// Self-contained terminal after compaction dropped the
-				// submit: materialize the job directly.
+				// Self-contained terminal whose submit an earlier
+				// version's compaction dropped: materialize the job
+				// directly.
 				j = &Job{ID: r.Job, Tenant: r.Tenant, Name: r.Name}
 				rp.Jobs[r.Job] = j
 				rp.Order = append(rp.Order, r.Job)
@@ -168,49 +170,4 @@ func FoldJobs(rec *scanjournal.Recovery) *JobReplay {
 		rp.Salvaged++
 	}
 	return rp
-}
-
-// foldJobRecords is the auto-compaction fold for a job journal: keep
-// the latest manifest, the self-contained terminal record of every
-// terminal job, and the submit plus latest start of every pending job
-// — exactly the records FoldJobs needs to reconstruct current state.
-// Relative append order is preserved, so submit order (and therefore
-// restart re-enqueue order) survives compaction.
-func foldJobRecords(records []scanjournal.Record) []scanjournal.Record {
-	terminal := map[string]bool{}
-	lastStart := map[string]int{}
-	lastManifest := -1
-	for i, r := range records {
-		switch r.Type {
-		case scanjournal.TypeManifest:
-			lastManifest = i
-		case scanjournal.TypeJobStart:
-			lastStart[r.Job] = i
-		case scanjournal.TypeJobFinish, scanjournal.TypeJobFail, scanjournal.TypeJobCancel:
-			terminal[r.Job] = true
-		}
-	}
-	var out []scanjournal.Record
-	// The manifest goes first regardless of where the latest one sits in
-	// append order (a restarted daemon appends a fresh manifest after
-	// existing job records): FoldJobs requires record 0 to be a manifest.
-	if lastManifest >= 0 {
-		out = append(out, records[lastManifest])
-	}
-	for i, r := range records {
-		switch r.Type {
-		case scanjournal.TypeManifest:
-			continue
-		case scanjournal.TypeJobSubmit:
-			if terminal[r.Job] {
-				continue
-			}
-		case scanjournal.TypeJobStart:
-			if terminal[r.Job] || i != lastStart[r.Job] {
-				continue
-			}
-		}
-		out = append(out, r)
-	}
-	return out
 }

@@ -170,55 +170,3 @@ func TestFoldJobsFingerprintChangeKeepsHistory(t *testing.T) {
 		t.Fatal("fingerprint change discarded pending job")
 	}
 }
-
-func TestFoldJobRecordsCompaction(t *testing.T) {
-	records := []scanjournal.Record{
-		manifest("fp-old"),
-		rec(scanjournal.TypeJobSubmit, "j1"),
-		rec(scanjournal.TypeJobSubmit, "j2"),
-		rec(scanjournal.TypeJobStart, "j1"),
-		rec(scanjournal.TypeJobFinish, "j1"),
-		rec(scanjournal.TypeJobStart, "j2"), // pre-crash start
-		manifest("fp-new"),                  // restart manifest lands AFTER job records
-		rec(scanjournal.TypeJobStart, "j2"), // post-restart start
-		rec(scanjournal.TypeJobSubmit, "j3"),
-	}
-	folded := foldJobRecords(records)
-	// The fold must itself re-fold cleanly: manifest first, no corruption.
-	rp := FoldJobs(recovery(folded...))
-	if rp.Corrupt != nil {
-		t.Fatalf("folded journal corrupt: %+v", rp.Corrupt)
-	}
-	if folded[0].Type != scanjournal.TypeManifest || folded[0].Fingerprint != "fp-new" {
-		t.Fatalf("record 0 = %+v, want latest manifest", folded[0])
-	}
-	counts := map[string]int{}
-	for _, r := range folded {
-		counts[r.Type+":"+r.Job]++
-	}
-	if counts["job-submit:j1"] != 0 || counts["job-start:j1"] != 0 {
-		t.Fatal("terminal job j1 kept its submit/start records")
-	}
-	if counts["job-finish:j1"] != 1 {
-		t.Fatal("terminal record of j1 lost")
-	}
-	if counts["job-submit:j2"] != 1 || counts["job-start:j2"] != 1 {
-		t.Fatalf("pending j2 records wrong: %v", counts)
-	}
-	if counts["job-submit:j3"] != 1 {
-		t.Fatal("pending j3 submit lost")
-	}
-	// Submit order survives: j2 before j3.
-	if rp.Order[0] != "j1" && rp.Order[0] != "j2" {
-		t.Fatalf("order = %v", rp.Order)
-	}
-	var pendingOrder []string
-	for _, id := range rp.Order {
-		if !rp.Jobs[id].State.Terminal() {
-			pendingOrder = append(pendingOrder, id)
-		}
-	}
-	if len(pendingOrder) != 2 || pendingOrder[0] != "j2" || pendingOrder[1] != "j3" {
-		t.Fatalf("pending re-enqueue order = %v", pendingOrder)
-	}
-}

@@ -45,7 +45,9 @@ import (
 type Config struct {
 	// Dir is the daemon state directory: jobs.journal (the durable
 	// queue), cache/ (content-addressed results), spool/ (submitted
-	// sources awaiting a terminal record).
+	// sources awaiting a terminal record). The journal is compacted only
+	// to cut a corrupt tail, so it keeps every finished job's report
+	// record for the life of the directory.
 	Dir string
 	// Scan is the scan configuration. Workers bounds per-scan
 	// parallelism; persistence fields (Journal, ResumeFrom, CacheDir)
@@ -70,10 +72,6 @@ type Config struct {
 	Tenants map[string]TenantPolicy
 	// Default is the policy for tenants not in Tenants.
 	Default TenantPolicy
-	// MaxJournalRecords / MaxJournalBytes opt into job-journal
-	// auto-compaction (see scanjournal.AutoCompact). Zero disables.
-	MaxJournalRecords int
-	MaxJournalBytes   int64
 	// Ingest caps HTTP submits, tarball and JSON alike. Zero value
 	// selects DefaultIngestLimits.
 	Ingest IngestLimits
@@ -109,7 +107,7 @@ var (
 
 // ShedError is a load-shed rejection: the submit was refused before any
 // work was spent on it, and RetryAfter is the daemon's backoff hint
-// (deterministic-jitter, same schedule as internal retries).
+// (deterministic jitter, see retryBackoff).
 type ShedError struct {
 	// Reason is "rate" (token bucket empty) or "queue" (tenant queue
 	// full).
@@ -226,23 +224,14 @@ func (d *Daemon) recover() error {
 			// Salvage-and-compact before appending after garbage, exactly
 			// like same-file batch resume: the valid prefix is the state.
 			salvaged := rec.Records[:rp.Salvaged]
-			if err := scanjournal.CompactHook(path, d.cfg.FaultHook, salvaged); err != nil {
+			if err := scanjournal.Compact(path, d.cfg.FaultHook, salvaged); err != nil {
 				return fmt.Errorf("scand: compact corrupt job journal: %w", err)
 			}
 			d.reg.Add(daemonLabels, "journal_corrupt_recoveries_total", 1)
 		}
 	}
 
-	var ac *scanjournal.AutoCompact
-	if d.cfg.MaxJournalRecords > 0 || d.cfg.MaxJournalBytes > 0 {
-		ac = &scanjournal.AutoCompact{
-			MaxRecords: d.cfg.MaxJournalRecords,
-			MaxBytes:   d.cfg.MaxJournalBytes,
-			Fold:       foldJobRecords,
-			LockPath:   filepath.Join(d.cfg.Dir, "journal.lock"),
-		}
-	}
-	jw, err := scanjournal.OpenWriterAutoCompact(path, d.cfg.FaultHook, ac)
+	jw, err := scanjournal.OpenWriter(path, d.cfg.FaultHook)
 	if err != nil {
 		return err
 	}
@@ -253,7 +242,7 @@ func (d *Daemon) recover() error {
 		// fresh manifest records the fingerprint every later record is
 		// accountable to. Terminal jobs keep their reports (immutable
 		// history); pending jobs are re-keyed below.
-		if err := d.appendRec(scanjournal.Record{
+		if err := d.jw.Append(scanjournal.Record{
 			Type: scanjournal.TypeManifest, Fingerprint: d.fp, At: time.Now(),
 		}); err != nil {
 			jw.Close()
@@ -282,7 +271,7 @@ func (d *Daemon) recover() error {
 			// cannot run. Fail it typed rather than wedging the queue.
 			job.State = JobFailed
 			job.Error = "spool lost: " + err.Error()
-			if aerr := d.appendRec(scanjournal.Record{
+			if aerr := d.jw.Append(scanjournal.Record{
 				Type: scanjournal.TypeJobFail, Job: id, Tenant: job.Tenant,
 				Name: job.Name, Key: job.Key, Error: job.Error, At: time.Now(),
 			}); aerr != nil {
@@ -328,15 +317,6 @@ func (d *Daemon) policy(tenant string) TenantPolicy {
 		return p
 	}
 	return d.cfg.Default
-}
-
-// appendRec appends one journal record with the batch layer's bounded
-// deterministic-jitter retry.
-func (d *Daemon) appendRec(rec scanjournal.Record) error {
-	_, err := scanjournal.DefaultRetry.Do(rec.Type+":"+rec.Job, func() error {
-		return d.jw.Append(rec)
-	})
-	return err
 }
 
 // goFatal puts the daemon into crash semantics: the journal can no
@@ -476,7 +456,7 @@ func (d *Daemon) submit(tenant, name string, sources map[string]string, spool []
 		d.shedMetrics(tenant)
 		return Job{}, &ShedError{
 			Reason: "rate", Tenant: tenant,
-			RetryAfter: wait + scanjournal.DefaultRetry.Backoff("rate:"+tenant, min(streak, 6)),
+			RetryAfter: wait + retryBackoff("rate:"+tenant, min(streak, 6)),
 		}
 	}
 	if d.queue.depth(tenant) >= pol.maxQueue() {
@@ -486,7 +466,7 @@ func (d *Daemon) submit(tenant, name string, sources map[string]string, spool []
 		d.shedMetrics(tenant)
 		return Job{}, &ShedError{
 			Reason: "queue", Tenant: tenant,
-			RetryAfter: scanjournal.DefaultRetry.Backoff("queue:"+tenant, min(streak, 6)),
+			RetryAfter: retryBackoff("queue:"+tenant, min(streak, 6)),
 		}
 	}
 	d.shedStreak[tenant] = 0
@@ -515,7 +495,7 @@ func (d *Daemon) submit(tenant, name string, sources map[string]string, spool []
 			return Job{}, err
 		}
 	}
-	if err := d.appendRec(scanjournal.Record{
+	if err := d.jw.Append(scanjournal.Record{
 		Type: scanjournal.TypeJobSubmit, Job: id, Tenant: tenant,
 		Name: name, Key: key, At: time.Now(),
 	}); err != nil {
@@ -637,7 +617,7 @@ func (d *Daemon) Cancel(id string) error {
 		Name: job.Name, Key: job.Key, Error: job.Error, At: time.Now(),
 	}
 	d.mu.Unlock()
-	if err := d.appendRec(rec); err != nil {
+	if err := d.jw.Append(rec); err != nil {
 		d.goFatal(err)
 		return fmt.Errorf("%w: %v", ErrJournalDown, err)
 	}
@@ -695,7 +675,7 @@ func (d *Daemon) runJob(job *Job) {
 			return
 		}
 	}
-	if err := d.appendRec(scanjournal.Record{
+	if err := d.jw.Append(scanjournal.Record{
 		Type: scanjournal.TypeJobStart, Job: job.ID, Tenant: job.Tenant,
 		Name: job.Name, Key: job.Key, At: time.Now(),
 	}); err != nil {
@@ -828,7 +808,7 @@ func (d *Daemon) finishJob(job *Job, typ string, report json.RawMessage, errText
 		Type: typ, Job: job.ID, Tenant: job.Tenant, Name: job.Name,
 		Key: job.Key, Report: report, Error: errText, At: time.Now(),
 	}
-	if err := d.appendRec(rec); err != nil {
+	if err := d.jw.Append(rec); err != nil {
 		d.goFatal(err)
 		return
 	}

@@ -352,7 +352,7 @@ func TestDaemonQueueShedWhileOtherTenantCompletes(t *testing.T) {
 	if shed.Reason != "queue" || shed.Tenant != "greedy" {
 		t.Fatalf("shed = %+v", shed)
 	}
-	if want := scanjournal.DefaultRetry.Backoff("queue:greedy", 0); shed.RetryAfter != want {
+	if want := retryBackoff("queue:greedy", 0); shed.RetryAfter != want {
 		t.Fatalf("RetryAfter = %v, want deterministic %v", shed.RetryAfter, want)
 	}
 	// A second consecutive shed advances the backoff schedule.
@@ -360,7 +360,7 @@ func TestDaemonQueueShedWhileOtherTenantCompletes(t *testing.T) {
 	if !errors.As(err, &shed) {
 		t.Fatalf("second overloaded submit returned %v", err)
 	}
-	if want := scanjournal.DefaultRetry.Backoff("queue:greedy", 1); shed.RetryAfter != want {
+	if want := retryBackoff("queue:greedy", 1); shed.RetryAfter != want {
 		t.Fatalf("second RetryAfter = %v, want %v", shed.RetryAfter, want)
 	}
 
@@ -423,14 +423,14 @@ func TestDaemonRateShedWithPinnedClock(t *testing.T) {
 	}
 	// The hint is exactly the bucket's refill time (1 token at 1/s from a
 	// pinned clock) plus the deterministic jitter schedule.
-	if want := time.Second + scanjournal.DefaultRetry.Backoff("rate:rho", 0); shed.RetryAfter != want {
+	if want := time.Second + retryBackoff("rate:rho", 0); shed.RetryAfter != want {
 		t.Fatalf("RetryAfter = %v, want %v", shed.RetryAfter, want)
 	}
 	_, err = d.Submit("rho", apps[1].Name, apps[1].Sources)
 	if !errors.As(err, &shed) {
 		t.Fatalf("second rate-limited submit returned %v", err)
 	}
-	if want := time.Second + scanjournal.DefaultRetry.Backoff("rate:rho", 1); shed.RetryAfter != want {
+	if want := time.Second + retryBackoff("rate:rho", 1); shed.RetryAfter != want {
 		t.Fatalf("second RetryAfter = %v, want %v", shed.RetryAfter, want)
 	}
 

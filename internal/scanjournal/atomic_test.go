@@ -113,7 +113,7 @@ func TestCompactFaultCleanup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = CompactHook(path, faultinject.ErrorOn(point, ""), rec.Records)
+			err = Compact(path, faultinject.ErrorOn(point, ""), rec.Records)
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("err = %v, want injected", err)
 			}

@@ -5,8 +5,8 @@ package scanjournal
 import "sync"
 
 // Non-unix fallback: a process-local mutex per lock path. This excludes
-// goroutines within one process (the daemon, the in-process worker
-// simulation and their tests) but NOT separate processes —
+// goroutines within one process (the in-process worker simulation and
+// its tests) but NOT separate processes —
 // multi-process exclusivity on non-unix platforms is out of scope for
 // this reproduction; the unix build uses a real kernel flock.
 var (

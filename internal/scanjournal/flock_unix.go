@@ -8,10 +8,9 @@ import (
 )
 
 // Lock takes an exclusive advisory flock on path, creating it if
-// needed, and returns the unlock function. It serializes journal
-// auto-compaction, which rewrites the journal through a rename, and
-// shardcoord's lease transactions on coord.lock: the lock must exclude
-// any concurrent process (or in-process goroutine simulating one) from
+// needed, and returns the unlock function. It serializes shardcoord's
+// lease transactions on coord.lock: the lock must exclude any
+// concurrent process (or in-process goroutine simulating one) from
 // reading or rewriting the guarded file mid-update. flock is the
 // crash-safe primitive for that: the kernel drops the lock the instant
 // the holder dies (kill -9 included), so a crashed worker can never

@@ -124,8 +124,8 @@ const (
 	TypeJobStart = "job-start"
 	// TypeJobFinish carries one job's complete canonical report plus its
 	// cache key. Terminal records are self-contained (ID, tenant, name,
-	// key, report), so journal compaction can drop the submit/start
-	// records of finished jobs.
+	// key, report): job journals compacted by earlier versions hold
+	// terminal records whose submit and start records were dropped.
 	TypeJobFinish = "job-finish"
 	// TypeJobFail terminates a job with a typed error (watchdog fired,
 	// job deadline exceeded, spool lost). Self-contained like a finish.
@@ -187,54 +187,14 @@ type Record struct {
 	Error string `json:"error,omitempty"`
 }
 
-// AutoCompact bounds a long-lived journal's growth. A batch sweep's
-// journal is naturally bounded by its target list, but a daemon's job
-// journal appends forever — without compaction an always-on service
-// eventually fills the disk with lifecycle records of long-terminal
-// jobs. When a Writer is opened with an AutoCompact policy, every
-// Append that pushes the journal past MaxRecords or MaxBytes triggers
-// an in-place compaction: the journal is salvage-read, Fold reduces the
-// record set (dropping whatever the caller's semantics no longer need),
-// and the reduced set is rewritten atomically (temp file + rename,
-// crash-safe like every compaction) under a coord.lock-style flock so
-// no concurrent process reads or rewrites the file mid-swap.
-type AutoCompact struct {
-	// MaxRecords triggers compaction when the journal holds more than
-	// this many records. Zero disables the record-count trigger.
-	MaxRecords int
-	// MaxBytes triggers compaction when the journal file exceeds this
-	// many bytes. Zero disables the size trigger.
-	MaxBytes int64
-	// Fold reduces a salvaged record set to the records still needed for
-	// recovery. It MUST preserve replay semantics: folding and then
-	// recovering must yield the same state as recovering the unfolded
-	// journal. Nil keeps every record (compaction then only drops a
-	// corrupt tail).
-	Fold func(records []Record) []Record
-	// LockPath is the exclusivity lock file guarding the rewrite.
-	// Empty defaults to "<journal>.lock".
-	LockPath string
-}
-
 // Writer appends records to a journal file. It is safe for concurrent
 // use: scanner workers finish targets on many goroutines. Every Append
 // is written as one frame and fsynced before returning, so a record that
 // Append accepted survives a crash.
 type Writer struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	hook    faultinject.Hook
-	records int
-	bytes   int64
-	ac      *AutoCompact
-	// floor is the record count below which the next auto-compaction is
-	// skipped: if Fold cannot shrink the journal under the threshold,
-	// compacting again after every single append would turn Append into
-	// an O(n) rewrite. The floor demands real growth since the last
-	// compaction before paying for another one.
-	floor       int
-	compactions int
+	mu   sync.Mutex
+	f    *os.File
+	hook faultinject.Hook
 }
 
 // OpenWriter opens (creating if needed) a journal for appending. hook,
@@ -242,13 +202,6 @@ type Writer struct {
 // faultinject.JournalSync seams of every Append — tests use it to kill
 // the pipeline at each write boundary.
 func OpenWriter(path string, hook faultinject.Hook) (*Writer, error) {
-	return OpenWriterAutoCompact(path, hook, nil)
-}
-
-// OpenWriterAutoCompact is OpenWriter with an auto-compaction policy
-// (see AutoCompact). With a non-nil policy the existing journal is
-// salvage-read once at open to seed the record counter.
-func OpenWriterAutoCompact(path string, hook faultinject.Hook, ac *AutoCompact) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("scanjournal: open %s: %w", path, err)
@@ -261,21 +214,16 @@ func OpenWriterAutoCompact(path string, hook faultinject.Hook, ac *AutoCompact) 
 		f.Close()
 		return nil, fmt.Errorf("scanjournal: sync dir of %s: %w", path, err)
 	}
-	w := &Writer{f: f, path: path, hook: hook, ac: ac}
-	if ac != nil {
-		if st, err := f.Stat(); err == nil {
-			w.bytes = st.Size()
-		}
-		if rec, err := Read(path); err == nil {
-			w.records = len(rec.Records)
-		}
-	}
-	return w, nil
+	return &Writer{f: f, hook: hook}, nil
 }
 
-// Append frames, writes and fsyncs one record. On any error the journal
-// must be considered crashed: the caller stops appending (recovery will
-// salvage whatever made it to disk).
+// Append frames, writes and fsyncs one record. On any error the
+// journal must be considered crashed: the caller stops appending
+// (recovery will salvage whatever made it to disk). Appending the
+// record again is no recovery: a failed write may have left part of its
+// frame on disk, a record whose fsync failed may be on disk already, and
+// an fsync retried after a failure can succeed for pages the kernel has
+// already dropped.
 func (w *Writer) Append(rec Record) error {
 	if rec.V == 0 {
 		rec.V = FormatVersion
@@ -303,91 +251,7 @@ func (w *Writer) Append(rec Record) error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("scanjournal: sync %s record: %w", rec.Type, err)
 	}
-	w.records++
-	w.bytes += int64(len(frame))
-	if w.ac != nil && w.overThresholdLocked() && w.records >= w.floor {
-		if err := w.compactLocked(); err != nil {
-			// A failed compaction leaves the on-disk journal either intact
-			// or already swapped (the rename is atomic either way), but
-			// this Writer's fd may point at a replaced inode. Treat it
-			// like any other Append failure: the journal is crashed,
-			// recovery salvages what made it to disk.
-			return fmt.Errorf("scanjournal: auto-compact %s: %w", w.path, err)
-		}
-	}
 	return nil
-}
-
-// overThresholdLocked reports whether the journal exceeds the
-// auto-compaction policy's record-count or byte-size trigger.
-func (w *Writer) overThresholdLocked() bool {
-	if w.ac.MaxRecords > 0 && w.records > w.ac.MaxRecords {
-		return true
-	}
-	if w.ac.MaxBytes > 0 && w.bytes > w.ac.MaxBytes {
-		return true
-	}
-	return false
-}
-
-// compactLocked rewrites the journal in place under the policy's flock:
-// salvage-read, fold, atomic rewrite, reopen. Caller holds w.mu.
-func (w *Writer) compactLocked() error {
-	lockPath := w.ac.LockPath
-	if lockPath == "" {
-		lockPath = w.path + ".lock"
-	}
-	unlock, err := Lock(lockPath)
-	if err != nil {
-		return fmt.Errorf("lock %s: %w", lockPath, err)
-	}
-	defer unlock()
-	rec, err := Read(w.path)
-	if err != nil {
-		return fmt.Errorf("read: %w", err)
-	}
-	folded := rec.Records
-	if w.ac.Fold != nil {
-		folded = w.ac.Fold(folded)
-	}
-	if err := CompactHook(w.path, w.hook, folded); err != nil {
-		return err
-	}
-	// The rename replaced the inode our fd points at: appends through the
-	// old fd would land in an unlinked file and vanish. Reopen.
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("reopen: %w", err)
-	}
-	w.f.Close()
-	w.f = f
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("stat: %w", err)
-	}
-	w.bytes = st.Size()
-	w.records = len(folded)
-	// Demand geometric growth before the next compaction: a fold that
-	// cannot shrink below the threshold must not turn every Append into
-	// an O(n) rewrite. Requiring the journal to grow by half its folded
-	// size keeps total rewrite work linear in records ever appended.
-	w.floor = len(folded) + max(1, w.ac.MaxRecords/2, len(folded)/2)
-	w.compactions++
-	return nil
-}
-
-// Records reports how many records this Writer has successfully appended.
-func (w *Writer) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
-}
-
-// Compactions reports how many auto-compactions this Writer has run.
-func (w *Writer) Compactions() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.compactions
 }
 
 // Close closes the journal file.
@@ -530,19 +394,13 @@ func corruptAt(rec *Recovery, offset int64, reason string) *Corruption {
 
 // Compact atomically rewrites a journal to contain exactly the given
 // records — dropping a corrupt tail before new appends land after
-// garbage. The rewrite goes through AtomicWrite, so a crash mid-compact
-// leaves the original journal untouched.
-func Compact(path string, records []Record) error {
-	return CompactHook(path, nil, records)
-}
-
-// CompactHook is Compact with the AtomicWriteHook fault-injection seams
-// threaded through: hook, when non-nil, fires at
-// faultinject.AtomicWriteBody and faultinject.AtomicRename with the
-// journal path as detail. The crash-matrix tests use it to prove a
-// compaction that dies mid-rewrite neither damages the journal nor
-// strands a temp file.
-func CompactHook(path string, hook faultinject.Hook, records []Record) error {
+// garbage. The rewrite goes through AtomicWriteHook, so a crash
+// mid-compact leaves the original journal untouched. hook, when
+// non-nil, fires at faultinject.AtomicWriteBody and
+// faultinject.AtomicRename with the journal path as detail; the
+// crash-matrix tests use it to prove a compaction that dies mid-rewrite
+// neither damages the journal nor strands a temp file.
+func Compact(path string, hook faultinject.Hook, records []Record) error {
 	return AtomicWriteHook(path, hook, func(w io.Writer) error {
 		for _, rec := range records {
 			if rec.V == 0 {

@@ -271,10 +271,9 @@ func equalStrings(a, b []string) bool {
 // so any number of Coords (across processes or goroutines) may operate
 // on one directory concurrently.
 type Coord struct {
-	dir   string
-	hook  faultinject.Hook
-	retry scanjournal.RetryPolicy
-	plan  *Plan
+	dir  string
+	hook faultinject.Hook
+	plan *Plan
 }
 
 // Dir returns the coordination directory.
@@ -305,10 +304,9 @@ func Init(dir, fingerprint string, targets []string, shardSize int, hook faultin
 		return nil, err
 	}
 	c := &Coord{
-		dir:   dir,
-		hook:  hook,
-		retry: scanjournal.DefaultRetry,
-		plan:  &Plan{Fingerprint: fingerprint, Targets: targets, ShardSize: shardSize},
+		dir:  dir,
+		hook: hook,
+		plan: &Plan{Fingerprint: fingerprint, Targets: targets, ShardSize: shardSize},
 	}
 	unlock, err := scanjournal.Lock(filepath.Join(dir, LockFile))
 	if err != nil {
@@ -352,7 +350,7 @@ func Init(dir, fingerprint string, targets []string, shardSize int, hook faultin
 		return nil, err
 	}
 	defer w.Close()
-	if err := c.append(w, scanjournal.Record{
+	if err := w.Append(scanjournal.Record{
 		Type:        scanjournal.TypeManifest,
 		Fingerprint: fingerprint,
 		Targets:     targets,
@@ -377,7 +375,7 @@ func Open(dir string, hook faultinject.Hook) (*Coord, error) {
 	if plan.Shards() == 0 {
 		return nil, fmt.Errorf("shardcoord: %s: degenerate plan", dir)
 	}
-	return &Coord{dir: dir, hook: hook, retry: scanjournal.DefaultRetry, plan: &plan}, nil
+	return &Coord{dir: dir, hook: hook, plan: &plan}, nil
 }
 
 // foldLocked reads and folds the coordination journal (caller holds the
@@ -395,7 +393,7 @@ func (c *Coord) foldLocked(jpath string) (*LeaseView, error) {
 	}
 	view := FoldLeases(rec)
 	if view.Corrupt != nil || rec.Corrupt != nil {
-		if err := scanjournal.CompactHook(jpath, c.hook, rec.Records[:view.Salvaged]); err != nil {
+		if err := scanjournal.Compact(jpath, c.hook, rec.Records[:view.Salvaged]); err != nil {
 			return nil, fmt.Errorf("shardcoord: compact coordination journal: %w", err)
 		}
 	}
@@ -436,15 +434,6 @@ func (c *Coord) fire(p faultinject.Point, detail string) error {
 	return c.hook(p, detail)
 }
 
-// append appends one record with the bounded deterministic-jitter retry
-// — transient I/O contention costs a jittered sleep, not the lease.
-func (c *Coord) append(w *scanjournal.Writer, rec scanjournal.Record) error {
-	_, err := c.retry.Do(fmt.Sprintf("%s/%d.t%d", rec.Type, rec.Shard, rec.Token), func() error {
-		return w.Append(rec)
-	})
-	return err
-}
-
 // leaseDetail is the detail string of the lease faultinject seams.
 func leaseDetail(shard int, token int64, worker string) string {
 	return fmt.Sprintf("shard-%d.t%d:%s", shard, token, worker)
@@ -480,7 +469,7 @@ func (c *Coord) ClaimFree(worker string) (*Lease, error) {
 			if err := c.fire(faultinject.LeaseClaim, leaseDetail(s, token, worker)); err != nil {
 				return err
 			}
-			if err := c.append(w, scanjournal.Record{
+			if err := w.Append(scanjournal.Record{
 				Type: scanjournal.TypeLeaseClaim, Shard: s, Token: token, Worker: worker,
 			}); err != nil {
 				return err
@@ -515,7 +504,7 @@ func (c *Coord) Reclaim(worker string, shard int, token, gen int64) (*Lease, err
 		if err := c.fire(faultinject.LeaseClaim, leaseDetail(shard, next, worker)); err != nil {
 			return err
 		}
-		if err := c.append(w, scanjournal.Record{
+		if err := w.Append(scanjournal.Record{
 			Type: scanjournal.TypeLeaseClaim, Shard: shard, Token: next, Worker: worker,
 		}); err != nil {
 			return err
@@ -539,7 +528,7 @@ func (l *Lease) Renew() error {
 		if err := l.c.fire(faultinject.LeaseRenew, leaseDetail(l.Shard, l.Token, l.Worker)); err != nil {
 			return err
 		}
-		if err := l.c.append(w, scanjournal.Record{
+		if err := w.Append(scanjournal.Record{
 			Type: scanjournal.TypeLeaseRenew, Shard: l.Shard, Token: l.Token, Gen: st.Gen + 1, Worker: l.Worker,
 		}); err != nil {
 			return err
@@ -559,7 +548,7 @@ func (l *Lease) Release() error {
 			return fmt.Errorf("%w: shard %d is %s at token %d (lease token %d)",
 				ErrFenced, l.Shard, st.State, st.Token, l.Token)
 		}
-		return l.c.append(w, scanjournal.Record{
+		return w.Append(scanjournal.Record{
 			Type: scanjournal.TypeLeaseRelease, Shard: l.Shard, Token: l.Token, Worker: l.Worker,
 		})
 	})
@@ -588,7 +577,7 @@ func (l *Lease) Finish() error {
 			return fmt.Errorf("%w: shard %d is %s at token %d (lease token %d)",
 				ErrFenced, l.Shard, st.State, st.Token, l.Token)
 		}
-		return l.c.append(w, scanjournal.Record{
+		return w.Append(scanjournal.Record{
 			Type: scanjournal.TypeShardFinish, Shard: l.Shard, Token: l.Token, Worker: l.Worker,
 		})
 	})

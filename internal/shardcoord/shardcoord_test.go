@@ -327,7 +327,7 @@ func TestFoldLeasesProtocolMatrix(t *testing.T) {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := scanjournal.Compact(filepath.Join(dir, JournalFile), tc.records); err != nil {
+			if err := scanjournal.Compact(filepath.Join(dir, JournalFile), nil, tc.records); err != nil {
 				t.Fatal(err)
 			}
 			plan, _ := json.Marshal(Plan{Fingerprint: "fp", Targets: targetNames(4), ShardSize: 2})
@@ -361,24 +361,31 @@ func TestFoldLeasesProtocolMatrix(t *testing.T) {
 	}
 }
 
-// TestLeaseTransientRetry: one transient coord-journal write fault is
-// absorbed by the bounded retry — the claim still lands.
-func TestLeaseTransientRetry(t *testing.T) {
-	hook := faultinject.ErrorN(faultinject.JournalWrite, "lease-claim", 1)
+// TestLeaseSyncFaultIsCrash: a fault between a claim's write and its
+// fsync fails the claim, and the claim is not appended again. The record
+// that landed is the journal's only claim and the journal folds clean;
+// a second claim at the same token would read as a protocol violation.
+func TestLeaseSyncFaultIsCrash(t *testing.T) {
+	hook := faultinject.ErrorN(faultinject.JournalSync, "lease-claim", 1)
 	c := newCoord(t, 2, 1, hook)
-	l, err := c.ClaimFree("w0")
-	if err != nil || l == nil {
-		t.Fatalf("transient fault killed the claim: %v %v", l, err)
+	if l, err := c.ClaimFree("w0"); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("claim = %v, %v; want the injected error", l, err)
 	}
-	v, err := c.Snapshot()
+	rec, err := scanjournal.Read(filepath.Join(c.Dir(), JournalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Corrupt != nil {
-		t.Fatalf("retry corrupted the journal: %v", v.Corrupt)
+	claims := 0
+	for _, r := range rec.Records {
+		if r.Type == scanjournal.TypeLeaseClaim {
+			claims++
+		}
 	}
-	if v.Shards[l.Shard].State != Held {
-		t.Errorf("claim not recorded: %+v", v.Shards[l.Shard])
+	if claims != 1 {
+		t.Errorf("journal holds %d claims, want 1", claims)
+	}
+	if v := FoldLeases(rec); rec.Corrupt != nil || v.Corrupt != nil {
+		t.Errorf("journal corrupt after the sync fault: %v / %v", rec.Corrupt, v.Corrupt)
 	}
 }
 

@@ -246,7 +246,7 @@ func (s *Scanner) ScanBatchJournaled(ctx context.Context, targets []Target) ([]*
 			// salvaged (semantically valid) prefix first. A crash
 			// mid-compaction leaves the original file intact (temp-file +
 			// rename).
-			if err := scanjournal.CompactHook(s.opts.Journal, s.opts.FaultHook, salvaged); err != nil {
+			if err := scanjournal.Compact(s.opts.Journal, s.opts.FaultHook, salvaged); err != nil {
 				return abortAll(fmt.Errorf("journal compaction: %w", err))
 			}
 		}
@@ -257,28 +257,12 @@ func (s *Scanner) ScanBatchJournaled(ctx context.Context, targets []Target) ([]*
 		jw = w
 		defer jw.Close()
 	}
-	// All appends absorb transient write faults with a bounded
-	// deterministic-jitter retry before declaring crash semantics: a
-	// single flaky O_APPEND no longer costs the whole batch. Persistent
-	// faults still exhaust the budget and abort — the crash matrix
-	// depends on that.
-	appendRec := func(rec scanjournal.Record) error {
-		retries, err := scanjournal.DefaultRetry.Do(rec.Type+":"+rec.Name, func() error {
-			return jw.Append(rec)
-		})
-		if retries > 0 {
-			mu.Lock()
-			stats.Metrics.Add("journal_append_retries", int64(retries))
-			mu.Unlock()
-		}
-		return err
-	}
 	if jw != nil {
 		names := make([]string, len(targets))
 		for i, t := range targets {
 			names[i] = t.Name
 		}
-		if err := appendRec(scanjournal.Record{
+		if err := jw.Append(scanjournal.Record{
 			Type:        scanjournal.TypeManifest,
 			Fingerprint: fp,
 			Targets:     names,
@@ -291,7 +275,7 @@ func (s *Scanner) ScanBatchJournaled(ctx context.Context, targets []Target) ([]*
 		if jw == nil {
 			return nil
 		}
-		return appendRec(scanjournal.Record{
+		return jw.Append(scanjournal.Record{
 			Type: scanjournal.TypeFinish, Name: name, Index: i, At: time.Now(), Report: raw,
 		})
 	}
@@ -379,7 +363,7 @@ func (s *Scanner) ScanBatchJournaled(ctx context.Context, targets []Target) ([]*
 		// 3. Scan. The start record marks the target in-flight: if the
 		// process dies before the finish record lands, resume re-scans it.
 		if jw != nil {
-			if err := appendRec(scanjournal.Record{
+			if err := jw.Append(scanjournal.Record{
 				Type: scanjournal.TypeStart, Name: name, Index: i, At: time.Now(),
 			}); err != nil {
 				abort(err)

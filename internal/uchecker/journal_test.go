@@ -158,6 +158,56 @@ func TestCrashResumeMatrix(t *testing.T) {
 	}
 }
 
+// TestBatchJournalFaultIsCrash: one failed journal append aborts the
+// batch, at the write seam (nothing reached disk) and at the sync seam
+// (the record reached disk but its fsync failed). The append is never
+// retried, so the journal holds no duplicate finish, and a same-file
+// resume reports no corruption and merges to the uninterrupted result.
+func TestBatchJournalFaultIsCrash(t *testing.T) {
+	targets := batchTargets(t)
+	ctx := context.Background()
+	opts := batchOpts(1)
+	baseReps, _, err := NewScanner(opts).ScanBatchJournaled(ctx, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batchFingerprints(t, baseReps)
+
+	for _, point := range []faultinject.Point{faultinject.JournalWrite, faultinject.JournalSync} {
+		t.Run(string(point), func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "scan.journal")
+			crashOpts := opts
+			crashOpts.Journal = journal
+			crashOpts.FaultHook = faultinject.ErrorN(point, "finish:"+targets[1].Name, 1)
+			if _, _, err := NewScanner(crashOpts).ScanBatchJournaled(ctx, targets); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("batch err = %v, want the injected fault", err)
+			}
+			crashed, err := scanjournal.Read(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			resumeOpts := opts
+			resumeOpts.Journal = journal
+			resumeOpts.ResumeFrom = journal
+			reps, stats, err := NewScanner(resumeOpts).ScanBatchJournaled(ctx, targets)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if len(stats.Failures) != 0 {
+				t.Errorf("resume failures = %+v, want none", stats.Failures)
+			}
+			if got := batchFingerprints(t, reps); !equalStrings(got, want) {
+				t.Error("resumed reports differ from an uninterrupted run")
+			}
+			if finished := finishRecords(t, crashed); stats.Replayed != finished || stats.Scanned != len(targets)-finished {
+				t.Errorf("resume replayed %d, scanned %d; want %d and %d",
+					stats.Replayed, stats.Scanned, finished, len(targets)-finished)
+			}
+		})
+	}
+}
+
 // finishRecords counts the complete finish records salvaged from a
 // crashed journal — the exact set a resume must replay.
 func finishRecords(t *testing.T, rec *scanjournal.Recovery) int {
@@ -718,7 +768,7 @@ func TestBatchResumeFingerprintStableAcrossDefaults(t *testing.T) {
 			rec.Records[i].Fingerprint += " engine=vm"
 		}
 	}
-	if err := scanjournal.Compact(journal, rec.Records); err != nil {
+	if err := scanjournal.Compact(journal, nil, rec.Records); err != nil {
 		t.Fatal(err)
 	}
 	repsC, statsC, err := NewScanner(optsA).ScanBatchJournaled(ctx, targets)

@@ -76,8 +76,7 @@ type WorkerStats struct {
 	MergedPath string
 	// Metrics holds the lease/shard counters (lease_claims,
 	// lease_renewals, lease_reclaims, lease_fenced, shards_scanned,
-	// shards_drained, worker_targets_scanned, journal_append_retries,
-	// coord_folds).
+	// shards_drained, worker_targets_scanned, coord_folds).
 	Metrics obs.Metrics
 }
 

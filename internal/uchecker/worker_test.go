@@ -540,39 +540,6 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 	}
 }
 
-// TestBatchTransientAppendRetry is the satellite retry regression: one
-// transient journal-write fault must not kill the batch — it is
-// absorbed by the bounded retry and counted.
-func TestBatchTransientAppendRetry(t *testing.T) {
-	targets := simTargets(4)
-	opts := simOpts(1)
-	opts.Journal = filepath.Join(t.TempDir(), "scan.journal")
-	opts.FaultHook = faultinject.ErrorN(faultinject.JournalWrite, "", 1)
-	reports, bs, err := NewScanner(opts).ScanBatchJournaled(context.Background(), targets)
-	if err != nil {
-		t.Fatalf("one transient fault killed the batch: %v", err)
-	}
-	for i, rep := range reports {
-		for _, f := range rep.Failures {
-			if f.Class == FailCancelled {
-				t.Errorf("target %d cancelled by a transient fault", i)
-			}
-		}
-	}
-	if got := bs.Metrics["journal_append_retries"]; got < 1 {
-		t.Errorf("journal_append_retries = %d, want >= 1", got)
-	}
-	// And the journal is complete: every target finish landed.
-	rec, err := scanjournal.Read(opts.Journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := scanjournal.Fold(rec)
-	if rp.Corrupt != nil || len(rp.Finished) != len(targets) {
-		t.Errorf("journal after retry: %d finishes, corrupt=%v", len(rp.Finished), rp.Corrupt)
-	}
-}
-
 // TestSubprocessWorkerHelper is not a test: it is the body of a real
 // worker process for TestSubprocessKillNine, entered via the re-exec
 // idiom when UCHECKER_SIM_COORD is set. It slows each root slightly so
